@@ -9,6 +9,11 @@ marginals; in rotated coordinates the factorization is exact by
 construction (outer product), in lab coordinates the axes mix and the
 density develops the familiar tilted-ellipse correlations.
 
+Only the minus factor is expensive (a tabulated marginal of a
+heavy-tailed radial density), and it does not depend on the pump: it is
+cached per (crystal, model, space), so a sweep over pump coherence
+builds it once.  The plus factor is closed form and never cached.
+
 Grid values are raw samples of the normalized joint density at cell
 centres; nothing is renormalized after sampling, so cell sums are an
 honest accuracy diagnostic.  Heavy-tailed minus factors (exact sinc and
@@ -35,7 +40,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import GridTooCoarse, ZeroMass
+from .errors import GridTooCoarse, ParseError, ZeroMass
 from .numerics import Grid2D, grid_moments
 from .params import CrystalParams, PumpParams
 from .phasematch import (
@@ -61,7 +66,10 @@ _SQRT2 = math.sqrt(2.0)
 # marginalization quadrature for non-Gaussian factors
 _MARGINAL_NODES = 4097
 _MARGINAL_QUAD = 4096
-_PROBE_CHUNK = 512
+# probe rows per block: each float64 temporary of a block holds
+# _PROBE_CHUNK x _MARGINAL_QUAD values (1 MB at 32 rows), small enough to
+# stay in a per-core L2 cache; row sums do not depend on the block height
+_PROBE_CHUNK = 32
 
 DEFAULT_COUNT = 256
 
@@ -129,6 +137,9 @@ class _Marginal1D:
             block = nodes[start : start + _PROBE_CHUNK]
             r = np.sqrt(block[:, None] ** 2 + y[None, :] ** 2)
             vals[start : start + _PROBE_CHUNK] = 2.0 * hy * np.sum(radial.pdf(r), axis=1)
+        # shared by every pump through the minus-factor cache
+        nodes.setflags(write=False)
+        vals.setflags(write=False)
         self.nodes = nodes
         self.vals = vals
         self.width_half = self._width_from_table(nodes, vals)
@@ -167,19 +178,24 @@ class _Marginal1D:
 
 
 @lru_cache(maxsize=32)
+def _minus_marginal(c: CrystalParams, m: PhaseMatchModel, space: str) -> _Marginal1D:
+    """The anti-diagonal marginal: phase matching only, so one build per
+    (crystal, model, space) serves every pump."""
+    radial = momentum_radial_density if space == "momentum" else position_radial_density
+    return _Marginal1D(radial(c, m))
+
+
 def _factor_pair(p: PumpParams, c: CrystalParams, m: PhaseMatchModel, space: str):
     """(plus marginal, minus marginal) for the requested space."""
     if p.k_p != c.k_p:
         raise ValueError("pump and crystal disagree on k_p")
     if space == "momentum":
         plus_var = variance_q_plus(p)
-        minus = _Marginal1D(momentum_radial_density(c, m))
     elif space == "position":
         plus_var = variance_rho_plus(p)
-        minus = _Marginal1D(position_radial_density(c, m))
     else:
         raise ValueError(f"unknown space {space!r}, expected 'momentum' or 'position'")
-    return _Marginal1D.from_sigma(math.sqrt(plus_var)), minus
+    return _Marginal1D.from_sigma(math.sqrt(plus_var)), _minus_marginal(c, m, space)
 
 
 def joint_momentum_density(
@@ -236,7 +252,7 @@ def _workers() -> int:
         try:
             return max(1, int(env))
         except ValueError:
-            raise ValueError(f"SPDC_THREADS must be an integer, got {env!r}") from None
+            raise ParseError("SPDC_THREADS", 0, f"must be an integer, got {env!r}") from None
     return min(4, os.cpu_count() or 1)
 
 

@@ -47,57 +47,116 @@ def sinc(x, series_cutoff: float = _SINC_SERIES_CUTOFF):
     return float(out) if out.ndim == 0 else out
 
 
-def _si_series(x: float) -> float:
-    # sum over k of (-1)^k x^(2k+1) / ((2k+1)(2k+1)!)
+def _si_series(x: np.ndarray) -> np.ndarray:
+    # sum over k of (-1)^k x^(2k+1) / ((2k+1)(2k+1)!), each element
+    # stopping at the first term below 1e-18; finished elements leave the
+    # working set so the rest see exactly the scalar recursion
+    out = np.empty_like(x)
+    idx = np.arange(x.size)
     xx = x * x
-    a = x
-    total = x
+    a = total = x
     for k in range(1, 64):
-        a *= xx / ((2 * k) * (2 * k + 1))
+        a = a * (xx / ((2 * k) * (2 * k + 1)))
         t = a / (2 * k + 1)
-        total += -t if (k & 1) else t
-        if a < 1e-18:
-            break
-    return total
+        total = total - t if (k & 1) else total + t
+        done = a < 1e-18
+        if np.count_nonzero(done):
+            out[idx[done]] = total[done]
+            keep = ~done
+            idx, xx, a, total = idx[keep], xx[keep], a[keep], total[keep]
+            if not idx.size:
+                break
+    out[idx] = total
+    return out
 
 
-def _si_large(x: float) -> float:
+# The continued fraction below runs CPython's complex arithmetic
+# (_Py_c_prod, _Py_c_quot) on (real, imag) array pairs, operation for
+# operation, so each element gets the bits the scalar recursion gave;
+# numpy's complex division rounds differently in the last place.  Terms
+# with a zero imaginary part are dropped from the formulas: they only
+# ever change the sign of an exact zero.
+
+
+def _cmul(ar, ai, br, bi):
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _real_over(a, br, bi):
+    # a / (br + i bi) for real a, by Smith's rule as _Py_c_quot does it
+    by_real = np.abs(br) >= np.abs(bi)
+    ratio = np.where(by_real, bi / br, br / bi)
+    denom = np.where(by_real, br + bi * ratio, br * ratio + bi)
+    a_ratio = a * ratio
+    return np.where(by_real, a, a_ratio) / denom, -np.where(by_real, a_ratio, a) / denom
+
+
+def _si_large(x: np.ndarray) -> np.ndarray:
     # Auxiliary-function route for the asymptotic regime.  The divergent
     # asymptotic series cannot reach 1e-10 near the split point, so the
     # auxiliary functions are evaluated through the continued fraction of
-    # the complex exponential integral (modified Lentz recursion); that
-    # converges to machine precision for x > 4.
-    b = complex(1.0, x)
-    c = complex(1e308, 0.0)
-    d = 1.0 / b
-    h = d
-    for i in range(2, 500):
-        a = -((i - 1) ** 2)
-        b = b + 2.0
-        d = 1.0 / (a * d + b)
-        c = b + a / c
-        delta = c * d
-        h = h * delta
-        if abs(delta.real - 1.0) + abs(delta.imag) < 1e-16:
-            break
-    h = complex(math.cos(x), -math.sin(x)) * h
-    return math.pi / 2 + h.imag
+    # the complex exponential integral E1(ix) (modified Lentz recursion
+    # with b_i = 2i - 1 + ix, a_i = -(i-1)^2); that converges to machine
+    # precision for x > 4.  Each element stops at its own convergence and
+    # leaves the working set.
+    n = x.size
+    h_out = np.empty((2, n))
+    idx = np.arange(n)
+    bi = x
+    cr = np.full(n, 1e308)
+    ci = np.zeros(n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dr, di = _real_over(1.0, 1.0, bi)
+        hr, hi = dr, di
+        for i in range(2, 500):
+            a = float(-((i - 1) ** 2))
+            br = float(2 * i - 1)
+            dr, di = _real_over(1.0, a * dr + br, a * di + bi)
+            qr, qi = _real_over(a, cr, ci)
+            cr, ci = br + qr, bi + qi
+            delta_r, delta_i = _cmul(cr, ci, dr, di)
+            hr, hi = _cmul(hr, hi, delta_r, delta_i)
+            done = np.abs(delta_r - 1.0) + np.abs(delta_i) < 1e-16
+            if np.count_nonzero(done):
+                h_out[0, idx[done]] = hr[done]
+                h_out[1, idx[done]] = hi[done]
+                keep = ~done
+                idx, bi, cr, ci, dr, di, hr, hi = (
+                    v[keep] for v in (idx, bi, cr, ci, dr, di, hr, hi)
+                )
+                if not idx.size:
+                    break
+    h_out[0, idx] = hr
+    h_out[1, idx] = hi
+    # libm cos/sin per element, as the scalar route called them: numpy's
+    # own may take a SIMD path that differs in the last place
+    cos = np.array([math.cos(v) for v in x.tolist()])
+    msin = -np.array([math.sin(v) for v in x.tolist()])
+    return math.pi / 2 + (cos * h_out[1] + msin * h_out[0])
 
 
 def sine_integral(x):
     """Si(x), the integral of sin(t)/t from 0 to x, for x >= 0.
 
-    Power series below x = 4, auxiliary functions above; absolute error
-    below 1e-10 on the whole domain (in practice ~1e-15).  Negative
-    arguments raise NegativeArgument: all callers here pass quadratic
-    phases, so the odd extension is intentionally not provided.
+    Power series up to x = 4, auxiliary functions above; absolute error
+    below 1e-10 on the whole domain (in practice ~1e-15).  Accepts scalars
+    or arrays; a scalar or 0-d input returns a float.  Negative arguments
+    raise NegativeArgument: all callers here pass quadratic phases, so the
+    odd extension is intentionally not provided.
     """
-    if np.ndim(x) > 0:
-        return np.array([sine_integral(float(v)) for v in np.asarray(x).ravel()]).reshape(np.shape(x))
-    x = float(x)
-    if x < 0.0:
-        raise NegativeArgument(f"sine_integral needs x >= 0, got {x!r}")
-    return _si_series(x) if x <= _SI_SPLIT else _si_large(x)
+    arr = np.asarray(x, dtype=float)
+    flat = arr.ravel()
+    negative = flat < 0.0
+    if negative.any():
+        bad = float(flat[np.argmax(negative)])
+        raise NegativeArgument(f"sine_integral needs x >= 0, got {bad!r}")
+    out = np.empty_like(flat)
+    small = flat <= _SI_SPLIT
+    if small.any():
+        out[small] = _si_series(flat[small])
+    if not small.all():
+        out[~small] = _si_large(flat[~small])
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 # Hankel-symbol coefficients c_m = prod_{j<=m} (2j-1)^2 / (8^m m!), the

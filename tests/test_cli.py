@@ -184,6 +184,15 @@ class TestErrorPaths:
         assert main(["joint", "--config", cfg, "--out", str(tmp_path / "o"),
                      "--model", "sinc", "--profile", str(prof)]) == 2
 
+    def test_bad_thread_count(self, cfg, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SPDC_THREADS", "abc")
+        code = main(["joint", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--grid", "64", "--coords", "lab", "--model", "gauss"])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:") and "SPDC_THREADS" in err[0]
+
     def test_malformed_profile(self, cfg, tmp_path, capsys):
         prof = tmp_path / "p.csv"
         prof.write_text("0,50\n", encoding="utf-8")

@@ -9,6 +9,7 @@ import pytest
 
 from oracles import marginal_of_radial, si_position_radial, sinc_momentum_radial
 
+from spdc_coherence import joint
 from spdc_coherence.errors import GridTooCoarse, ZeroMass
 from spdc_coherence.joint import (
     Axis,
@@ -25,6 +26,8 @@ from spdc_coherence.params import CrystalParams, PumpParams
 from spdc_coherence.phasematch import (
     EXACT_SINC,
     GAUSSIAN_APPROX,
+    momentum_radial_density,
+    position_radial_density,
     variance_q_minus,
     variance_rho_minus,
 )
@@ -327,3 +330,48 @@ class TestThreading:
     def test_zero_clamps_to_one(self, monkeypatch):
         monkeypatch.setenv("SPDC_THREADS", "0")
         evaluate_grid(PUMP_NARROW, CRYSTAL, EXACT_SINC, "momentum", "lab")
+
+
+class TestMinusFactorCache:
+    # coherence and curvature sweep at fixed crystal and model
+    PUMPS = [
+        PumpParams(w=100.0, k_p=K_P),
+        PumpParams(w=100.0, k_p=K_P, ell_c=100.0),
+        PumpParams(w=100.0, k_p=K_P, ell_c=10.0),
+        PumpParams(w=100.0, k_p=K_P, ell_c=100.0, R=2.0e4),
+    ]
+
+    def test_one_build_per_space_across_a_pump_sweep(self):
+        joint._minus_marginal.cache_clear()
+        for space in ("momentum", "position"):
+            before = joint._minus_marginal.cache_info().misses
+            grids = [evaluate_grid(p, CRYSTAL, EXACT_SINC, space, "rotated") for p in self.PUMPS]
+            assert joint._minus_marginal.cache_info().misses - before == 1
+            minus = {id(joint._factor_pair(p, CRYSTAL, EXACT_SINC, space)[1]) for p in self.PUMPS}
+            assert len(minus) == 1
+            if space == "position":
+                # blind to the pump's coherence and curvature
+                assert len({g.values.tobytes() for g in grids}) == 1
+
+    def test_k_p_mismatch_raises_before_any_build(self):
+        joint._minus_marginal.cache_clear()
+        with pytest.raises(ValueError, match="k_p"):
+            evaluate_grid(PumpParams(w=100.0, k_p=9.0), CRYSTAL, EXACT_SINC, "momentum", "rotated")
+        info = joint._minus_marginal.cache_info()
+        assert info.misses == 0 and info.currsize == 0
+
+
+class TestMarginalBlocking:
+    # CRYSTAL has its exit face at z0 = L
+    @pytest.mark.parametrize("radial_density", [momentum_radial_density, position_radial_density])
+    def test_block_height_leaves_the_table_unchanged(self, monkeypatch, radial_density):
+        radial = radial_density(CRYSTAL, EXACT_SINC)
+        built = []
+        for chunk in (512, 64, 32):
+            monkeypatch.setattr(joint, "_PROBE_CHUNK", chunk)
+            built.append(joint._Marginal1D(radial))
+        a = built[0]
+        for b in built[1:]:
+            assert a.vals.tobytes() == b.vals.tobytes()
+            assert a.width_half == b.width_half
+            assert a.half_range_default == b.half_range_default

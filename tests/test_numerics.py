@@ -50,6 +50,44 @@ class TestSinc:
         assert abs(sinc(x)) <= 1.0
 
 
+# Si(x) as float.hex() pairs, from the scalar series/continued-fraction
+# route the vectorized kernel replaced; both sides of the x = 4 split
+SI_GOLDEN = [
+    ('0x0.0p+0', '0x0.0p+0'),
+    ('0x1.56e1fc2f8f359p-997', '0x1.56e1fc2f8f359p-997'),
+    ('0x1.12e0be826d695p-30', '0x1.12e0be826d695p-30'),
+    ('0x1.0624dd2f1a9fcp-10', '0x1.0624dc3ac4a19p-10'),
+    ('0x1.999999999999ap-4', '0x1.995f5cfe05b52p-4'),
+    ('0x1.0000000000000p-1', '0x1.f8f126a7a3cfbp-2'),
+    ('0x1.0000000000000p+0', '0x1.e465000d0d798p-1'),
+    ('0x1.8000000000000p+0', '0x1.531e75bbef1dfp+0'),
+    ('0x1.0000000000000p+1', '0x1.9afc5847f10b6p+0'),
+    ('0x1.921fb54442d18p+1', '0x1.da188bf083edbp+0'),
+    ('0x1.c000000000000p+1', '0x1.d547b4c4bcc7ap+0'),
+    ('0x1.f333333333333p+1', '0x1.c6c8cb0c6c3edp+0'),
+    ('0x1.fffff79c842fap+1', '0x1.c2199d021ef7dp+0'),
+    ('0x1.0000000000000p+2', '0x1.c21999d582bf0p+0'),
+    ('0x1.0000000000001p+2', '0x1.c21999d582bedp+0'),
+    ('0x1.00000431bde83p+2', '0x1.c21996a8e6657p+0'),
+    ('0x1.0666666666666p+2', '0x1.bd1e4d63e91c3p+0'),
+    ('0x1.2000000000000p+2', '0x1.a775bf06c0309p+0'),
+    ('0x1.4000000000000p+2', '0x1.8cc84b4816004p+0'),
+    ('0x1.9000000000000p+2', '0x1.6b11bea9469acp+0'),
+    ('0x1.0000000000000p+3', '0x1.92fde85506871p+0'),
+    ('0x1.4000000000000p+3', '0x1.a88977ca9201fp+0'),
+    ('0x1.14ccccccccccdp+4', '0x1.92a68fd76828cp+0'),
+    ('0x1.f000000000000p+4', '0x1.8ab13e9b3a468p+0'),
+    ('0x1.0200000000000p+6', '0x1.9272c35486da4p+0'),
+    ('0x1.9000000000000p+6', '0x1.8fee0219444edp+0'),
+    ('0x1.0100000000000p+8', '0x1.914f5b6e57e0fp+0'),
+    ('0x1.f3f3333333333p+9', '0x1.91f5925d87827p+0'),
+    ('0x1.34a0000000000p+10', '0x1.925439865a769p+0'),
+    ('0x1.7700000000000p+11', '0x1.92350544654f3p+0'),
+    ('0x1.f400000000000p+11', '0x1.922bab9a382a0p+0'),
+    ('0x1.f3fc000000000p+12', '0x1.921d29e26d648p+0'),
+]
+
+
 class TestSineIntegral:
     def test_against_scipy(self):
         xs = np.concatenate(
@@ -79,6 +117,21 @@ class TestSineIntegral:
 
     def test_limit(self):
         assert abs(sine_integral(1e4) - math.pi / 2.0) < 2e-4
+
+    def test_bits_pinned(self):
+        xs = np.array([float.fromhex(x) for x, _ in SI_GOLDEN])
+        want = [y for _, y in SI_GOLDEN]
+        assert [float(v).hex() for v in sine_integral(xs)] == want
+        assert [sine_integral(float(x)).hex() for x in xs] == want
+
+    def test_scalar_and_0d_return_float(self):
+        assert type(sine_integral(5.0)) is float
+        assert type(sine_integral(np.array(0.5))) is float
+        assert sine_integral(np.array([])).shape == (0,)
+
+    def test_negative_element_rejected(self):
+        with pytest.raises(NegativeArgument, match="-2.0"):
+            sine_integral(np.array([1.0, 5.0, -2.0, -3.0]))
 
 
 class TestBesselJ0:
