@@ -24,7 +24,7 @@ from . import __version__
 from .entanglement import classify, sweep_phase_diagram, sweep_to_csv
 from .errors import GridTooCoarse, NegativeArgument, NonPositiveParameter, ParseError, ZeroMass
 from .joint import DEFAULT_COUNT, default_axes, evaluate_grid, widths_from_grid
-from .params import load_params
+from .params import load_params, params_dict
 from .phasematch import (
     PhaseMatchModel,
     chi_tilde,
@@ -35,29 +35,8 @@ from .phasematch import (
 from .pump import variance_q_plus, variance_rho_plus
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _params_doc(p, c) -> dict:
-    return {
-        "pump": {"w": p.w, "ell_c": p.ell_c, "R": p.R, "k_p": p.k_p},
-        "crystal": {"L": c.L, "z0": c.z0, "alpha": c.alpha, "beta": c.beta, "k_p": c.k_p},
-    }
-
-
-def _write_manifest(out: Path, command: str, parameters: dict, outputs: list[str], t0: float):
-    doc = {
-        "command": command,
-        "version": __version__,
-        "parameters": parameters,
-        "outputs": outputs,
-        "duration_s": round(time.time() - t0, 3),
-    }
-    name = command.replace("-", "_") + "_manifest.json"
-    (out / name).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    return {"pump": params_dict(p), "crystal": params_dict(c)}
 
 
 def _model_from_args(args) -> PhaseMatchModel:
@@ -70,10 +49,12 @@ def _model_from_args(args) -> PhaseMatchModel:
     return PhaseMatchModel(args.model)
 
 
-def cmd_variances(args) -> int:
-    t0 = time.time()
+# Each command writes its outputs through write(name, text) and returns
+# (manifest parameters, exit code); main times it and writes the manifest.
+
+
+def cmd_variances(args, write):
     p, c = load_params(args.config)
-    out = _out_dir(args)
     rep = classify(p, c)
     doc = {
         "variance_rho_plus": variance_rho_plus(p),
@@ -89,21 +70,18 @@ def cmd_variances(args) -> int:
     }
     for key, val in doc.items():
         print(f"{key} = {json.dumps(val)}")
-    (out / "variances.json").write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
-    _write_manifest(out, "variances", _params_doc(p, c), ["variances.json"], t0)
-    return 0
+    write("variances.json", json.dumps(doc, indent=1) + "\n")
+    return _params_doc(p, c), 0
 
 
-def cmd_joint(args) -> int:
-    t0 = time.time()
+def cmd_joint(args, write):
     p, c = load_params(args.config)
     m = _model_from_args(args)
-    out = _out_dir(args)
     axes = default_axes(p, c, m, args.space, args.coords, count=args.grid)
     grid = evaluate_grid(p, c, m, args.space, args.coords, axes)
     stem = f"joint_{args.space}_{args.coords}"
-    (out / f"{stem}.csv").write_text(grid.to_csv(), encoding="utf-8")
-    (out / f"{stem}.json").write_text(grid.to_json() + "\n", encoding="utf-8")
+    write(f"{stem}.csv", grid.to_csv())
+    write(f"{stem}.json", grid.to_json() + "\n")
     dp, dm = widths_from_grid(grid)
     print(
         f"{stem}: {args.grid}x{args.grid} cells, mass {grid.mass:.6f}, "
@@ -116,17 +94,14 @@ def cmd_joint(args) -> int:
     params["model"] = m.kind
     if m.profile is not None:
         params["profile_segments"] = [list(s) for s in m.profile.segments]
-    _write_manifest(out, "joint", params, [f"{stem}.csv", f"{stem}.json"], t0)
-    return 0
+    return params, 0
 
 
-def cmd_phase_diagram(args) -> int:
-    t0 = time.time()
+def cmd_phase_diagram(args, write):
     if args.x_max <= 0 or args.y_max <= 0 or args.nx < 1 or args.ny < 1:
         raise ParseError("cli", 0, "phase-diagram needs positive ranges and counts")
-    out = _out_dir(args)
     cells = sweep_phase_diagram((0.0, args.x_max), (0.0, args.y_max), args.nx, args.ny, args.alpha)
-    (out / "phase_diagram.csv").write_text(sweep_to_csv(cells), encoding="utf-8")
+    write("phase_diagram.csv", sweep_to_csv(cells))
     total = len(cells)
     frac1 = sum(cell.type1 for cell in cells) / total
     frac2 = sum(cell.type2 for cell in cells) / total
@@ -142,15 +117,12 @@ def cmd_phase_diagram(args) -> int:
         "ny": args.ny,
         "alpha": args.alpha,
     }
-    _write_manifest(out, "phase-diagram", params, ["phase_diagram.csv"], t0)
-    return 0
+    return params, 0
 
 
-def cmd_phasematch(args) -> int:
-    t0 = time.time()
+def cmd_phasematch(args, write):
     p, c = load_params(args.config)
     m = _model_from_args(args)
-    out = _out_dir(args)
     if args.dk_max is not None:
         dk_max = args.dk_max
         if dk_max <= 0:
@@ -166,7 +138,7 @@ def cmd_phasematch(args) -> int:
     for dk, v in zip(dks, vals):
         lines.append(f"{dk:.9g},{v.real:.9g},{v.imag:.9g},{abs(v) ** 2:.9g}")
     name = f"phasematch_{m.kind}.csv"
-    (out / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write(name, "\n".join(lines) + "\n")
     print(f"{name}: {args.n} samples over mismatch [0, {dk_max:.6g}]")
     params = _params_doc(p, c)
     params["model"] = m.kind
@@ -174,15 +146,13 @@ def cmd_phasematch(args) -> int:
     params["n"] = args.n
     if m.profile is not None:
         params["profile_segments"] = [list(s) for s in m.profile.segments]
-    _write_manifest(out, "phasematch", params, [name], t0)
-    return 0
+    return params, 0
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args, write):
     from .validation import run_all
 
     t0 = time.time()
-    out = _out_dir(args)
     results = run_all()
     for r in results:
         print(r.line())
@@ -196,14 +166,13 @@ def cmd_validate(args) -> int:
         }
         for r in results
     ]
-    (out / "validate_report.json").write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
-    _write_manifest(out, "validate", {}, ["validate_report.json"], t0)
+    write("validate_report.json", json.dumps(doc, indent=1) + "\n")
     failures = [r.name for r in results if not r.passed]
     if failures:
         print(f"validation failed at: {failures[0]}", file=sys.stderr)
-        return 1
+        return {}, 1
     print(f"all {len(results)} checks passed in {time.time() - t0:.1f} s")
-    return 0
+    return {}, 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -270,19 +239,32 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    t0 = time.time()
+    out = Path(args.out)
+    outputs = []
+
+    def write(name: str, text: str):
+        out.mkdir(parents=True, exist_ok=True)
+        (out / name).write_text(text, encoding="utf-8")
+        outputs.append(name)
+
     try:
-        return args.fn(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except GridTooCoarse as exc:
-        print(f"error: grid too coarse: {exc}", file=sys.stderr)
-        return 2
-    except (NonPositiveParameter, NegativeArgument, ZeroMass) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        parameters, code = args.fn(args, write)
+        manifest = {
+            "command": args.command,
+            "version": __version__,
+            "parameters": parameters,
+            "outputs": list(outputs),
+            "duration_s": round(time.time() - t0, 3),
+        }
+        name = args.command.replace("-", "_") + "_manifest.json"
+        write(name, json.dumps(manifest, indent=1) + "\n")
+        return code
+    except (
+        ParseError, GridTooCoarse, NonPositiveParameter, NegativeArgument, ZeroMass, OSError
+    ) as exc:
+        kind = "grid too coarse: " if isinstance(exc, GridTooCoarse) else ""
+        print(f"error: {kind}{exc}", file=sys.stderr)
         return 2
 
 

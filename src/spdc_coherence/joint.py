@@ -9,10 +9,12 @@ marginals; in rotated coordinates the factorization is exact by
 construction (outer product), in lab coordinates the axes mix and the
 density develops the familiar tilted-ellipse correlations.
 
-Only the minus factor is expensive (a tabulated marginal of a
-heavy-tailed radial density), and it does not depend on the pump: it is
+Each factor is a frozen _Marginal1D: _gaussian_marginal builds the
+closed-form one of a Gaussian factor, _tabulated_marginal the
+interpolation table of a heavy-tailed radial density.  Only the minus
+factor can need a table, and it does not depend on the pump: it is
 cached per (crystal, model, space), so a sweep over pump coherence
-builds it once.  The plus factor is closed form and never cached.
+builds it once.  The plus factor is always Gaussian and never cached.
 
 Grid values are raw samples of the normalized joint density at cell
 centres; nothing is renormalized after sampling, so cell sums are an
@@ -42,10 +44,11 @@ import numpy as np
 
 from .errors import GridTooCoarse, ParseError, ZeroMass
 from .numerics import Grid2D, grid_moments
-from .params import CrystalParams, PumpParams
+from .params import CrystalParams, PumpParams, params_dict
 from .phasematch import (
     PhaseMatchModel,
     NonlinearityProfile,
+    RadialDensity,
     momentum_radial_density,
     position_radial_density,
 )
@@ -98,74 +101,20 @@ class Axis:
         return self.lo + (np.arange(self.count) + 0.5) * self.step
 
 
+@dataclass(frozen=True, eq=False)
 class _Marginal1D:
-    """1D marginal of a radially symmetric 2D factor.
-
-    Gaussian factors keep their closed form; others are tabulated once by
-    integrating the radial density across the transverse direction and
-    evaluated by linear interpolation (zero beyond the table).  width_half
-    is the 1/e half-width of the marginal, the resolution scale the grid
-    guard works with; half_range_default is the +/- window default axes
-    use (5 sigma for Gaussians, 5 width_half otherwise).
+    """1D marginal of a radially symmetric 2D factor: closed form when
+    sigma is set (Gaussian factors), else linear interpolation in the
+    (nodes, vals) table, zero beyond it.  width_half is the 1/e half-width
+    of the marginal, the resolution scale the grid guard works with;
+    half_range_default is the +/- window default axes use.
     """
 
-    __slots__ = ("sigma", "nodes", "vals", "width_half", "half_range_default")
-
-    @classmethod
-    def from_sigma(cls, sigma: float) -> "_Marginal1D":
-        self = object.__new__(cls)
-        self.sigma = sigma
-        self.nodes = None
-        self.vals = None
-        self.width_half = _SQRT2 * sigma
-        self.half_range_default = 5.0 * sigma
-        return self
-
-    def __init__(self, radial):
-        if radial.sigma is not None:
-            other = _Marginal1D.from_sigma(radial.sigma)
-            for name in self.__slots__:
-                setattr(self, name, getattr(other, name))
-            return
-        self.sigma = None
-        span = radial.half_range
-        nodes = np.linspace(0.0, span, _MARGINAL_NODES)
-        hy = span / _MARGINAL_QUAD
-        y = (np.arange(_MARGINAL_QUAD) + 0.5) * hy
-        vals = np.empty(_MARGINAL_NODES)
-        for start in range(0, _MARGINAL_NODES, _PROBE_CHUNK):
-            block = nodes[start : start + _PROBE_CHUNK]
-            r = np.sqrt(block[:, None] ** 2 + y[None, :] ** 2)
-            vals[start : start + _PROBE_CHUNK] = 2.0 * hy * np.sum(radial.pdf(r), axis=1)
-        # shared by every pump through the minus-factor cache
-        nodes.setflags(write=False)
-        vals.setflags(write=False)
-        self.nodes = nodes
-        self.vals = vals
-        self.width_half = self._width_from_table(nodes, vals)
-        # default window by mass quantile: the sinc-family tails decay like
-        # 1/t^2 in captured mass, so a fixed multiple of the 1/e width would
-        # strand percents of it outside the grid
-        cum = np.concatenate(([0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * np.diff(nodes))))
-        idx = int(np.searchsorted(cum, (1.0 - 1e-3) * cum[-1]))
-        quantile = float(nodes[min(idx, nodes.size - 1)])
-        self.half_range_default = min(span, max(quantile, 5.0 * self.width_half))
-
-    @staticmethod
-    def _width_from_table(nodes, vals) -> float:
-        # full 1/e extent around the tallest feature, halved; for a
-        # centre-peaked marginal this is the usual 1/e half-width, for an
-        # edge-peaked one (poled profiles) it tracks the narrow feature
-        peak = int(np.argmax(vals))
-        cut = vals[peak] / math.e
-        right = np.nonzero(vals[peak:] < cut)[0]
-        hi = nodes[peak + right[0]] if right.size else nodes[-1]
-        left = np.nonzero(vals[: peak + 1] < cut)[0]
-        if left.size:
-            lo = nodes[left[-1]]
-            return 0.5 * (hi - lo)
-        # peak connects to the origin: mirror symmetry supplies the left side
-        return hi
+    width_half: float
+    half_range_default: float
+    sigma: float | None = None
+    nodes: np.ndarray | None = None
+    vals: np.ndarray | None = None
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -177,12 +126,59 @@ class _Marginal1D:
         return float(out) if out.ndim == 0 else out
 
 
+def _gaussian_marginal(sigma: float) -> _Marginal1D:
+    """Closed-form marginal of a Gaussian factor, windowed at 5 sigma."""
+    return _Marginal1D(width_half=_SQRT2 * sigma, half_range_default=5.0 * sigma, sigma=sigma)
+
+
+def _tabulated_marginal(radial: RadialDensity) -> _Marginal1D:
+    """Marginal of a non-Gaussian radial density, tabulated once by
+    integrating it across the transverse direction."""
+    span = radial.half_range
+    nodes = np.linspace(0.0, span, _MARGINAL_NODES)
+    hy = span / _MARGINAL_QUAD
+    y = (np.arange(_MARGINAL_QUAD) + 0.5) * hy
+    vals = np.empty(_MARGINAL_NODES)
+    for start in range(0, _MARGINAL_NODES, _PROBE_CHUNK):
+        block = nodes[start : start + _PROBE_CHUNK]
+        r = np.sqrt(block[:, None] ** 2 + y[None, :] ** 2)
+        vals[start : start + _PROBE_CHUNK] = 2.0 * hy * np.sum(radial.pdf(r), axis=1)
+    # shared by every pump through the minus-factor cache
+    nodes.setflags(write=False)
+    vals.setflags(write=False)
+    width_half = _width_from_table(nodes, vals)
+    # default window by mass quantile: the sinc-family tails decay like
+    # 1/t^2 in captured mass, so a fixed multiple of the 1/e width would
+    # strand percents of it outside the grid
+    cum = np.concatenate(([0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * np.diff(nodes))))
+    idx = int(np.searchsorted(cum, (1.0 - 1e-3) * cum[-1]))
+    quantile = float(nodes[min(idx, nodes.size - 1)])
+    half_range_default = min(span, max(quantile, 5.0 * width_half))
+    return _Marginal1D(width_half, half_range_default, nodes=nodes, vals=vals)
+
+
+def _width_from_table(nodes, vals) -> float:
+    # full 1/e extent around the tallest feature, halved; for a
+    # centre-peaked marginal this is the usual 1/e half-width, for an
+    # edge-peaked one (poled profiles) it tracks the narrow feature
+    peak = int(np.argmax(vals))
+    cut = vals[peak] / math.e
+    right = np.nonzero(vals[peak:] < cut)[0]
+    hi = nodes[peak + right[0]] if right.size else nodes[-1]
+    left = np.nonzero(vals[: peak + 1] < cut)[0]
+    if left.size:
+        lo = nodes[left[-1]]
+        return 0.5 * (hi - lo)
+    # peak connects to the origin: mirror symmetry supplies the left side
+    return hi
+
+
 @lru_cache(maxsize=32)
 def _minus_marginal(c: CrystalParams, m: PhaseMatchModel, space: str) -> _Marginal1D:
     """The anti-diagonal marginal: phase matching only, so one build per
     (crystal, model, space) serves every pump."""
-    radial = momentum_radial_density if space == "momentum" else position_radial_density
-    return _Marginal1D(radial(c, m))
+    radial = (momentum_radial_density if space == "momentum" else position_radial_density)(c, m)
+    return _tabulated_marginal(radial) if radial.sigma is None else _gaussian_marginal(radial.sigma)
 
 
 def _factor_pair(p: PumpParams, c: CrystalParams, m: PhaseMatchModel, space: str):
@@ -195,7 +191,7 @@ def _factor_pair(p: PumpParams, c: CrystalParams, m: PhaseMatchModel, space: str
         plus_var = variance_rho_plus(p)
     else:
         raise ValueError(f"unknown space {space!r}, expected 'momentum' or 'position'")
-    return _Marginal1D.from_sigma(math.sqrt(plus_var)), _minus_marginal(c, m, space)
+    return _gaussian_marginal(math.sqrt(plus_var)), _minus_marginal(c, m, space)
 
 
 def joint_momentum_density(
@@ -337,20 +333,9 @@ class JointGrid:
             "values": [float(v) for v in self.values.ravel()],
         }
         if self.pump is not None:
-            doc["pump"] = {
-                "w": self.pump.w,
-                "ell_c": self.pump.ell_c,
-                "R": self.pump.R,
-                "k_p": self.pump.k_p,
-            }
+            doc["pump"] = params_dict(self.pump)
         if self.crystal is not None:
-            doc["crystal"] = {
-                "L": self.crystal.L,
-                "z0": self.crystal.z0,
-                "alpha": self.crystal.alpha,
-                "beta": self.crystal.beta,
-                "k_p": self.crystal.k_p,
-            }
+            doc["crystal"] = params_dict(self.crystal)
         if self.model is not None:
             doc["model"] = {
                 "kind": self.model.kind,
@@ -370,13 +355,9 @@ class JointGrid:
         values = np.array(doc["values"], dtype=float).reshape(ax1.count, ax2.count)
         pump = crystal = model = None
         if "pump" in doc:
-            d = doc["pump"]
-            pump = PumpParams(w=d["w"], k_p=d["k_p"], ell_c=d["ell_c"], R=d["R"])
+            pump = PumpParams(**doc["pump"])
         if "crystal" in doc:
-            d = doc["crystal"]
-            crystal = CrystalParams(
-                L=d["L"], k_p=d["k_p"], z0=d["z0"], alpha=d["alpha"], beta=d["beta"]
-            )
+            crystal = CrystalParams(**doc["crystal"])
         if "model" in doc:
             d = doc["model"]
             prof = (

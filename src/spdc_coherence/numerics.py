@@ -33,14 +33,14 @@ _SINC_SERIES_CUTOFF = 1e-4
 _SI_SPLIT = 4.0
 
 
-def sinc(x, series_cutoff: float = _SINC_SERIES_CUTOFF):
+def sinc(x):
     """sin(x)/x with the removable singularity filled by its Taylor series.
 
     Unnormalized convention (no pi).  Accepts scalars or arrays.  Below
-    ``series_cutoff`` the quartic series keeps the error under 1e-14.
+    |x| = 1e-4 the quartic series keeps the error under 1e-14.
     """
     x = np.asarray(x, dtype=float)
-    small = np.abs(x) < series_cutoff
+    small = np.abs(x) < _SINC_SERIES_CUTOFF
     safe = np.where(small, 1.0, x)
     x2 = x * x
     out = np.where(small, 1.0 - x2 / 6.0 + x2 * x2 / 120.0, np.sin(safe) / safe)

@@ -29,6 +29,7 @@ __all__ = [
     "read_config",
     "load_params",
     "serialize_params",
+    "params_dict",
     "CONFIG_KEYS",
 ]
 
@@ -64,7 +65,8 @@ class CrystalParams:
            z0 = L/2 centres the crystal on the origin and makes the
            longitudinal spectrum purely real.
     alpha  width parameter of the Gaussian phase-matching approximation
-    beta   nondegeneracy, beta^2 = k_i/k_s; 1 = degenerate pair
+    beta   nondegeneracy, beta^2 = k_i/k_s; only the degenerate pair,
+           beta = 1, is modelled and validation rejects any other value
     """
 
     L: float
@@ -101,13 +103,18 @@ def validate_pump(p: PumpParams) -> PumpParams:
 
 
 def validate_crystal(c: CrystalParams) -> CrystalParams:
-    """Check invariants.  z0 is unrestricted in sign but must be finite."""
-    for name in ("L", "k_p", "alpha", "beta"):
+    """Check invariants.  z0 is unrestricted in sign but must be finite;
+    beta must be 1, the degenerate pair."""
+    for name in ("L", "k_p", "alpha"):
         v = getattr(c, name)
         if not (0.0 < v < math.inf):
             raise NonPositiveParameter(name, f"need a positive finite value, got {v!r}")
     if not math.isfinite(c.z0):
         raise NonPositiveParameter("z0", f"need a finite position, got {c.z0!r}")
+    if c.beta != 1.0:
+        raise NonPositiveParameter(
+            "beta", f"only degenerate pairs are modelled, need 1, got {c.beta!r}"
+        )
     return c
 
 
@@ -165,21 +172,12 @@ def read_config(text: str, source: str = "<config>") -> tuple[PumpParams, Crysta
         if key not in values:
             raise ParseError(source, 0, f"missing required key {key!r}")
 
-    pump_kwargs = {"w": values["pump.w"], "k_p": values["pump.k_p"]}
-    if "pump.ell_c" in values:
-        pump_kwargs["ell_c"] = values["pump.ell_c"]
-    if "pump.R" in values:
-        pump_kwargs["R"] = values["pump.R"]
-    crystal_kwargs = {"L": values["crystal.L"], "k_p": values["pump.k_p"]}
-    if "crystal.z0" in values:
-        crystal_kwargs["z0"] = values["crystal.z0"]
-    if "crystal.alpha" in values:
-        crystal_kwargs["alpha"] = values["crystal.alpha"]
-    if "crystal.beta" in values:
-        crystal_kwargs["beta"] = values["crystal.beta"]
-
-    p = validate_pump(PumpParams(**pump_kwargs))
-    c = validate_crystal(CrystalParams(**crystal_kwargs))
+    kwargs = {"pump": {}, "crystal": {"k_p": values["pump.k_p"]}}
+    for key, num in values.items():
+        section, _, name = key.partition(".")
+        kwargs[section][name] = num
+    p = validate_pump(PumpParams(**kwargs["pump"]))
+    c = validate_crystal(CrystalParams(**kwargs["crystal"]))
     return p, c
 
 
@@ -193,17 +191,21 @@ def _fmt_value(v: float) -> str:
     return "inf" if math.isinf(v) else repr(float(v))
 
 
+def params_dict(x: PumpParams | CrystalParams) -> dict[str, float]:
+    """The fields of a parameter bundle as a dict, in CONFIG_KEYS order;
+    a crystal's k_p, which is not a config key, comes last."""
+    section = "pump." if isinstance(x, PumpParams) else "crystal."
+    names = [key[len(section):] for key in CONFIG_KEYS if key.startswith(section)]
+    return {name: getattr(x, name) for name in dict.fromkeys(names + ["k_p"])}
+
+
 def serialize_params(p: PumpParams, c: CrystalParams) -> str:
     """Write parameters back in config syntax; parse(serialize(...)) is the
     identity on validated bundles."""
-    out = [
-        f"pump.w = {_fmt_value(p.w)}",
-        f"pump.ell_c = {_fmt_value(p.ell_c)}",
-        f"pump.R = {_fmt_value(p.R)}",
-        f"pump.k_p = {_fmt_value(p.k_p)}",
-        f"crystal.L = {_fmt_value(c.L)}",
-        f"crystal.z0 = {_fmt_value(c.z0)}",
-        f"crystal.alpha = {_fmt_value(c.alpha)}",
-        f"crystal.beta = {_fmt_value(c.beta)}",
+    lines = [
+        f"{section}.{name} = {_fmt_value(value)}\n"
+        for section, x in (("pump", p), ("crystal", c))
+        for name, value in params_dict(x).items()
+        if f"{section}.{name}" in CONFIG_KEYS
     ]
-    return "\n".join(out) + "\n"
+    return "".join(lines)

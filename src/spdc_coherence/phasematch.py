@@ -240,26 +240,20 @@ def chi_tilde_gauss(q_minus, c: CrystalParams):
     (z0 = L) quadratic phase: exp[(i - alpha) q_minus^2 L / (2 k_p)]."""
     q = np.asarray(q_minus, dtype=float)
     q2 = q @ q if q.ndim == 1 else np.sum(q * q, axis=-1)
-    out = np.exp((1j - c.alpha) * q2 * c.L / (2.0 * c.k_p))
-    return complex(out) if np.ndim(out) == 0 else out
-
-
-def _chi_gauss_of_dk(dk, c: CrystalParams):
-    # same model parametrized by the mismatch dk = q^2/k_p
-    dk = np.asarray(dk, dtype=float)
-    out = np.exp((1j - c.alpha) * dk * c.L / 2.0)
-    return complex(out) if out.ndim == 0 else out
+    return chi_tilde(q2 / c.k_p, c, GAUSSIAN_APPROX)
 
 
 def chi_tilde(dk, c: CrystalParams, m: PhaseMatchModel):
     """The chosen model's spectrum as a function of the mismatch dk.
     Note the two closed-form models drop the overall length factor while
-    profiles keep their physical amplitude."""
+    profiles keep their physical amplitude.  The Gaussian model is
+    exp[(i - alpha) dk L / 2]."""
     if m.kind == "sinc":
         return chi_tilde_sinc(dk, c)
-    if m.kind == "gauss":
-        return _chi_gauss_of_dk(dk, c)
-    return chi_tilde_profile(dk, m.profile)
+    if m.kind == "profile":
+        return chi_tilde_profile(dk, m.profile)
+    out = np.exp((1j - c.alpha) * np.asarray(dk, dtype=float) * c.L / 2.0)
+    return complex(out) if out.ndim == 0 else out
 
 
 def calibrate_alpha() -> float:
@@ -325,10 +319,6 @@ def _profile_momentum_norm(k_p: float, prof: NonlinearityProfile) -> float:
     return float(2.0 * math.pi * np.sum(q * vals) * (q[1] - q[0]))
 
 
-def _chi_of_dk(c: CrystalParams, m: PhaseMatchModel) -> Callable:
-    return lambda dk: chi_tilde(dk, c, m)
-
-
 def _feature_lengths(c: CrystalParams, m: PhaseMatchModel) -> tuple[float, float]:
     # (overall extent, finest feature) of the longitudinal structure;
     # these set the position and momentum scales of the densities.
@@ -344,42 +334,28 @@ def _u_sinc_1e() -> float:
     return find_root(lambda u: sinc(u) ** 2 - math.exp(-1.0), 1.0, 2.0, tol=1e-13)
 
 
-@lru_cache(maxsize=1)
-def _s_si_1e() -> float:
-    # abscissa where [pi/2 - Si(s)]^2 drops to 1/e of its s = 0 value
-    peak = (math.pi / 2.0) ** 2
-    return find_root(
-        lambda s: (math.pi / 2.0 - sine_integral(s)) ** 2 - peak * math.exp(-1.0),
-        0.01,
-        3.0,
-        tol=1e-13,
-    )
+def _radius(v) -> float:
+    # |v| of a scalar radius or a 2-vector
+    v = np.asarray(v, dtype=float)
+    return math.sqrt(float(v @ v)) if v.ndim == 1 else abs(float(v))
 
 
 def p_chi_momentum(q_minus, c: CrystalParams, m: PhaseMatchModel) -> float:
-    """Normalized anti-diagonal momentum density |chi(q^2/k_p)|^2 / norm.
+    """Normalized anti-diagonal momentum density |chi(q^2/k_p)|^2 / norm
+    at |q_minus|, read from ``momentum_radial_density(c, m).pdf``.
 
     Gaussian model: analytic, (alpha L / (pi k_p)) exp[-alpha q^2 L/k_p].
     Other models: numerically normalized (cached).  Independent of z0:
     only the modulus of the spectrum enters.
     """
-    q = np.asarray(q_minus, dtype=float)
-    q2 = float(q @ q) if q.ndim == 1 else float(q) ** 2
-    if m.kind == "gauss":
-        a = c.alpha * c.L / c.k_p
-        return a / math.pi * math.exp(-a * q2)
-    if m.kind == "sinc":
-        norm = 2.0 * math.pi * (c.k_p / c.L) * _sinc_sq_area()
-        return float(sinc(q2 * c.L / (2.0 * c.k_p)) ** 2) / norm
-    return float(np.abs(chi_tilde_profile(q2 / c.k_p, m.profile)) ** 2) / _profile_momentum_norm(
-        c.k_p, m.profile
-    )
+    return float(momentum_radial_density(c, m).pdf(_radius(q_minus)))
 
 
-@lru_cache(maxsize=4)
-def _si_position_norm(L: float, k_p: float) -> float:
-    # 2D integral of [pi/2 - Si(k_p rho^2/(2L))]^2 over the rho plane
-    return 2.0 * math.pi * (L / k_p) * _si_form_area()
+def _si_density(rho, L: float, k_p: float):
+    # centred-crystal (z0 = L/2) closed form [pi/2 - Si(k_p rho^2/(2L))]^2,
+    # divided by its integral over the rho plane; vectorized in rho
+    s = k_p * rho * rho / (2.0 * L)
+    return (math.pi / 2.0 - sine_integral(s)) ** 2 / (2.0 * math.pi * (L / k_p) * _si_form_area())
 
 
 _TABLE_NODES = 1024
@@ -394,11 +370,10 @@ def _position_table(c: CrystalParams, m: PhaseMatchModel) -> tuple[np.ndarray, n
     (real and imaginary parts transformed separately, then modulus
     squared, then normalized).  Cached per (crystal, model)."""
     length, feature = _feature_lengths(c, m)
-    chi = _chi_of_dk(c, m)
     q_max = math.sqrt(2.0 * _U_QUAD * c.k_p / feature)
     q = _midpoint(_TABLE_QUAD, q_max)
     hq = q_max / _TABLE_QUAD
-    spectrum = np.asarray(chi(q * q / c.k_p), dtype=complex)
+    spectrum = np.asarray(chi_tilde(q * q / c.k_p, c, m), dtype=complex)
     wre = q * spectrum.real
     wim = q * spectrum.imag
 
@@ -432,17 +407,13 @@ def p_chi_position(rho_minus, c: CrystalParams, m: PhaseMatchModel) -> float:
     Unlike the momentum density this depends on z0 through the spectrum's
     phase; z0 = L develops a weak integrable logarithmic peak at rho = 0
     (pairs born at the exit face have had no distance to spread).
+    The closed form is evaluated exactly; every other route is
+    ``position_radial_density(c, m).pdf`` at |rho_minus|.
     """
-    r = np.asarray(rho_minus, dtype=float)
-    r2 = float(r @ r) if r.ndim == 1 else float(r) ** 2
-    if m.kind == "gauss":
-        var = variance_rho_minus(c)
-        return math.exp(-r2 / (2.0 * var)) / (2.0 * math.pi * var)
+    rho = _radius(rho_minus)
     if m.kind == "sinc" and c.z0 == 0.5 * c.L:
-        s = c.k_p * r2 / (2.0 * c.L)
-        return (math.pi / 2.0 - sine_integral(s)) ** 2 / _si_position_norm(c.L, c.k_p)
-    nodes, dens = _position_table(c, m)
-    return float(np.interp(math.sqrt(r2), nodes, dens, right=0.0))
+        return float(_si_density(rho, c.L, c.k_p))
+    return float(position_radial_density(c, m).pdf(rho))
 
 
 # -- radial density providers for the joint module ---------------------------
@@ -495,12 +466,11 @@ def momentum_radial_density(c: CrystalParams, m: PhaseMatchModel) -> RadialDensi
 
 @lru_cache(maxsize=8)
 def _si_closed_form_table(L: float, k_p: float) -> tuple[np.ndarray, np.ndarray]:
-    # Radial table of the z0 = L/2 closed form, for vectorized use; the
-    # per-point operation above keeps evaluating Si exactly.
+    # Radial table of the z0 = L/2 closed form, for the marginal
+    # quadrature; p_chi_position evaluates the closed form exactly.
     rho_max = math.sqrt(2.0 * _U_HALF * L / k_p)
     nodes = np.linspace(0.0, rho_max, 2048)
-    s = k_p * nodes * nodes / (2.0 * L)
-    vals = (math.pi / 2.0 - sine_integral(s)) ** 2 / _si_position_norm(L, k_p)
+    vals = _si_density(nodes, L, k_p)
     nodes.setflags(write=False)
     vals.setflags(write=False)
     return nodes, vals

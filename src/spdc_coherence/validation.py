@@ -202,7 +202,7 @@ def check_si_vs_hankel() -> CheckResult:
     norm = 2.0 * math.pi * float(np.trapezoid(r_full * dens_full, r_full))
     rhos = np.linspace(0.0, 5.0 * math.sqrt(L / k_p), 200)
     dens = np.array([hankel0(grid_re, float(r)) for r in rhos]) ** 2 / norm
-    ref = np.array([phasematch.p_chi_position(float(r), c, phasematch.EXACT_SINC) for r in rhos])
+    ref = phasematch._si_density(rhos, L, k_p)
     l2 = math.sqrt(float(np.sum((dens - ref) ** 2)) / float(np.sum(ref**2)))
     return CheckResult(
         name="si_vs_hankel_l2",
@@ -220,21 +220,13 @@ def check_exit_vs_centred() -> CheckResult:
     c_exit = CrystalParams(L=L, k_p=k_p)  # z0 = L
     c_mid = CrystalParams(L=L, k_p=k_p, z0=L / 2.0)
     rhos = np.linspace(0.0, 4.0 * math.sqrt(L / k_p), 160)
-    pos_exit = np.array(
-        [phasematch.p_chi_position(float(r), c_exit, phasematch.EXACT_SINC) for r in rhos]
-    )
-    pos_mid = np.array(
-        [phasematch.p_chi_position(float(r), c_mid, phasematch.EXACT_SINC) for r in rhos]
-    )
+    pos_exit = phasematch.position_radial_density(c_exit, phasematch.EXACT_SINC).pdf(rhos)
+    pos_mid = phasematch._si_density(rhos, L, k_p)  # closed form, not its table
     pos_dev = float(np.max(np.abs(pos_exit - pos_mid) / np.max(pos_mid)))
-    qs = np.linspace(0.0, 1.0, 57)
-    mom_dev = max(
-        _rel(
-            phasematch.p_chi_momentum(float(q), c_exit, phasematch.EXACT_SINC),
-            phasematch.p_chi_momentum(float(q), c_mid, phasematch.EXACT_SINC),
-        )
-        for q in qs[1:]
-    )
+    qs = np.linspace(0.0, 1.0, 57)[1:]
+    mom_exit = phasematch.momentum_radial_density(c_exit, phasematch.EXACT_SINC).pdf(qs)
+    mom_mid = phasematch.momentum_radial_density(c_mid, phasematch.EXACT_SINC).pdf(qs)
+    mom_dev = float(np.max(_rel(mom_exit, mom_mid)))
     return CheckResult(
         name="exit_vs_centred_position",
         passed=pos_dev > 0.01 and mom_dev < 1e-12,

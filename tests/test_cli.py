@@ -69,6 +69,9 @@ class TestJoint:
             "joint_momentum_rotated.csv",
             "joint_momentum_rotated.json",
         ]
+        assert list(man["parameters"]) == ["pump", "crystal", "space", "coords", "grid", "model"]
+        assert list(man["parameters"]["pump"]) == ["w", "ell_c", "R", "k_p"]
+        assert list(man["parameters"]["crystal"]) == ["L", "z0", "alpha", "beta", "k_p"]
 
     def test_deterministic_reruns(self, cfg, tmp_path, capsys):
         outs = []
@@ -192,6 +195,16 @@ class TestErrorPaths:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith("error:") and "SPDC_THREADS" in err[0]
+
+    def test_nondegenerate_beta(self, tmp_path, capsys):
+        cfgp = tmp_path / "beta.cfg"
+        cfgp.write_text(CONFIG + "crystal.beta = 2\n", encoding="utf-8")
+        code = main(["joint", "--config", str(cfgp), "--out", str(tmp_path / "o"),
+                     "--model", "gauss", "--grid", "64"])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:") and "degenerate" in err[0]
 
     def test_malformed_profile(self, cfg, tmp_path, capsys):
         prof = tmp_path / "p.csv"

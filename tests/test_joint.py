@@ -275,6 +275,9 @@ class TestSerialization:
         assert back.crystal == g.crystal
         assert back.model == g.model
         assert back.space == "momentum" and back.coords == "rotated"
+        doc = json.loads(g.to_json())
+        assert list(doc["pump"]) == ["w", "ell_c", "R", "k_p"]
+        assert list(doc["crystal"]) == ["L", "z0", "alpha", "beta", "k_p"]
 
     def test_json_metadata_optional(self):
         ax = Axis(-1.0, 1.0, 8, "a")
@@ -369,7 +372,7 @@ class TestMarginalBlocking:
         built = []
         for chunk in (512, 64, 32):
             monkeypatch.setattr(joint, "_PROBE_CHUNK", chunk)
-            built.append(joint._Marginal1D(radial))
+            built.append(joint._tabulated_marginal(radial))
         a = built[0]
         for b in built[1:]:
             assert a.vals.tobytes() == b.vals.tobytes()

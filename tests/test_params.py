@@ -50,11 +50,11 @@ class TestReadConfig:
     def test_all_keys(self):
         text = (
             "pump.w = 10\npump.ell_c = 55\npump.R = -2e4\npump.k_p = 9.5\n"
-            "crystal.L = 800\ncrystal.z0 = 400\ncrystal.alpha = 0.41\ncrystal.beta = 1.2\n"
+            "crystal.L = 800\ncrystal.z0 = 400\ncrystal.alpha = 0.41\ncrystal.beta = 1\n"
         )
         p, c = read_config(text)
         assert p == PumpParams(w=10.0, k_p=9.5, ell_c=55.0, R=-2e4)
-        assert c == CrystalParams(L=800.0, k_p=9.5, z0=400.0, alpha=0.41, beta=1.2)
+        assert c == CrystalParams(L=800.0, k_p=9.5, z0=400.0, alpha=0.41, beta=1.0)
 
 
 class TestParseDiagnostics:
@@ -117,6 +117,7 @@ class TestValidation:
     def test_crystal(self):
         for bad in (CrystalParams(L=0.0, k_p=10.0), CrystalParams(L=100.0, k_p=10.0, alpha=0.0),
                     CrystalParams(L=100.0, k_p=10.0, beta=-1.0),
+                    CrystalParams(L=100.0, k_p=10.0, beta=2.0),
                     CrystalParams(L=100.0, k_p=10.0, z0=math.inf)):
             with pytest.raises(NonPositiveParameter):
                 validate_crystal(bad)
@@ -147,11 +148,10 @@ class TestRoundTrip:
         L=st.floats(min_value=1e-2, max_value=1e6),
         z0=st.floats(min_value=-1e4, max_value=1e6),
         alpha=st.floats(min_value=1e-2, max_value=10.0),
-        beta=st.floats(min_value=1e-2, max_value=10.0),
     )
-    def test_round_trip_property(self, w, k_p, ell_c, R, L, z0, alpha, beta):
+    def test_round_trip_property(self, w, k_p, ell_c, R, L, z0, alpha):
         p = validate_pump(PumpParams(w=w, k_p=k_p, ell_c=ell_c, R=R))
-        c = validate_crystal(CrystalParams(L=L, k_p=k_p, z0=z0, alpha=alpha, beta=beta))
+        c = validate_crystal(CrystalParams(L=L, k_p=k_p, z0=z0, alpha=alpha))
         p2, c2 = read_config(serialize_params(p, c))
         assert p2 == p
         assert c2 == c

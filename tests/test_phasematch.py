@@ -325,12 +325,30 @@ class TestRadialDensities:
         )
         assert momentum_radial_density(C_EXIT, EXACT_SINC).sigma is None
 
-    def test_momentum_pdf_matches_pointwise(self):
-        rd = momentum_radial_density(C_EXIT, EXACT_SINC)
-        for q in (0.0, 0.1, 0.4):
-            assert float(rd.pdf(q)) == pytest.approx(
-                p_chi_momentum(q, C_EXIT, EXACT_SINC), rel=1e-13
-            )
+    @pytest.mark.parametrize("c", [C_EXIT, C_MID], ids=["exit", "centred"])
+    @pytest.mark.parametrize(
+        "model",
+        [EXACT_SINC, GAUSSIAN_APPROX,
+         PhaseMatchModel.from_profile(NonlinearityProfile.alternating(8, 125.0))],
+        ids=["sinc", "gauss", "profile"],
+    )
+    @pytest.mark.parametrize(
+        "radial,pointwise,scale",
+        [(momentum_radial_density, p_chi_momentum, math.sqrt(K_P / L)),
+         (position_radial_density, p_chi_position, math.sqrt(L / K_P))],
+        ids=["momentum", "position"],
+    )
+    def test_pdf_matches_pointwise(self, radial, pointwise, scale, model, c):
+        rd = radial(c, model)
+        radii = scale * np.array([0.0, 0.37, 1.0, 2.5, 7.0])
+        got = np.array([pointwise(float(r), c, model) for r in radii])
+        if pointwise is p_chi_position and model == EXACT_SINC and c == C_MID:
+            # the scalar route evaluates Si exactly, the pdf interpolates its
+            # 2048-node table: the linear interpolation error h^2/8 max|f''|
+            # is about 8e-5 of the peak here (observed 2.7e-5)
+            assert np.max(np.abs(rd.pdf(radii) - got)) / got[0] < 2e-4
+        else:
+            assert got.tolist() == [float(rd.pdf(r)) for r in radii]
 
 
 def test_si_oracle_consistency():

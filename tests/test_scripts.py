@@ -1,0 +1,26 @@
+"""The two scripts in scripts/ run end to end, in-process, on small inputs."""
+
+import pathlib
+import runpy
+import sys
+
+import pytest
+
+SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+
+
+@pytest.mark.parametrize(
+    "name,argv,expected",
+    [
+        ("momentum_correlation_vs_coherence.py", ["--points", "3"], "diag width"),
+        ("entanglement_phase_diagram.py", ["--nx", "12", "--ny", "6"], "'#' immune witness"),
+    ],
+)
+def test_script_runs(name, argv, expected, monkeypatch, capsys, tmp_path):
+    csv_path = tmp_path / "out.csv"
+    monkeypatch.setattr(sys, "argv", [name, *argv, "--csv", str(csv_path)])
+    with pytest.raises(SystemExit) as exc_info:
+        runpy.run_path(str(SCRIPTS / name), run_name="__main__")
+    assert exc_info.value.code == 0
+    assert expected in capsys.readouterr().out
+    assert csv_path.read_text(encoding="utf-8").strip()
