@@ -27,7 +27,6 @@ from .errors import (
     NegativeArgument,
     NonPositiveParameter,
     NoSignChange,
-    ParaxialityWarning,
     ParseError,
     ZeroMass,
 )
@@ -41,10 +40,10 @@ from .joint import (
     widths_from_grid,
 )
 from .numerics import (
-    Grid2D,
     Moments,
     RadialGrid,
     bessel_j0,
+    exp1_i,
     find_root,
     grid_moments,
     hankel0,
@@ -71,7 +70,6 @@ from .phasematch import (
     chi_tilde_gauss,
     chi_tilde_profile,
     chi_tilde_sinc,
-    delta_kappa,
     load_profile,
     p_chi_momentum,
     p_chi_position,

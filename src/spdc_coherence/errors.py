@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ __all__ = [
     "NoSignChange",
     "ZeroMass",
     "ParseError",
-    "ParaxialityWarning",
 ]
 
 
@@ -58,6 +57,3 @@ class ParseError(ValueError):
         self.line = line
         super().__init__(f"{source}:{line}: {msg}" if line else f"{source}: {msg}")
 
-
-class ParaxialityWarning(UserWarning):
-    """Transverse wave vectors large enough to strain the Fresnel expansion."""

@@ -23,12 +23,16 @@ profile models) put a percent-level mass fraction outside any
 reasonable default window; the contract here is stability (mass drift
 < 1e-4 under refinement), not unit cell sums.
 
-One sharp edge: the exit-face (z0 = L) position density carries an
-integrable log-squared peak at the origin, micron-scale for typical
-parameters, holding roughly half a percent of the mass.  It sits well
-above 1/e of the peak, so the coarseness guard cannot see it; default
-grids simply sample across it and their cell sums soften accordingly.
-Centred crystals (z0 = L/2) have no such feature.
+One sharp edge: a crystal face at z = 0, as in the default exit-face
+geometry (z0 = L), gives the position density an integrable
+log-squared peak at the origin, |E1(i k_p rho^2 / 4L)|^2 ~
+(ln(k_p rho^2 / 4L) + 0.577)^2 as rho -> 0.  At L = 1000 um and
+k_p = 10 rad/um the disc rho < 0.5 um holds 1.28% of the mass.  Its 1D
+marginal stays finite but has a cusp at the origin (14% lower at
+0.5 um) inside a 1/e half-width of 5.3 um, so the coarseness guard
+cannot see it; default grids (1.6 um cells there) sample across it and
+their cell sums soften accordingly.  Centred crystals (z0 = L/2) have
+no such feature.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import GridTooCoarse, ParseError, ZeroMass
-from .numerics import Grid2D, grid_moments
+from .numerics import grid_moments
 from .params import CrystalParams, PumpParams, params_dict
 from .phasematch import (
     PhaseMatchModel,
@@ -73,6 +77,11 @@ _MARGINAL_QUAD = 4096
 # _PROBE_CHUNK x _MARGINAL_QUAD values (1 MB at 32 rows), small enough to
 # stay in a per-core L2 cache; row sums do not depend on the block height
 _PROBE_CHUNK = 32
+
+# rows per block of the lab fill: a block's temporaries hold _FILL_ROWS
+# rows, so a 2048^2 fill keeps 0.5 MB of them live instead of several
+# grid-sized 32 MB arrays
+_FILL_ROWS = 32
 
 DEFAULT_COUNT = 256
 
@@ -313,13 +322,6 @@ class JointGrid:
     def mass(self) -> float:
         return float(np.sum(self.values)) * self.cell_area
 
-    def as_grid2d(self) -> Grid2D:
-        return Grid2D(
-            axis1=(self.axis1.lo, self.axis1.hi, self.axis1.count),
-            axis2=(self.axis2.lo, self.axis2.hi, self.axis2.count),
-            values=self.values,
-        )
-
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> str:
@@ -416,10 +418,11 @@ def evaluate_grid(
 
     Rotated coordinates build the exact outer product of the two factor
     marginals.  Lab coordinates rotate each sample point into the factor
-    frame; rows are evaluated in parallel chunks (SPDC_THREADS caps the
-    worker count) with a fixed assembly order, so results never depend
-    on the thread count.  Raises GridTooCoarse, with a suggested count,
-    when the narrower factor's 1/e width would span fewer than 4 cells.
+    frame; rows are evaluated in blocks of _FILL_ROWS, in parallel when
+    SPDC_THREADS allows (it caps the worker count), each block written to
+    its own rows, so results never depend on the thread count.  Raises
+    GridTooCoarse, with a suggested count, when the narrower factor's 1/e
+    width would span fewer than 4 cells.
     """
     plus, minus = _factor_pair(p, c, m, space)
     if axes is None:
@@ -441,12 +444,12 @@ def evaluate_grid(
             i = c2[None, :]
             values[rows.start : rows.stop] = plus((s + i) / _SQRT2) * minus((s - i) / _SQRT2)
 
+        spans = [range(k, min(k + _FILL_ROWS, ax1.count)) for k in range(0, ax1.count, _FILL_ROWS)]
         n_workers = _workers()
         if n_workers == 1 or ax1.count < 64:
-            fill(range(0, ax1.count))
+            for rows in spans:
+                fill(rows)
         else:
-            chunk = math.ceil(ax1.count / n_workers)
-            spans = [range(k, min(k + chunk, ax1.count)) for k in range(0, ax1.count, chunk)]
             with ThreadPoolExecutor(max_workers=n_workers) as pool:
                 list(pool.map(fill, spans))
 
@@ -462,7 +465,7 @@ def widths_from_grid(g: JointGrid) -> tuple[float, float]:
     the per-axis deviations; for lab grids the rotation identity
     var(v_pm) = (var_s + var_i +/- 2 cov)/2 converts the moment tensor.
     Raises ZeroMass on an all-zero grid."""
-    mom = grid_moments(g.as_grid2d())
+    mom = grid_moments(g.values, g.axis1.centers, g.axis2.centers)
     if g.coords == "rotated":
         return math.sqrt(mom.var1), math.sqrt(mom.var2)
     var_plus = 0.5 * (mom.var1 + mom.var2 + 2.0 * mom.covar)

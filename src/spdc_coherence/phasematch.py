@@ -1,7 +1,6 @@
 """Longitudinal phase matching: the spectrum chi_tilde of the nonlinearity
-profile, its calibrated Gaussian stand-in, the anti-diagonal (minus
-coordinate) densities in momentum and position, and the Fresnel wave-vector
-mismatch.
+profile, its calibrated Gaussian stand-in, and the anti-diagonal (minus
+coordinate) densities in momentum and position.
 
 Geometry convention: a uniform crystal ``CrystalParams(L=L, z0=z0)``
 occupies [z0 - L, z0], i.e. z0 is the exit face.  Under the e^{+i dk z}
@@ -13,23 +12,26 @@ position density, so the two defaults are genuinely different there.
 
 Everything is expressed through the mismatch dk; for a degenerate pair
 dk = q_minus^2 / k_p with q_minus the anti-diagonal transverse wave
-vector.  Densities are normalized over their 2D plane; normalization
-integrals are evaluated numerically once and cached (analytically for
-the Gaussian model).
+vector.  Densities are normalized over their 2D plane.  The momentum
+norms are integrated numerically once and cached (analytic for the
+Gaussian model).  Every non-Gaussian position density is one closed form:
+the amplitude of each piecewise-constant segment (z_a, z_b, chi2) is
+chi2 [E1(i kappa/z_b) - E1(i kappa/z_a)] with kappa = k_p rho^2 / 4, and
+Parseval's theorem turns the momentum norm into the position scale, so
+no position-space normalization integral or Hankel transform is needed.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ParaxialityWarning, ParseError
-from .numerics import bessel_j0, find_root, sinc, sine_integral
+from .errors import ParseError
+from .numerics import exp1_i, find_root, sinc
 from .params import CrystalParams
 
 __all__ = [
@@ -38,7 +40,6 @@ __all__ = [
     "PhaseMatchModel",
     "EXACT_SINC",
     "GAUSSIAN_APPROX",
-    "delta_kappa",
     "chi_tilde_sinc",
     "chi_tilde_profile",
     "chi_tilde_gauss",
@@ -179,26 +180,6 @@ EXACT_SINC = PhaseMatchModel("sinc")
 GAUSSIAN_APPROX = PhaseMatchModel("gauss")
 
 
-def delta_kappa(q_s, q_i, c: CrystalParams) -> float:
-    """Fresnel longitudinal wave-vector mismatch of a signal/idler pair of
-    transverse wave vectors: (beta q_s - q_i/beta)^2 / (2 k_p).
-
-    Degenerate case beta = 1: equals q_minus^2 / k_p.  Warns (does not
-    raise) when either |q| exceeds 0.2 k_p, where the paraxial expansion
-    behind this formula starts to strain.
-    """
-    qs = np.asarray(q_s, dtype=float)
-    qi = np.asarray(q_i, dtype=float)
-    if math.sqrt(float(qs @ qs)) > 0.2 * c.k_p or math.sqrt(float(qi @ qi)) > 0.2 * c.k_p:
-        warnings.warn(
-            "transverse wave vector above 0.2 k_p: Fresnel mismatch is getting inaccurate",
-            ParaxialityWarning,
-            stacklevel=2,
-        )
-    d = c.beta * qs - qi / c.beta
-    return float(d @ d) / (2.0 * c.k_p)
-
-
 def chi_tilde_sinc(dk, c: CrystalParams):
     """Spectrum of the uniform crystal [z0 - L, z0], overall length factor
     dropped: exp[i dk (z0 - L/2)] sinc(dk L/2).  Purely real for z0 = L/2;
@@ -300,16 +281,6 @@ def _sinc_sq_area() -> float:
     return _midpoint_richardson(lambda u: sinc(u) ** 2, _U_NORM, _N_NORM)
 
 
-@lru_cache(maxsize=1)
-def _si_form_area() -> float:
-    # int_0^inf [pi/2 - Si(s)]^2 ds, truncated at _U_NORM (analytically
-    # pi/2 as well; the shared value is a coincidence of the two Fourier
-    # partners, not reused here).
-    return _midpoint_richardson(
-        lambda s: (math.pi / 2.0 - sine_integral(s)) ** 2, _U_NORM, _N_NORM
-    )
-
-
 @lru_cache(maxsize=16)
 def _profile_momentum_norm(k_p: float, prof: NonlinearityProfile) -> float:
     # 2D integral of |chi_profile(q^2/k_p)|^2 over the q plane.
@@ -351,69 +322,20 @@ def p_chi_momentum(q_minus, c: CrystalParams, m: PhaseMatchModel) -> float:
     return float(momentum_radial_density(c, m).pdf(_radius(q_minus)))
 
 
-def _si_density(rho, L: float, k_p: float):
-    # centred-crystal (z0 = L/2) closed form [pi/2 - Si(k_p rho^2/(2L))]^2,
-    # divided by its integral over the rho plane; vectorized in rho
-    s = k_p * rho * rho / (2.0 * L)
-    return (math.pi / 2.0 - sine_integral(s)) ** 2 / (2.0 * math.pi * (L / k_p) * _si_form_area())
-
-
-_TABLE_NODES = 1024
-_TABLE_QUAD = 8192
-_U_QUAD = 1200.0  # quadrature cutoff for the numerical position transform
-
-
-@lru_cache(maxsize=8)
-def _position_table(c: CrystalParams, m: PhaseMatchModel) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized position density of a non-Gaussian model on a radial
-    table, via the order-0 Hankel transform of the complex spectrum
-    (real and imaginary parts transformed separately, then modulus
-    squared, then normalized).  Cached per (crystal, model)."""
-    length, feature = _feature_lengths(c, m)
-    q_max = math.sqrt(2.0 * _U_QUAD * c.k_p / feature)
-    q = _midpoint(_TABLE_QUAD, q_max)
-    hq = q_max / _TABLE_QUAD
-    spectrum = np.asarray(chi_tilde(q * q / c.k_p, c, m), dtype=complex)
-    wre = q * spectrum.real
-    wim = q * spectrum.imag
-
-    rho_max = math.sqrt(2.0 * _U_HALF * length / c.k_p)
-    # quadratic node spacing: exit-face geometries develop an integrable
-    # log^2 peak at rho = 0 that uniform nodes tally poorly
-    t = np.linspace(0.0, 1.0, _TABLE_NODES)
-    nodes = rho_max * t * t
-    dens = np.empty(_TABLE_NODES)
-    for start in range(0, _TABLE_NODES, 64):
-        block = nodes[start : start + 64]
-        j = bessel_j0(np.outer(block, q))
-        re = j @ wre
-        im = j @ wim
-        dens[start : start + 64] = re * re + im * im
-    dens *= (hq / (2.0 * math.pi)) ** 2
-    mass = 2.0 * math.pi * float(np.trapezoid(nodes * dens, nodes))
-    dens /= mass
-    nodes.setflags(write=False)
-    dens.setflags(write=False)
-    return nodes, dens
-
-
 def p_chi_position(rho_minus, c: CrystalParams, m: PhaseMatchModel) -> float:
-    """Normalized anti-diagonal position density.
+    """Normalized anti-diagonal position density at |rho_minus|, read from
+    ``position_radial_density(c, m).pdf``.
 
     Gaussian model: Gaussian with per-axis variance L(alpha + 1/alpha)/(2 k_p).
-    Exact boxcar with z0 = L/2 (origin-centred crystal): the closed form
-    [pi/2 - Si(k_p rho^2 / (2L))]^2, numerically normalized.  Any other
-    geometry or profile: numerical Hankel route (tabulated, cached).
-    Unlike the momentum density this depends on z0 through the spectrum's
-    phase; z0 = L develops a weak integrable logarithmic peak at rho = 0
-    (pairs born at the exit face have had no distance to spread).
-    The closed form is evaluated exactly; every other route is
-    ``position_radial_density(c, m).pdf`` at |rho_minus|.
+    Every other model: the closed form (k_p/2)^2 |sum_seg chi2 [E1(i kappa/z_b)
+    - E1(i kappa/z_a)]|^2 / norm_q with kappa = k_p rho^2/4, tabulated once
+    per (crystal, model).  Unlike the momentum density this depends on z0
+    through the spectrum's phase: a crystal centred on the origin (z0 = L/2)
+    gives [pi/2 - Si(k_p rho^2 / (2L))]^2, while a face at z = 0 (the
+    default z0 = L) develops an integrable log-squared peak at rho = 0
+    (pairs born at that face have had no distance to spread).
     """
-    rho = _radius(rho_minus)
-    if m.kind == "sinc" and c.z0 == 0.5 * c.L:
-        return float(_si_density(rho, c.L, c.k_p))
-    return float(position_radial_density(c, m).pdf(rho))
+    return float(position_radial_density(c, m).pdf(_radius(rho_minus)))
 
 
 # -- radial density providers for the joint module ---------------------------
@@ -440,21 +362,27 @@ def _gaussian_radial(var: float) -> RadialDensity:
     return RadialDensity(pdf=pdf, half_range=5.0 * sigma, sigma=sigma)
 
 
+def _momentum_norm(c: CrystalParams, m: PhaseMatchModel) -> float:
+    # integral of |chi(q^2/k_p)|^2 over the q plane, non-Gaussian models
+    if m.kind == "sinc":
+        return 2.0 * math.pi * (c.k_p / c.L) * _sinc_sq_area()
+    return _profile_momentum_norm(c.k_p, m.profile)
+
+
 def momentum_radial_density(c: CrystalParams, m: PhaseMatchModel) -> RadialDensity:
     """The anti-diagonal momentum density as a radial profile."""
     if m.kind == "gauss":
         return _gaussian_radial(variance_q_minus(c))
     _, feature = _feature_lengths(c, m)
     half = math.sqrt(2.0 * _U_HALF * c.k_p / feature)
+    norm = _momentum_norm(c, m)
     if m.kind == "sinc":
-        norm = 2.0 * math.pi * (c.k_p / c.L) * _sinc_sq_area()
 
         def pdf(q):
             q = np.asarray(q, dtype=float)
             return sinc(q * q * c.L / (2.0 * c.k_p)) ** 2 / norm
 
     else:
-        norm = _profile_momentum_norm(c.k_p, m.profile)
         prof = m.profile
 
         def pdf(q):
@@ -464,26 +392,54 @@ def momentum_radial_density(c: CrystalParams, m: PhaseMatchModel) -> RadialDensi
     return RadialDensity(pdf=pdf, half_range=half, sigma=None)
 
 
+def _position_kernel(rho: np.ndarray, c: CrystalParams, m: PhaseMatchModel) -> np.ndarray:
+    # Closed-form position density at radii rho > 0.  The 2D Fourier
+    # transform of e^{i q^2 z / k_p} is (i pi k_p / z) e^{-i kappa / z},
+    # kappa = k_p rho^2 / 4, so each segment's amplitude integrates to
+    # chi2 [E1(i kappa/z_b) - E1(i kappa/z_a)]; a face at z = 0 adds
+    # E1(i inf) = 0, and a segment that straddles 0 splits there into the
+    # same two end terms.  Parseval fixes the scale from the momentum
+    # norm: density = (k_p/2)^2 |sum|^2 / norm_q.  The sinc model is the
+    # one segment [z0 - L, z0] with chi2 = 1/L, matching chi_tilde_sinc's
+    # dropped length factor.
+    segments = m.profile.segments if m.kind == "profile" else ((c.z0 - c.L, c.z0, 1.0 / c.L),)
+    kappa = 0.25 * c.k_p * rho * rho
+    total = np.zeros(rho.shape, dtype=complex)
+    for za, zb, amp in segments:
+        if zb != 0.0:
+            total += amp * exp1_i(kappa / zb)
+        if za != 0.0:
+            total -= amp * exp1_i(kappa / za)
+    return (0.5 * c.k_p) ** 2 * (total.real**2 + total.imag**2) / _momentum_norm(c, m)
+
+
+# linear interpolation between these nodes errs by h^2/8 max|f''|: at most
+# 7e-5 of the largest value on 1-50 um for the exit-face, z0 = 1.5 L and
+# poled-pair densities at L = 1000 um, k_p = 10 rad/um
+_TABLE_NODES = 2048
+
+
 @lru_cache(maxsize=8)
-def _si_closed_form_table(L: float, k_p: float) -> tuple[np.ndarray, np.ndarray]:
-    # Radial table of the z0 = L/2 closed form, for the marginal
-    # quadrature; p_chi_position evaluates the closed form exactly.
-    rho_max = math.sqrt(2.0 * _U_HALF * L / k_p)
-    nodes = np.linspace(0.0, rho_max, 2048)
-    vals = _si_density(nodes, L, k_p)
+def _position_table(c: CrystalParams, m: PhaseMatchModel) -> tuple[np.ndarray, np.ndarray]:
+    """The closed-form position density of a non-Gaussian model on a
+    radial table, cached per (crystal, model).  Quadratic midpoint nodes
+    rho_max ((k + 1/2)/n)^2 crowd towards the origin, where a face at
+    z = 0 puts a log-squared peak, and never touch its divergence."""
+    length, _ = _feature_lengths(c, m)
+    rho_max = math.sqrt(2.0 * _U_HALF * length / c.k_p)
+    t = _midpoint(_TABLE_NODES, 1.0)
+    nodes = rho_max * t * t
+    dens = _position_kernel(nodes, c, m)
     nodes.setflags(write=False)
-    vals.setflags(write=False)
-    return nodes, vals
+    dens.setflags(write=False)
+    return nodes, dens
 
 
 def position_radial_density(c: CrystalParams, m: PhaseMatchModel) -> RadialDensity:
     """The anti-diagonal position density as a radial profile."""
     if m.kind == "gauss":
         return _gaussian_radial(variance_rho_minus(c))
-    if m.kind == "sinc" and c.z0 == 0.5 * c.L:
-        nodes, vals = _si_closed_form_table(c.L, c.k_p)
-    else:
-        nodes, vals = _position_table(c, m)
+    nodes, vals = _position_table(c, m)
 
     def pdf(r):
         return np.interp(np.abs(np.asarray(r, dtype=float)), nodes, vals, right=0.0)

@@ -185,9 +185,9 @@ def check_momentum_widths_coherence() -> CheckResult:
 
 
 def check_si_vs_hankel() -> CheckResult:
-    """Closed-form centred-crystal position density against a from-scratch
-    Hankel transform of the spectrum at a quadrature unrelated to the
-    cached table's."""
+    """The E1 closed-form position density of the centred crystal, as the
+    package tabulates it, against a from-scratch Hankel transform of the
+    spectrum: J0 quadrature shares no code with the E1 kernel."""
     L, k_p = 1000.0, 10.0
     c = CrystalParams(L=L, k_p=k_p, z0=L / 2.0)
     q_max = math.sqrt(2.0 * 1000.0 * k_p / L)
@@ -202,7 +202,7 @@ def check_si_vs_hankel() -> CheckResult:
     norm = 2.0 * math.pi * float(np.trapezoid(r_full * dens_full, r_full))
     rhos = np.linspace(0.0, 5.0 * math.sqrt(L / k_p), 200)
     dens = np.array([hankel0(grid_re, float(r)) for r in rhos]) ** 2 / norm
-    ref = phasematch._si_density(rhos, L, k_p)
+    ref = phasematch.position_radial_density(c, phasematch.EXACT_SINC).pdf(rhos)
     l2 = math.sqrt(float(np.sum((dens - ref) ** 2)) / float(np.sum(ref**2)))
     return CheckResult(
         name="si_vs_hankel_l2",
@@ -221,7 +221,7 @@ def check_exit_vs_centred() -> CheckResult:
     c_mid = CrystalParams(L=L, k_p=k_p, z0=L / 2.0)
     rhos = np.linspace(0.0, 4.0 * math.sqrt(L / k_p), 160)
     pos_exit = phasematch.position_radial_density(c_exit, phasematch.EXACT_SINC).pdf(rhos)
-    pos_mid = phasematch._si_density(rhos, L, k_p)  # closed form, not its table
+    pos_mid = phasematch.position_radial_density(c_mid, phasematch.EXACT_SINC).pdf(rhos)
     pos_dev = float(np.max(np.abs(pos_exit - pos_mid) / np.max(pos_mid)))
     qs = np.linspace(0.0, 1.0, 57)[1:]
     mom_exit = phasematch.momentum_radial_density(c_exit, phasematch.EXACT_SINC).pdf(qs)

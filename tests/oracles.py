@@ -1,7 +1,7 @@
 """Independent reference routes for the test suite.
 
 Everything here leans on scipy so no numerical code is shared with the
-package: scipy.special supplies Si and J0, scipy.integrate the
+package: scipy.special supplies Si, E1 and J0, scipy.integrate the
 quadratures.  The frozen constants were computed once with mpmath at 40
 significant digits and pasted in; tests treat them as ground truth.
 """
@@ -63,6 +63,24 @@ def si_position_radial(rho, L, k_p):
     rho = np.asarray(rho, dtype=float)
     si_vals = special.sici(k_p * rho * rho / (2.0 * L))[0]
     return (math.pi / 2.0 - si_vals) ** 2 / (2.0 * math.pi * (L / k_p) * SINC_FAMILY_AREA)
+
+
+def e1_position_radial(rho, k_p, segments):
+    """Anti-diagonal position density of a piecewise-constant chi(2)
+    profile, segments (z_a, z_b, chi2), from scipy's E1:
+    (k_p/2)^2 |sum chi2 [E1(i kappa/z_b) - E1(i kappa/z_a)]|^2 / norm_q with
+    kappa = k_p rho^2 / 4; a face at z = 0 contributes nothing.  norm_q is
+    the analytic momentum norm pi^2 k_p sum chi2^2 (z_b - z_a), Parseval's
+    theorem applied to the profile along z."""
+    kappa = k_p * np.asarray(rho, dtype=float) ** 2 / 4.0
+    total = np.zeros(kappa.shape, dtype=complex)
+    for za, zb, amp in segments:
+        if zb != 0.0:
+            total += amp * special.exp1(1j * kappa / zb)
+        if za != 0.0:
+            total -= amp * special.exp1(1j * kappa / za)
+    norm_q = math.pi**2 * k_p * sum(amp * amp * (zb - za) for za, zb, amp in segments)
+    return (k_p / 2.0) ** 2 * np.abs(total) ** 2 / norm_q
 
 
 def marginal_of_radial(pdf, t, y_cap):

@@ -68,6 +68,12 @@ class TestAxis:
         assert exc_info.value.suggested_count == 8
         Axis(0.0, 1.0, 8)  # boundary is legal
 
+    def test_cell_area(self):
+        g = JointGrid(space="position", coords="rotated", axis1=Axis(-1.0, 1.0, 8),
+                      axis2=Axis(0.0, 4.0, 16), values=np.ones((8, 16)))
+        assert g.axis2.centers[-1] == pytest.approx(4.0 - 0.125)
+        assert g.cell_area == pytest.approx(0.25 * 0.25)
+
 
 class TestPointwiseDensities:
     def test_gaussian_product(self):
@@ -203,11 +209,11 @@ class TestEvaluateGrid:
 
     def test_lab_anticorrelated_momentum(self):
         g = evaluate_grid(PUMP_NARROW, CRYSTAL, EXACT_SINC, "momentum", "lab")
-        assert grid_moments(g.as_grid2d()).covar < 0.0
+        assert grid_moments(g.values, g.axis1.centers, g.axis2.centers).covar < 0.0
 
     def test_lab_rotation_identity(self):
         g = evaluate_grid(PUMP_NARROW, CRYSTAL, GAUSSIAN_APPROX, "momentum", "lab")
-        m = grid_moments(g.as_grid2d())
+        m = grid_moments(g.values, g.axis1.centers, g.axis2.centers)
         dp, dm = widths_from_grid(g)
         corr = m.covar / math.sqrt(m.var1 * m.var2)
         want = (dp * dp - dm * dm) / (dp * dp + dm * dm)
@@ -314,6 +320,14 @@ class TestSerialization:
         with pytest.raises(ValueError):
             JointGrid(space="position", coords="lab", axis1=ax, axis2=ax,
                       values=-np.ones((8, 8)))
+
+    def test_non_finite_values_rejected(self):
+        ax = Axis(0.0, 1.0, 8)
+        for bad in (np.nan, np.inf):
+            vals = np.ones((8, 8))
+            vals[3, 3] = bad
+            with pytest.raises(ValueError, match="finite"):
+                JointGrid(space="position", coords="lab", axis1=ax, axis2=ax, values=vals)
 
 
 class TestThreading:

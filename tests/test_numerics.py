@@ -18,9 +18,9 @@ from spdc_coherence.errors import (
     ZeroMass,
 )
 from spdc_coherence.numerics import (
-    Grid2D,
     RadialGrid,
     bessel_j0,
+    exp1_i,
     find_root,
     grid_moments,
     hankel0,
@@ -134,6 +134,30 @@ class TestSineIntegral:
             sine_integral(np.array([1.0, 5.0, -2.0, -3.0]))
 
 
+class TestExp1I:
+    def test_against_scipy(self):
+        xs = np.concatenate(
+            [np.geomspace(1e-9, 3.9, 120), np.linspace(3.9, 4.1, 41), np.geomspace(4.1, 1e4, 120)]
+        )
+        for x in (xs, -xs):  # negative x: the complex conjugate
+            want = special.exp1(1j * x)
+            assert np.max(np.abs(exp1_i(x) - want) / np.abs(want)) < 1e-12  # observed 7e-15
+
+    def test_split_point_continuity(self):
+        # Ci series below 4, continued fraction above
+        assert abs(exp1_i(4.0 - 1e-9) - exp1_i(4.0 + 1e-9)) < 1e-8
+
+    def test_si_and_ci_parts(self):
+        xs = np.array([0.5, 4.0, 9.0])
+        e1 = exp1_i(xs)
+        assert np.max(np.abs(e1.imag + math.pi / 2.0 - sine_integral(xs))) < 1e-15
+        assert np.max(np.abs(-e1.real - special.sici(xs)[1])) < 1e-14
+
+    def test_scalar_and_shape(self):
+        assert type(exp1_i(2.0)) is complex
+        assert exp1_i(np.ones((2, 3))).shape == (2, 3)
+
+
 class TestBesselJ0:
     def test_against_scipy(self):
         xs = np.linspace(0.0, 120.0, 4801)
@@ -223,54 +247,30 @@ class TestHankel0:
         hankel0(finer, 10.0)  # must not raise
 
 
-class TestGrid2D:
-    def test_validation(self):
-        with pytest.raises(GridTooCoarse):
-            Grid2D((0.0, 1.0, 4), (0.0, 1.0, 8), np.ones((4, 8)))
-        with pytest.raises(ValueError):
-            Grid2D((1.0, 0.0, 8), (0.0, 1.0, 8), np.ones((8, 8)))
-        with pytest.raises(ValueError):
-            Grid2D((0.0, 1.0, 8), (0.0, 1.0, 8), np.ones((8, 9)))
-        with pytest.raises(ValueError):
-            Grid2D((0.0, 1.0, 8), (0.0, 1.0, 8), -np.ones((8, 8)))
-        bad = np.ones((8, 8))
-        bad[3, 3] = np.nan
-        with pytest.raises(ValueError):
-            Grid2D((0.0, 1.0, 8), (0.0, 1.0, 8), bad)
-
-    def test_centers_and_area(self):
-        g = Grid2D((-1.0, 1.0, 8), (0.0, 4.0, 16), np.ones((8, 16)))
-        assert g.centers1[0] == pytest.approx(-1.0 + 0.125)
-        assert g.centers2[-1] == pytest.approx(4.0 - 0.125)
-        assert g.cell_area == pytest.approx(0.25 * 0.25)
-
-
 def _gaussian_grid(var1, var2, covar, half=8.0, n=256):
     x = np.linspace(-half, half, n + 1)[:-1] + half / n
-    vals = gaussian_2d(x[:, None], x[None, :], var1, var2, covar)
-    return Grid2D((-half, half, n), (-half, half, n), vals)
+    return gaussian_2d(x[:, None], x[None, :], var1, var2, covar), x, x
 
 
 class TestGridMoments:
     def test_separable_gaussian(self):
-        m = grid_moments(_gaussian_grid(1.5, 0.6, 0.0))
+        m = grid_moments(*_gaussian_grid(1.5, 0.6, 0.0))
         assert abs(m.mean1) < 1e-12 and abs(m.mean2) < 1e-12
         assert m.var1 == pytest.approx(1.5, rel=1e-4)
         assert m.var2 == pytest.approx(0.6, rel=1e-4)
         assert abs(m.covar) < 1e-6
 
     def test_correlated_gaussian(self):
-        m = grid_moments(_gaussian_grid(1.0, 1.0, 0.7))
+        m = grid_moments(*_gaussian_grid(1.0, 1.0, 0.7))
         assert m.covar == pytest.approx(0.7, rel=1e-3)
         assert m.var1 == pytest.approx(1.0, rel=1e-3)
 
     def test_normalization_free(self):
-        g = _gaussian_grid(1.0, 1.0, 0.0)
-        scaled = Grid2D(g.axis1, g.axis2, g.values * 7.5)
-        for a, b in zip(grid_moments(scaled), grid_moments(g)):
+        vals, x, y = _gaussian_grid(1.0, 1.0, 0.0)
+        for a, b in zip(grid_moments(vals * 7.5, x, y), grid_moments(vals, x, y)):
             assert abs(a - b) < 1e-12  # scaling only reshuffles rounding
 
     def test_zero_mass(self):
-        g = Grid2D((0.0, 1.0, 8), (0.0, 1.0, 8), np.zeros((8, 8)))
+        centers = (np.arange(8) + 0.5) / 8
         with pytest.raises(ZeroMass):
-            grid_moments(g)
+            grid_moments(np.zeros((8, 8)), centers, centers)

@@ -2,8 +2,11 @@
 anti-diagonal densities, checked against scipy routes and frozen values."""
 
 import math
+import os
 import random
-import warnings
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,13 +14,15 @@ import pytest
 from oracles import (
     ALPHA_CALIBRATED,
     SINC_1E_ABSCISSA,
+    e1_position_radial,
     quad_osc,
     si,
     sinc_momentum_radial,
     si_position_radial,
 )
 
-from spdc_coherence.errors import ParaxialityWarning, ParseError
+import spdc_coherence
+from spdc_coherence.errors import ParseError
 from spdc_coherence.params import CrystalParams
 from spdc_coherence.phasematch import (
     EXACT_SINC,
@@ -29,7 +34,6 @@ from spdc_coherence.phasematch import (
     chi_tilde_gauss,
     chi_tilde_profile,
     chi_tilde_sinc,
-    delta_kappa,
     load_profile,
     momentum_radial_density,
     p_chi_momentum,
@@ -207,27 +211,6 @@ class TestLoadProfile:
             load_profile(path)
 
 
-class TestDeltaKappa:
-    def test_degenerate_is_minus_coordinate(self):
-        q_s, q_i = np.array([0.05, -0.02]), np.array([-0.01, 0.03])
-        q_minus_sq = float((q_s - q_i) @ (q_s - q_i)) / 2.0
-        assert delta_kappa(q_s, q_i, C_EXIT) == pytest.approx(q_minus_sq / K_P, rel=1e-14)
-
-    def test_nondegenerate_scaling(self):
-        c = CrystalParams(L=L, k_p=K_P, beta=1.3)
-        q = 0.05
-        got = delta_kappa(np.array([q, 0.0]), np.zeros(2), c)
-        assert got == pytest.approx((1.3 * q) ** 2 / (2.0 * K_P), rel=1e-14)
-
-    def test_paraxiality_warning(self):
-        big = np.array([0.21 * K_P, 0.0])
-        with pytest.warns(ParaxialityWarning):
-            delta_kappa(big, np.zeros(2), C_EXIT)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            delta_kappa(np.array([0.1 * K_P, 0.0]), np.zeros(2), C_EXIT)
-
-
 class TestMomentumDensity:
     def test_gauss_closed_form(self):
         a = 0.455 * L / K_P
@@ -281,14 +264,15 @@ class TestPositionDensity:
         assert got == pytest.approx(1.0 / (2.0 * math.pi * var), rel=1e-14)
 
     def test_table_route_agrees_with_closed_form(self):
-        """A centred boxcar profile forces the numerical Hankel table; it has
-        to reproduce the Si closed form (peak-scaled: the density has near
-        zeros where pointwise relative error means nothing)."""
+        """A centred boxcar profile takes the profile route (its own segment
+        amplitude and momentum norm); it has to reproduce the sinc model
+        (peak-scaled: the density has near zeros where pointwise relative
+        error means nothing)."""
         prof = PhaseMatchModel.from_profile(NonlinearityProfile.boxcar(C_MID))
         rhos = np.linspace(0.0, 3.0 * math.sqrt(L / K_P), 97)
         table = np.array([p_chi_position(float(r), C_MID, prof) for r in rhos])
         closed = np.array([p_chi_position(float(r), C_MID, EXACT_SINC) for r in rhos])
-        assert np.max(np.abs(table - closed)) / closed[0] < 2e-3  # observed 8.4e-4
+        assert np.max(np.abs(table - closed)) / closed[0] < 2e-3  # observed 2e-7
 
     def test_exit_face_differs_from_centred(self):
         rhos = np.linspace(0.0, 4.0 * math.sqrt(L / K_P), 80)
@@ -298,6 +282,29 @@ class TestPositionDensity:
 
     def test_beyond_table_is_zero(self):
         assert p_chi_position(1e6, C_EXIT, EXACT_SINC) == 0.0
+
+    # Tolerances add two bounds, relative to the largest oracle value on
+    # the tested radii: the package normalizes by momentum norms truncated
+    # at u = 4000 (1/(2u) of pi/2, 8e-5, for the sinc model; 1.2e-4
+    # measured for the poled pair), and linear interpolation between table
+    # nodes errs by at most h^2/8 max|f''|, evaluated on the oracle over
+    # [1, 50] um: 5.1e-5 (exit face), 1.2e-5 (z0 = 1.5 L), 7.0e-5 (poled
+    # pair).  Each tolerance is that sum rounded up by half.
+    @pytest.mark.parametrize(
+        "c,model,segments,tol",
+        [
+            (C_EXIT, EXACT_SINC, ((0.0, L, 1.0 / L),), 2e-4),
+            (CrystalParams(L=L, k_p=K_P, z0=1.5 * L), EXACT_SINC, ((0.5 * L, 1.5 * L, 1.0 / L),), 1.5e-4),
+            (C_EXIT, PhaseMatchModel.from_profile(NonlinearityProfile.alternating(2, 500.0)),
+             ((0.0, 500.0, 1.0), (500.0, 1000.0, -1.0)), 3e-4),
+        ],
+        ids=["exit_face", "z0_1.5L", "poled_pair"],
+    )
+    def test_table_against_e1_oracle(self, c, model, segments, tol):
+        rhos = np.linspace(0.1, 5.0, 400) * math.sqrt(L / K_P)
+        want = e1_position_radial(rhos, K_P, segments)
+        got = position_radial_density(c, model).pdf(rhos)
+        assert np.max(np.abs(got - want)) / np.max(want) < tol
 
 
 class TestRadialDensities:
@@ -342,13 +349,29 @@ class TestRadialDensities:
         rd = radial(c, model)
         radii = scale * np.array([0.0, 0.37, 1.0, 2.5, 7.0])
         got = np.array([pointwise(float(r), c, model) for r in radii])
-        if pointwise is p_chi_position and model == EXACT_SINC and c == C_MID:
-            # the scalar route evaluates Si exactly, the pdf interpolates its
-            # 2048-node table: the linear interpolation error h^2/8 max|f''|
-            # is about 8e-5 of the peak here (observed 2.7e-5)
-            assert np.max(np.abs(rd.pdf(radii) - got)) / got[0] < 2e-4
-        else:
-            assert got.tolist() == [float(rd.pdf(r)) for r in radii]
+        assert got.tolist() == [float(rd.pdf(r)) for r in radii]
+
+
+def test_position_grids_need_no_scipy():
+    """The package declares numpy as its only dependency: position grids of
+    every non-Gaussian route build in an interpreter where importing scipy
+    fails."""
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from spdc_coherence import PumpParams, CrystalParams, evaluate_grid\n"
+        "from spdc_coherence.phasematch import EXACT_SINC, NonlinearityProfile, PhaseMatchModel\n"
+        "p = PumpParams(w=100.0, k_p=10.0)\n"
+        "poled = PhaseMatchModel.from_profile(NonlinearityProfile.alternating(2, 500.0))\n"
+        "for z0, m in ((1000.0, EXACT_SINC), (500.0, EXACT_SINC), (1000.0, poled)):\n"
+        "    c = CrystalParams(L=1000.0, k_p=10.0, z0=z0)\n"
+        "    assert evaluate_grid(p, c, m, 'position', 'rotated').mass > 0.9\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(spdc_coherence.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
 
 
 def test_si_oracle_consistency():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import quad_osc
 
-from spdc_coherence.numerics import Grid2D, grid_moments
+from spdc_coherence.numerics import grid_moments
 from spdc_coherence.params import PumpParams
 from spdc_coherence.pump import (
     mutual_coherence,
@@ -136,8 +136,7 @@ class TestDiagonalDensities:
             n = 256
             ax = np.linspace(-half, half, n + 1)[:-1] + half / n
             vals = np.array([[fn(p, (a, b)) for b in ax] for a in ax])
-            g = Grid2D((-half, half, n), (-half, half, n), vals)
-            m = grid_moments(g)
+            m = grid_moments(vals, ax, ax)
             assert m.var1 == pytest.approx(var, rel=1e-3)
             assert m.var2 == pytest.approx(var, rel=1e-3)
             assert abs(m.covar) < 1e-6 * var
