@@ -14,8 +14,12 @@ Everything is expressed through the mismatch dk; for a degenerate pair
 dk = q_minus^2 / k_p with q_minus the anti-diagonal transverse wave
 vector.  Densities are normalized over their 2D plane.  The momentum
 norms are integrated numerically once and cached (analytic for the
-Gaussian model).  Every non-Gaussian position density is one closed form:
-the amplitude of each piecewise-constant segment (z_a, z_b, chi2) is
+Gaussian model).  Every non-Gaussian momentum density is |chi(dk)|^2 /
+norm_q tabulated once on nodes uniform in dk, keyed on what the modulus
+depends on (k_p and L for sinc, k_p and the profile otherwise; never z0
+or alpha), and read by linear interpolation within a stated bound.
+Every non-Gaussian position density is one closed form: the amplitude
+of each piecewise-constant segment (z_a, z_b, chi2) is
 chi2 [E1(i kappa/z_b) - E1(i kappa/z_a)] with kappa = k_p rho^2 / 4, and
 Parseval's theorem turns the momentum norm into the position scale, so
 no position-space normalization integral or Hankel transform is needed.
@@ -290,13 +294,21 @@ def _profile_momentum_norm(k_p: float, prof: NonlinearityProfile) -> float:
     return float(2.0 * math.pi * np.sum(q * vals) * (q[1] - q[0]))
 
 
-def _feature_lengths(c: CrystalParams, m: PhaseMatchModel) -> tuple[float, float]:
-    # (overall extent, finest feature) of the longitudinal structure;
-    # these set the position and momentum scales of the densities.
-    if m.kind == "profile":
-        zlo, zhi = m.profile.extent
-        return zhi - zlo, m.profile.min_segment_length
-    return c.L, c.L
+def _modulus_key(c: CrystalParams, m: PhaseMatchModel) -> float | NonlinearityProfile:
+    # what |chi(dk)|^2 of a non-Gaussian model depends on besides k_p: the
+    # length of a sinc crystal, or the profile (a shift in z changes only
+    # the phase, so z0 never enters; alpha belongs to the Gaussian model)
+    return c.L if m.kind == "sinc" else m.profile
+
+
+def _feature_lengths(key: float | NonlinearityProfile) -> tuple[float, float]:
+    # (overall extent, finest feature) of the longitudinal structure named
+    # by a _modulus_key; these set the position and momentum scales of the
+    # densities.
+    if isinstance(key, NonlinearityProfile):
+        zlo, zhi = key.extent
+        return zhi - zlo, key.min_segment_length
+    return key, key
 
 
 @lru_cache(maxsize=1)
@@ -316,7 +328,8 @@ def p_chi_momentum(q_minus, c: CrystalParams, m: PhaseMatchModel) -> float:
     at |q_minus|, read from ``momentum_radial_density(c, m).pdf``.
 
     Gaussian model: analytic, (alpha L / (pi k_p)) exp[-alpha q^2 L/k_p].
-    Other models: numerically normalized (cached).  Independent of z0:
+    Other models: the cached table of ``momentum_radial_density``, within
+    its interpolation bound and zero beyond dk_max.  Independent of z0:
     only the modulus of the spectrum enters.
     """
     return float(momentum_radial_density(c, m).pdf(_radius(q_minus)))
@@ -362,32 +375,92 @@ def _gaussian_radial(var: float) -> RadialDensity:
     return RadialDensity(pdf=pdf, half_range=5.0 * sigma, sigma=sigma)
 
 
-def _momentum_norm(c: CrystalParams, m: PhaseMatchModel) -> float:
+def _momentum_norm(k_p: float, key: float | NonlinearityProfile) -> float:
     # integral of |chi(q^2/k_p)|^2 over the q plane, non-Gaussian models
-    if m.kind == "sinc":
-        return 2.0 * math.pi * (c.k_p / c.L) * _sinc_sq_area()
-    return _profile_momentum_norm(c.k_p, m.profile)
+    if isinstance(key, NonlinearityProfile):
+        return _profile_momentum_norm(k_p, key)
+    return 2.0 * math.pi * (k_p / key) * _sinc_sq_area()
+
+
+# Momentum tables are uniform in dk with spacing h <= _DK_STEP / E, E the
+# profile extent (L for sinc).  A shift in z leaves |chi|^2 unchanged, so
+# its second dk-derivative is at most E^2 (sum |chi2| h_seg)^2 and linear
+# interpolation errs by at most _DK_STEP^2/8 = 3.1e-5 of the density's
+# bound (sum |chi2| h_seg)^2 / norm_q; for sinc the exact value is
+# _DK_STEP^2/48 = 5.1e-6 of the peak.
+_DK_STEP = 1.0 / 64.0
+# nodes per block of the build: keeps chi_tilde_profile's complex
+# temporaries near 1 MB each
+_DK_BLOCK = 65536
+
+
+# A table holds 256,000 E/feature nodes of 16 bytes: 4 MB for sinc, 8 MB
+# for a poled pair, 66 MB for a 16-segment stack.  The marginals built
+# from it have their own cache, so only a few tables are kept.
+@lru_cache(maxsize=4)
+def _momentum_table(
+    k_p: float, key: float | NonlinearityProfile
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """|chi(dk)|^2 / norm_q of a sinc crystal of length ``key``, or of the
+    profile ``key``, on nodes dk = k h, k = 0..n, spanning [0, dk_max] with
+    dk_max = 2 half^2 / k_p: the corner radius sqrt2 half of the marginal
+    quadrature.  Returns (h, base, slope), so that base[k] + f slope[k]
+    interpolates on [k h, (k + 1) h]; base[n] = slope[n] = 0 read as zero
+    from dk_max on."""
+    if isinstance(key, NonlinearityProfile):
+
+        def modulus_sq(dk):
+            return np.abs(chi_tilde_profile(dk, key)) ** 2
+
+    else:
+
+        def modulus_sq(dk):
+            return sinc(0.5 * dk * key) ** 2
+
+    extent, feature = _feature_lengths(key)
+    dk_max = 4.0 * _U_HALF / feature
+    n = math.ceil(4.0 * _U_HALF * (extent / feature) / _DK_STEP)
+    h = dk_max / n
+    vals = np.empty(n + 1)
+    for start in range(0, n + 1, _DK_BLOCK):
+        stop = min(start + _DK_BLOCK, n + 1)
+        vals[start:stop] = modulus_sq(np.arange(start, stop) * h)
+    vals /= _momentum_norm(k_p, key)
+    slope = np.empty(n + 1)
+    np.subtract(vals[1:], vals[:-1], out=slope[:n])
+    slope[n] = vals[n] = 0.0
+    vals.setflags(write=False)
+    slope.setflags(write=False)
+    return h, vals, slope
 
 
 def momentum_radial_density(c: CrystalParams, m: PhaseMatchModel) -> RadialDensity:
-    """The anti-diagonal momentum density as a radial profile."""
+    """The anti-diagonal momentum density as a radial profile.  Non-Gaussian
+    models read one cached table per (k_p, L) or (k_p, profile): linear in
+    dk = q^2/k_p within 3.1e-5 of (sum |chi2| h_seg)^2 / norm_q (5.1e-6 of
+    the peak for sinc), and zero beyond dk_max = 2 half_range^2 / k_p."""
     if m.kind == "gauss":
         return _gaussian_radial(variance_q_minus(c))
-    _, feature = _feature_lengths(c, m)
+    key = _modulus_key(c, m)
+    _, feature = _feature_lengths(key)
     half = math.sqrt(2.0 * _U_HALF * c.k_p / feature)
-    norm = _momentum_norm(c, m)
-    if m.kind == "sinc":
+    h, base, slope = _momentum_table(c.k_p, key)
+    scale = 1.0 / (h * c.k_p)
+    last = base.size - 1
 
-        def pdf(q):
-            q = np.asarray(q, dtype=float)
-            return sinc(q * q * c.L / (2.0 * c.k_p)) ** 2 / norm
-
-    else:
-        prof = m.profile
-
-        def pdf(q):
-            q = np.asarray(q, dtype=float)
-            return np.abs(chi_tilde_profile(q * q / c.k_p, prof)) ** 2 / norm
+    def pdf(q):
+        # direct index into the uniform table, fmin also sending non-finite
+        # radii past its end; in place, because fresh block-sized
+        # temporaries cost more than the arithmetic
+        q = np.asarray(q, dtype=float)
+        x = np.multiply(q, q, out=np.empty(q.shape))
+        x *= scale
+        np.fmin(x, last, out=x)
+        i = x.astype(np.intp)
+        x -= i
+        x *= slope[i]
+        x += base[i]
+        return x
 
     return RadialDensity(pdf=pdf, half_range=half, sigma=None)
 
@@ -410,7 +483,8 @@ def _position_kernel(rho: np.ndarray, c: CrystalParams, m: PhaseMatchModel) -> n
             total += amp * exp1_i(kappa / zb)
         if za != 0.0:
             total -= amp * exp1_i(kappa / za)
-    return (0.5 * c.k_p) ** 2 * (total.real**2 + total.imag**2) / _momentum_norm(c, m)
+    norm_q = _momentum_norm(c.k_p, _modulus_key(c, m))
+    return (0.5 * c.k_p) ** 2 * (total.real**2 + total.imag**2) / norm_q
 
 
 # linear interpolation between these nodes errs by h^2/8 max|f''|: at most
@@ -425,7 +499,7 @@ def _position_table(c: CrystalParams, m: PhaseMatchModel) -> tuple[np.ndarray, n
     radial table, cached per (crystal, model).  Quadratic midpoint nodes
     rho_max ((k + 1/2)/n)^2 crowd towards the origin, where a face at
     z = 0 puts a log-squared peak, and never touch its divergence."""
-    length, _ = _feature_lengths(c, m)
+    length, _ = _feature_lengths(_modulus_key(c, m))
     rho_max = math.sqrt(2.0 * _U_HALF * length / c.k_p)
     t = _midpoint(_TABLE_NODES, 1.0)
     nodes = rho_max * t * t

@@ -1,9 +1,10 @@
 """Independent reference routes for the test suite.
 
-Everything here leans on scipy so no numerical code is shared with the
-package: scipy.special supplies Si, E1 and J0, scipy.integrate the
-quadratures.  The frozen constants were computed once with mpmath at 40
-significant digits and pasted in; tests treat them as ground truth.
+Nothing here shares numerical code with the package: scipy.special
+supplies Si, E1 and J0, scipy.integrate the quadratures, and the
+piecewise spectrum is a plain numpy sum of exponentials.  The frozen
+constants were computed once with mpmath at 40 significant digits and
+pasted in; tests treat them as ground truth.
 """
 
 from __future__ import annotations
@@ -56,6 +57,26 @@ def sinc_momentum_radial(q, L, k_p):
     and the analytic pi/2 normalization."""
     norm = 2.0 * math.pi * (k_p / L) * SINC_FAMILY_AREA
     return sinc(np.asarray(q) ** 2 * L / (2.0 * k_p)) ** 2 / norm
+
+
+def profile_momentum_radial(q, k_p, segments):
+    """Anti-diagonal momentum density of a piecewise-constant chi(2)
+    profile, segments (z_a, z_b, chi2), in plain numpy: |chi(dk)|^2 /
+    norm_q at dk = q^2 / k_p, with chi = sum chi2 (e^{i dk z_b} -
+    e^{i dk z_a}) / (i dk) and chi(0) = sum chi2 (z_b - z_a).  norm_q is
+    the analytic pi^2 k_p sum chi2^2 (z_b - z_a), as in e1_position_radial."""
+    dk = np.asarray(q, dtype=float) ** 2 / k_p
+    zero = dk == 0.0
+    safe = np.where(zero, 1.0, dk)
+    chi = np.zeros(dk.shape, dtype=complex)
+    for za, zb, amp in segments:
+        chi += np.where(
+            zero,
+            amp * (zb - za),
+            amp * (np.exp(1j * safe * zb) - np.exp(1j * safe * za)) / (1j * safe),
+        )
+    norm_q = math.pi**2 * k_p * sum(amp * amp * (zb - za) for za, zb, amp in segments)
+    return np.abs(chi) ** 2 / norm_q
 
 
 def si_position_radial(rho, L, k_p):

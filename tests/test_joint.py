@@ -7,9 +7,14 @@ import math
 import numpy as np
 import pytest
 
-from oracles import marginal_of_radial, si_position_radial, sinc_momentum_radial
+from oracles import (
+    marginal_of_radial,
+    profile_momentum_radial,
+    si_position_radial,
+    sinc_momentum_radial,
+)
 
-from spdc_coherence import joint
+from spdc_coherence import joint, phasematch
 from spdc_coherence.errors import GridTooCoarse, ZeroMass
 from spdc_coherence.joint import (
     Axis,
@@ -26,6 +31,8 @@ from spdc_coherence.params import CrystalParams, PumpParams
 from spdc_coherence.phasematch import (
     EXACT_SINC,
     GAUSSIAN_APPROX,
+    NonlinearityProfile,
+    PhaseMatchModel,
     momentum_radial_density,
     position_radial_density,
     variance_q_minus,
@@ -38,6 +45,7 @@ PUMP = PumpParams(w=100.0, k_p=K_P)
 PUMP_NARROW = PumpParams(w=10.0, k_p=K_P)
 CRYSTAL = CrystalParams(L=1000.0, k_p=K_P)
 CRYSTAL_MID = CrystalParams(L=1000.0, k_p=K_P, z0=500.0)
+POLED_PAIR = PhaseMatchModel.from_profile(NonlinearityProfile.alternating(2, 500.0))
 
 SQRT2 = math.sqrt(2.0)
 
@@ -98,6 +106,14 @@ class TestPointwiseDensities:
             )
             got = _minus_factor(PUMP, CRYSTAL, EXACT_SINC, "momentum", t)
             assert got == pytest.approx(want, rel=tol)
+        # the poled pair's analytic norm sits 1.2e-4 above the package's
+        # truncated one; larger t is left out, where the package's window
+        # (|y| up to half_range) starts to cut the marginal short
+        segments = ((0.0, 500.0, 1.0), (500.0, 1000.0, -1.0))
+        for t in (0.0, 0.1, 0.2, 0.4):
+            want = marginal_of_radial(lambda r: profile_momentum_radial(r, K_P, segments), t, 200.0)
+            got = _minus_factor(PUMP, CRYSTAL, POLED_PAIR, "momentum", t)
+            assert got == pytest.approx(want, rel=5e-4)
 
     def test_position_marginal_against_scipy(self):
         for t in (0.0, 3.0, 10.0, 25.0):
@@ -376,6 +392,40 @@ class TestMinusFactorCache:
             evaluate_grid(PumpParams(w=100.0, k_p=9.0), CRYSTAL, EXACT_SINC, "momentum", "rotated")
         info = joint._minus_marginal.cache_info()
         assert info.misses == 0 and info.currsize == 0
+
+
+class TestMomentumTable:
+    def test_cold_marginal_evaluates_the_spectrum_once_per_node(self, monkeypatch):
+        """A cold momentum minus marginal reads its radial density at
+        4097 x 4096 points; the spectrum behind it is evaluated only at the
+        nodes of the one cached table, which crystals that differ in z0 or
+        alpha alone share."""
+        points = []
+
+        def counted(fn):
+            def wrapper(x, *args):
+                points.append(np.size(x))
+                return fn(x, *args)
+
+            return wrapper
+
+        for model in (EXACT_SINC, POLED_PAIR):
+            momentum_radial_density(CRYSTAL, model)  # the norm integrals stay cached
+            phasematch._momentum_table.cache_clear()
+            joint._minus_marginal.cache_clear()
+            points.clear()
+            with monkeypatch.context() as mp:
+                mp.setattr(phasematch, "sinc", counted(phasematch.sinc))
+                mp.setattr(phasematch, "chi_tilde_profile", counted(phasematch.chi_tilde_profile))
+                joint._minus_marginal(CRYSTAL, model, "momentum")
+            _, base, _ = phasematch._momentum_table(K_P, phasematch._modulus_key(CRYSTAL, model))
+            assert 0 < sum(points) <= base.size
+
+        phasematch._momentum_table.cache_clear()
+        for c in (CRYSTAL, CRYSTAL_MID, CrystalParams(L=1000.0, k_p=K_P, alpha=0.3)):
+            momentum_radial_density(c, EXACT_SINC)
+        info = phasematch._momentum_table.cache_info()
+        assert info.misses == 1 and info.currsize == 1
 
 
 class TestMarginalBlocking:

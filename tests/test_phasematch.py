@@ -15,6 +15,7 @@ from oracles import (
     ALPHA_CALIBRATED,
     SINC_1E_ABSCISSA,
     e1_position_radial,
+    profile_momentum_radial,
     quad_osc,
     si,
     sinc_momentum_radial,
@@ -22,6 +23,7 @@ from oracles import (
 )
 
 import spdc_coherence
+from spdc_coherence import phasematch
 from spdc_coherence.errors import ParseError
 from spdc_coherence.params import CrystalParams
 from spdc_coherence.phasematch import (
@@ -244,6 +246,36 @@ class TestMomentumDensity:
         assert p_chi_momentum(np.array([q, q]), C_EXIT, EXACT_SINC) == pytest.approx(
             p_chi_momentum(0.1, C_EXIT, EXACT_SINC), rel=1e-12
         )
+
+    def test_beyond_table_is_zero(self):
+        half = momentum_radial_density(C_EXIT, EXACT_SINC).half_range
+        assert p_chi_momentum(1.001 * math.sqrt(2.0) * half, C_EXIT, EXACT_SINC) == 0.0
+        assert p_chi_momentum(1e6, C_EXIT, EXACT_SINC) == 0.0
+
+    # Linear interpolation in dk errs by at most (1/64)^2/8 of the bound
+    # (sum |chi2| h_seg)^2 / norm_q (the _DK_STEP note in phasematch).  The
+    # oracle is rescaled from its analytic norm to the package's truncated
+    # one, so that bound is all that separates the two.
+    @pytest.mark.parametrize(
+        "model,segments",
+        [
+            (EXACT_SINC, ((0.0, L, 1.0 / L),)),
+            (PhaseMatchModel.from_profile(NonlinearityProfile.alternating(2, 500.0)),
+             ((0.0, 500.0, 1.0), (500.0, 1000.0, -1.0))),
+            (PhaseMatchModel.from_profile(NonlinearityProfile.alternating(8, 125.0)),
+             tuple((125.0 * k, 125.0 * (k + 1), (-1.0) ** k) for k in range(8))),
+        ],
+        ids=["sinc", "poled_pair", "alternating_8"],
+    )
+    def test_table_against_oracle(self, model, segments):
+        rd = momentum_radial_density(C_EXIT, model)
+        q = np.linspace(0.0, math.sqrt(2.0) * rd.half_range, 200001)[:-1]
+        analytic = math.pi**2 * K_P * sum(amp * amp * (zb - za) for za, zb, amp in segments)
+        package = phasematch._momentum_norm(K_P, phasematch._modulus_key(C_EXIT, model))
+        want = profile_momentum_radial(q, K_P, segments) * (analytic / package)
+        spectrum_bound = sum(abs(amp) * (zb - za) for za, zb, amp in segments) ** 2
+        bound = (1.0 / 64.0) ** 2 / 8.0 * spectrum_bound / package
+        assert np.max(np.abs(rd.pdf(q) - want)) <= bound
 
 
 class TestPositionDensity:
