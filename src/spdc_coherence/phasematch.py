@@ -17,7 +17,9 @@ norms are integrated numerically once and cached (analytic for the
 Gaussian model).  Every non-Gaussian momentum density is |chi(dk)|^2 /
 norm_q tabulated once on nodes uniform in dk, keyed on what the modulus
 depends on (k_p and L for sinc, k_p and the profile otherwise; never z0
-or alpha), and read by linear interpolation within a stated bound.
+or alpha), and read by linear interpolation within a stated bound; a
+profile too fine for a table of 2^22 nodes evaluates the spectrum at each
+radius instead.
 Every non-Gaussian position density is one closed form: the amplitude
 of each piecewise-constant segment (z_a, z_b, chi2) is
 chi2 [E1(i kappa/z_b) - E1(i kappa/z_a)] with kappa = k_p rho^2 / 4, and
@@ -329,7 +331,8 @@ def p_chi_momentum(q_minus, c: CrystalParams, m: PhaseMatchModel) -> float:
 
     Gaussian model: analytic, (alpha L / (pi k_p)) exp[-alpha q^2 L/k_p].
     Other models: the cached table of ``momentum_radial_density``, within
-    its interpolation bound and zero beyond dk_max.  Independent of z0:
+    its interpolation bound (the spectrum itself for a profile too fine to
+    tabulate), and zero beyond dk_max.  Independent of z0:
     only the modulus of the spectrum enters.
     """
     return float(momentum_radial_density(c, m).pdf(_radius(q_minus)))
@@ -392,11 +395,29 @@ _DK_STEP = 1.0 / 64.0
 # nodes per block of the build: keeps chi_tilde_profile's complex
 # temporaries near 1 MB each
 _DK_BLOCK = 65536
+# A table needs 256,000 E/feature nodes of 16 bytes: 4 MB for sinc, 8 MB
+# for a poled pair, 66 MB for a 16-segment stack.  Above 2^22 nodes (64 MB,
+# a quarter of the 4097 x 4096 reads of one marginal build) a profile's
+# density evaluates the spectrum at each radius it is asked for instead, so
+# a thin segment in a long profile costs no more memory than the reads.
+_DK_NODES_MAX = 1 << 22
 
 
-# A table holds 256,000 E/feature nodes of 16 bytes: 4 MB for sinc, 8 MB
-# for a poled pair, 66 MB for a 16-segment stack.  The marginals built
-# from it have their own cache, so only a few tables are kept.
+def _modulus_sq(key: float | NonlinearityProfile) -> Callable[[np.ndarray], np.ndarray]:
+    # |chi(dk)|^2 of the sinc crystal of length key, or of the profile key
+    if isinstance(key, NonlinearityProfile):
+        return lambda dk: np.abs(chi_tilde_profile(dk, key)) ** 2
+    return lambda dk: sinc(0.5 * dk * key) ** 2
+
+
+def _table_nodes(key: float | NonlinearityProfile) -> int:
+    # intervals of the momentum table for key: h = dk_max / n <= _DK_STEP / E
+    extent, feature = _feature_lengths(key)
+    return math.ceil(4.0 * _U_HALF * (extent / feature) / _DK_STEP)
+
+
+# The marginals built from a table have their own cache, so only a few
+# tables are kept: at most 4 x 64 MB.
 @lru_cache(maxsize=4)
 def _momentum_table(
     k_p: float, key: float | NonlinearityProfile
@@ -407,20 +428,10 @@ def _momentum_table(
     quadrature.  Returns (h, base, slope), so that base[k] + f slope[k]
     interpolates on [k h, (k + 1) h]; base[n] = slope[n] = 0 read as zero
     from dk_max on."""
-    if isinstance(key, NonlinearityProfile):
-
-        def modulus_sq(dk):
-            return np.abs(chi_tilde_profile(dk, key)) ** 2
-
-    else:
-
-        def modulus_sq(dk):
-            return sinc(0.5 * dk * key) ** 2
-
-    extent, feature = _feature_lengths(key)
-    dk_max = 4.0 * _U_HALF / feature
-    n = math.ceil(4.0 * _U_HALF * (extent / feature) / _DK_STEP)
-    h = dk_max / n
+    modulus_sq = _modulus_sq(key)
+    _, feature = _feature_lengths(key)
+    n = _table_nodes(key)
+    h = (4.0 * _U_HALF / feature) / n
     vals = np.empty(n + 1)
     for start in range(0, n + 1, _DK_BLOCK):
         stop = min(start + _DK_BLOCK, n + 1)
@@ -434,16 +445,41 @@ def _momentum_table(
     return h, vals, slope
 
 
+def _direct_momentum_pdf(
+    k_p: float, key: float | NonlinearityProfile, dk_max: float
+) -> Callable[[np.ndarray], np.ndarray]:
+    # |chi(q^2/k_p)|^2 / norm_q evaluated at each radius, zero from dk_max
+    # on as the table reads: the route of profiles too fine to tabulate
+    modulus_sq = _modulus_sq(key)
+    norm = _momentum_norm(k_p, key)
+
+    def pdf(q):
+        q = np.asarray(q, dtype=float)
+        dk = q * q / k_p
+        inside = dk < dk_max
+        out = np.zeros(q.shape)
+        out[inside] = modulus_sq(dk[inside]) / norm
+        return out
+
+    return pdf
+
+
 def momentum_radial_density(c: CrystalParams, m: PhaseMatchModel) -> RadialDensity:
     """The anti-diagonal momentum density as a radial profile.  Non-Gaussian
     models read one cached table per (k_p, L) or (k_p, profile): linear in
     dk = q^2/k_p within 3.1e-5 of (sum |chi2| h_seg)^2 / norm_q (5.1e-6 of
-    the peak for sinc), and zero beyond dk_max = 2 half_range^2 / k_p."""
+    the peak for sinc), and zero beyond dk_max = 2 half_range^2 / k_p.  A
+    profile whose extent exceeds about 16 of its thinnest segments would
+    need more than 2^22 nodes; its density evaluates the spectrum at each
+    radius instead, exactly and likewise zero beyond dk_max."""
     if m.kind == "gauss":
         return _gaussian_radial(variance_q_minus(c))
     key = _modulus_key(c, m)
     _, feature = _feature_lengths(key)
     half = math.sqrt(2.0 * _U_HALF * c.k_p / feature)
+    if _table_nodes(key) > _DK_NODES_MAX:
+        pdf = _direct_momentum_pdf(c.k_p, key, 2.0 * half * half / c.k_p)
+        return RadialDensity(pdf=pdf, half_range=half, sigma=None)
     h, base, slope = _momentum_table(c.k_p, key)
     scale = 1.0 / (h * c.k_p)
     last = base.size - 1

@@ -145,7 +145,9 @@ def test_criterion_6_position_density_oracle_and_geometry():
     )
     l2 = math.sqrt(float(np.sum((dens - ref) ** 2)) / float(np.sum(ref**2)))
 
-    probe = np.linspace(0.0, 4.0 * math.sqrt(L / K_P), 160)
+    # rho = 0 is left out: the exit-face density's log-squared peak there
+    # would swamp the change in shape
+    probe = np.linspace(0.0, 4.0 * math.sqrt(L / K_P), 160)[1:]
     pos_exit = np.array(
         [phasematch.p_chi_position(float(r), c_exit, phasematch.EXACT_SINC) for r in probe]
     )
@@ -153,14 +155,12 @@ def test_criterion_6_position_density_oracle_and_geometry():
         [phasematch.p_chi_position(float(r), c_mid, phasematch.EXACT_SINC) for r in probe]
     )
     pos_dev = float(np.max(np.abs(pos_exit - pos_mid) / np.max(pos_mid)))
-    mom_dev = max(
-        abs(
-            phasematch.p_chi_momentum(float(v), c_exit, phasematch.EXACT_SINC)
-            - phasematch.p_chi_momentum(float(v), c_mid, phasematch.EXACT_SINC)
-        )
-        / phasematch.p_chi_momentum(float(v), c_mid, phasematch.EXACT_SINC)
-        for v in np.linspace(0.02, 1.0, 50)
-    )
+    # both crystals read one momentum table, so the modulus is compared on
+    # the spectra, which carry z0 in their phase
+    dks = np.linspace(0.02, 1.0, 50) ** 2 / K_P
+    mom_exit = np.abs(phasematch.chi_tilde_sinc(dks, c_exit)) ** 2
+    mom_mid = np.abs(phasematch.chi_tilde_sinc(dks, c_mid)) ** 2
+    mom_dev = float(np.max(np.abs(mom_exit - mom_mid) / mom_mid))
     ok = l2 < 1e-3 and pos_dev > 0.01 and mom_dev < 1e-12
     _report(6, ok,
             f"independent-transform L2 {l2:.2e} (tol 1e-3); geometry moves position by "

@@ -428,6 +428,22 @@ class TestMomentumTable:
         assert info.misses == 1 and info.currsize == 1
 
 
+    def test_untabulated_route_agrees_with_the_table(self, monkeypatch):
+        """Below the node cap a density evaluates the spectrum at every read
+        instead of tabulating it; the sinc marginal built that way matches
+        the tabulated one within the table's interpolation bound,
+        (1/64)^2/48 of the pdf's peak at every read."""
+        radial = momentum_radial_density(CRYSTAL, EXACT_SINC)
+        tabulated = joint._tabulated_marginal(radial)
+        monkeypatch.setattr(phasematch, "_DK_NODES_MAX", 1000)
+        phasematch._momentum_table.cache_clear()
+        direct = joint._tabulated_marginal(momentum_radial_density(CRYSTAL, EXACT_SINC))
+        assert phasematch._momentum_table.cache_info().currsize == 0
+        bound = 2.0 * radial.half_range * (1.0 / 64.0) ** 2 / 48.0 * float(radial.pdf(0.0))
+        assert np.max(np.abs(direct.vals - tabulated.vals)) <= bound
+        assert direct.nodes.tobytes() == tabulated.nodes.tobytes()
+
+
 class TestMarginalBlocking:
     # CRYSTAL has its exit face at z0 = L
     @pytest.mark.parametrize("radial_density", [momentum_radial_density, position_radial_density])

@@ -278,6 +278,37 @@ class TestMomentumDensity:
         assert np.max(np.abs(rd.pdf(q) - want)) <= bound
 
 
+    def test_profile_too_fine_to_tabulate(self, monkeypatch):
+        """A 1 um segment beside a 999 um one would need 256 M table nodes
+        (4 GB).  The density builds no table: it evaluates the spectrum
+        once per radius read, matches the oracle to rounding and is zero
+        beyond dk_max like the table."""
+        segments = ((0.0, 999.0, 1.0), (999.0, 1000.0, -1.0))
+        model = PhaseMatchModel.from_profile(NonlinearityProfile(segments))
+        key = phasematch._modulus_key(C_EXIT, model)
+        assert phasematch._table_nodes(key) > phasematch._DK_NODES_MAX
+        before = phasematch._momentum_table.cache_info()
+        rd = momentum_radial_density(C_EXIT, model)
+        q = np.linspace(0.0, math.sqrt(2.0) * rd.half_range, 100001)[:-1]
+        points = []
+        spectrum = phasematch.chi_tilde_profile
+
+        def counted(dk, prof):
+            points.append(np.size(dk))
+            return spectrum(dk, prof)
+
+        monkeypatch.setattr(phasematch, "chi_tilde_profile", counted)
+        got = rd.pdf(q)
+        assert sum(points) == q.size
+        assert phasematch._momentum_table.cache_info() == before
+        analytic = math.pi**2 * K_P * sum(amp * amp * (zb - za) for za, zb, amp in segments)
+        want = profile_momentum_radial(q, K_P, segments) * (analytic / phasematch._momentum_norm(K_P, key))
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(want)
+        assert rd.pdf(math.sqrt(2.0) * rd.half_range) == 0.0
+        assert p_chi_momentum(1e6, C_EXIT, model) == 0.0
+        assert p_chi_momentum(q[1], C_EXIT, model) == got[1]
+
+
 class TestPositionDensity:
     def test_centred_against_scipy(self):
         for rho in (0.0, 3.0, 10.0, 25.0):
