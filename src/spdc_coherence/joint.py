@@ -11,10 +11,15 @@ density develops the familiar tilted-ellipse correlations.
 
 Each factor is a frozen _Marginal1D: _gaussian_marginal builds the
 closed-form one of a Gaussian factor, _tabulated_marginal the
-interpolation table of a heavy-tailed radial density.  Only the minus
-factor can need a table, and it does not depend on the pump: it is
-cached per (crystal, model, space), so a sweep over pump coherence
-builds it once.  The plus factor is always Gaussian and never cached.
+interpolation table of a heavy-tailed radial density, on 4097 nodes
+across its window.  The table's values come from the density's exact
+marginal when it carries one (every non-Gaussian momentum density, whose
+projection over all transverse offsets is a sum of Fresnel integrals),
+else from a midpoint quadrature across the window (position densities).
+Only the minus factor can need a table, and it does not depend on the
+pump: it is cached per (crystal, model, space), so a sweep over pump
+coherence builds it once.  The plus factor is always Gaussian and never
+cached.
 
 Grid values are raw samples of the normalized joint density at cell
 centres; nothing is renormalized after sampling, so cell sums are an
@@ -141,17 +146,21 @@ def _gaussian_marginal(sigma: float) -> _Marginal1D:
 
 
 def _tabulated_marginal(radial: RadialDensity) -> _Marginal1D:
-    """Marginal of a non-Gaussian radial density, tabulated once by
-    integrating it across the transverse direction."""
+    """Marginal of a non-Gaussian radial density, tabulated once: from the
+    density's own exact marginal when it carries one, else by integrating
+    it across the transverse direction."""
     span = radial.half_range
     nodes = np.linspace(0.0, span, _MARGINAL_NODES)
-    hy = span / _MARGINAL_QUAD
-    y = (np.arange(_MARGINAL_QUAD) + 0.5) * hy
-    vals = np.empty(_MARGINAL_NODES)
-    for start in range(0, _MARGINAL_NODES, _PROBE_CHUNK):
-        block = nodes[start : start + _PROBE_CHUNK]
-        r = np.sqrt(block[:, None] ** 2 + y[None, :] ** 2)
-        vals[start : start + _PROBE_CHUNK] = 2.0 * hy * np.sum(radial.pdf(r), axis=1)
+    if radial.marginal is not None:
+        vals = radial.marginal(nodes)
+    else:
+        hy = span / _MARGINAL_QUAD
+        y = (np.arange(_MARGINAL_QUAD) + 0.5) * hy
+        vals = np.empty(_MARGINAL_NODES)
+        for start in range(0, _MARGINAL_NODES, _PROBE_CHUNK):
+            block = nodes[start : start + _PROBE_CHUNK]
+            r = np.sqrt(block[:, None] ** 2 + y[None, :] ** 2)
+            vals[start : start + _PROBE_CHUNK] = 2.0 * hy * np.sum(radial.pdf(r), axis=1)
     # shared by every pump through the minus-factor cache
     nodes.setflags(write=False)
     vals.setflags(write=False)
@@ -326,13 +335,15 @@ class JointGrid:
 
     def to_json(self) -> str:
         """Full-precision export; floats survive a load/dump cycle bit-exactly
-        (shortest round-trip decimal representation)."""
+        (shortest round-trip decimal representation).  The values are
+        written as json.dumps(indent=1) would write them, float repr one per
+        line, and spliced into the dumped head."""
         doc = {
             "space": self.space,
             "coords": self.coords,
             "axis1": _axis_doc(self.axis1),
             "axis2": _axis_doc(self.axis2),
-            "values": [float(v) for v in self.values.ravel()],
+            "values": [],
         }
         if self.pump is not None:
             doc["pump"] = params_dict(self.pump)
@@ -347,7 +358,12 @@ class JointGrid:
                     else [list(seg) for seg in self.model.profile.segments]
                 ),
             }
-        return json.dumps(doc, indent=1)
+        # strings escape their newlines, so this line can only be the key
+        head, tail = json.dumps(doc, indent=1).split('\n "values": []', 1)
+        reprs = list(map(float.__repr__, self.values.ravel().tolist()))
+        reprs[0] = head + '\n "values": [\n  ' + reprs[0]
+        reprs[-1] += "\n ]" + tail
+        return ",\n  ".join(reprs)
 
     @classmethod
     def from_json(cls, text: str) -> "JointGrid":
@@ -387,15 +403,14 @@ class JointGrid:
             f"# rows: {self.axis1.label or 'axis1'} centres;"
             f" columns: {self.axis2.label or 'axis2'} centres",
         ]
-        c2 = ",".join(_g9(v) for v in self.axis2.centers)
+        c2 = ",".join(map(_g9, self.axis2.centers.tolist()))
         lines.append(f"{self.axis1.label or 'axis1'}\\{self.axis2.label or 'axis2'},{c2}")
-        for center, row in zip(self.axis1.centers, self.values):
-            lines.append(_g9(center) + "," + ",".join(_g9(v) for v in row))
+        for center, row in zip(self.axis1.centers.tolist(), self.values.tolist()):
+            lines.append(_g9(center) + "," + ",".join(map(_g9, row)))
         return "\n".join(lines) + "\n"
 
 
-def _g9(v: float) -> str:
-    return f"{v:.9g}"
+_g9 = "{:.9g}".format
 
 
 def _axis_doc(ax: Axis) -> dict:

@@ -1,5 +1,5 @@
 """Self-contained numerical kernels: special functions (Si, E1 on the
-imaginary axis, J0), a radial (order-0 Hankel) transform, bisection, and
+imaginary axis, the Fresnel integral, J0), a radial (order-0 Hankel) transform, bisection, and
 discrete moment extraction.
 
 Nothing in here knows about pumps or crystals.  The physics modules quote
@@ -22,6 +22,7 @@ __all__ = [
     "sinc",
     "sine_integral",
     "exp1_i",
+    "fresnel",
     "bessel_j0",
     "RadialGrid",
     "hankel0",
@@ -195,6 +196,79 @@ def exp1_i(x):
         re[~small], im[~small] = _e1_large(ax[~small])
     im[flat < 0.0] *= -1.0
     out = (re + 1j * im).reshape(arr.shape)
+    return complex(out) if arr.ndim == 0 else out
+
+
+_FRESNEL_SPLIT = 2.0
+_FRESNEL_LIMIT = 0.5 * math.sqrt(math.pi) * complex(math.sqrt(0.5), math.sqrt(0.5))
+
+
+def _fresnel_series(x: np.ndarray) -> np.ndarray:
+    # sum over n of i^n x^(2n+1) / (n! (2n+1)); at x = 2 the terms peak
+    # near 2.4 and 40 of them take the remainder below 1e-25
+    xx = 1j * x * x
+    term = x.astype(complex)
+    total = term.copy()
+    for n in range(1, 41):
+        term *= xx / n
+        total += term / (2 * n + 1)
+    return total
+
+
+def _fresnel_tail(x: np.ndarray) -> np.ndarray:
+    # int_x^inf e^{iv^2} dv = (x/2) e^{ix^2} h for x > 2, h the continued
+    # fraction of Gamma(1/2, z) / (e^{-z} z^{1/2}) at z = -ix^2 (modified
+    # Lentz recursion with b_1 = z + 1/2, b_i = z + 2i - 3/2,
+    # a_i = -(i-1)(i-3/2)); the a = 1/2 case of the fraction _e1_large runs
+    # for E1 = Gamma(0, .).  Each element stops at its own convergence
+    # (65 steps at the split, fewer above) and leaves the working set.
+    n = x.size
+    h_out = np.empty(n, dtype=complex)
+    idx = np.arange(n)
+    z = -1j * x * x
+    c = np.full(n, 1e308, dtype=complex)
+    d = 1.0 / (z + 0.5)
+    h = d
+    for i in range(2, 500):
+        a = -(i - 1) * (i - 1.5)
+        b = z + (2 * i - 1.5)
+        d = 1.0 / (a * d + b)
+        c = b + a / c
+        delta = c * d
+        h = h * delta
+        done = np.abs(delta - 1.0) < 1e-16
+        if np.count_nonzero(done):
+            h_out[idx[done]] = h[done]
+            keep = ~done
+            idx, z, c, d, h = (v[keep] for v in (idx, z, c, d, h))
+            if not idx.size:
+                break
+    h_out[idx] = h
+    return 0.5 * x * np.exp(1j * x * x) * h_out
+
+
+def fresnel(x):
+    """F(x) = int_0^x e^{i v^2} dv, the complex Fresnel integral in the
+    unnormalized convention (C + iS of scipy's fresnel at x sqrt(2/pi),
+    times sqrt(pi/2)); odd in x, tending to (sqrt(pi)/2) e^{i pi/4}.
+
+    Power series up to |x| = 2, above it the limit minus the tail's
+    continued fraction.  Absolute error below 4e-15 for |x| <= 100
+    (measured against 40-digit values); beyond, the rounding of x^2 in the
+    phase dominates, below 1e-16 x.  Accepts scalars or arrays; a scalar
+    or 0-d input returns a complex.
+    """
+    arr = np.asarray(x, dtype=float)
+    flat = arr.ravel()
+    ax = np.abs(flat)
+    out = np.empty(ax.shape, dtype=complex)
+    small = ax <= _FRESNEL_SPLIT
+    if small.any():
+        out[small] = _fresnel_series(ax[small])
+    if not small.all():
+        out[~small] = _FRESNEL_LIMIT - _fresnel_tail(ax[~small])
+    out[flat < 0.0] *= -1.0
+    out = out.reshape(arr.shape)
     return complex(out) if arr.ndim == 0 else out
 
 

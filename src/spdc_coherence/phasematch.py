@@ -15,11 +15,12 @@ dk = q_minus^2 / k_p with q_minus the anti-diagonal transverse wave
 vector.  Densities are normalized over their 2D plane.  The momentum
 norms are integrated numerically once and cached (analytic for the
 Gaussian model).  Every non-Gaussian momentum density is |chi(dk)|^2 /
-norm_q tabulated once on nodes uniform in dk, keyed on what the modulus
-depends on (k_p and L for sinc, k_p and the profile otherwise; never z0
-or alpha), and read by linear interpolation within a stated bound; a
-profile too fine for a table of 2^22 nodes evaluates the spectrum at each
-radius instead.
+norm_q evaluated exactly at each radius; it depends on k_p and L for
+sinc, k_p and the profile otherwise, never on z0 or alpha.  Its 1D
+marginal is a closed form too: |chi|^2 is the Fourier transform of the
+profile's autocorrelation, which is piecewise linear, so the transverse
+projection reduces to Fresnel integrals, one kernel per distinct lag
+between edges of the profile.
 Every non-Gaussian position density is one closed form: the amplitude
 of each piecewise-constant segment (z_a, z_b, chi2) is
 chi2 [E1(i kappa/z_b) - E1(i kappa/z_a)] with kappa = k_p rho^2 / 4, and
@@ -37,7 +38,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ParseError
-from .numerics import exp1_i, find_root, sinc
+from .numerics import exp1_i, find_root, fresnel, sinc
 from .params import CrystalParams
 
 __all__ = [
@@ -330,10 +331,8 @@ def p_chi_momentum(q_minus, c: CrystalParams, m: PhaseMatchModel) -> float:
     at |q_minus|, read from ``momentum_radial_density(c, m).pdf``.
 
     Gaussian model: analytic, (alpha L / (pi k_p)) exp[-alpha q^2 L/k_p].
-    Other models: the cached table of ``momentum_radial_density``, within
-    its interpolation bound (the spectrum itself for a profile too fine to
-    tabulate), and zero beyond dk_max.  Independent of z0:
-    only the modulus of the spectrum enters.
+    Other models: the spectrum itself, evaluated exactly at any radius.
+    Independent of z0: only the modulus of the spectrum enters.
     """
     return float(momentum_radial_density(c, m).pdf(_radius(q_minus)))
 
@@ -362,11 +361,14 @@ class RadialDensity(NamedTuple):
     pdf: vectorized radius -> density.  half_range: radius capturing all
     but a few 1e-4 of the mass.  sigma: per-axis standard deviation when
     the density is Gaussian, else None (heavy-tailed sinc family).
+    marginal: the exact 1D marginal, vectorized offset t -> integral of
+    pdf(sqrt(t^2 + y^2)) over every y, when a closed form exists, else None.
     """
 
     pdf: Callable[[np.ndarray], np.ndarray]
     half_range: float
     sigma: float | None
+    marginal: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 def _gaussian_radial(var: float) -> RadialDensity:
@@ -385,120 +387,107 @@ def _momentum_norm(k_p: float, key: float | NonlinearityProfile) -> float:
     return 2.0 * math.pi * (k_p / key) * _sinc_sq_area()
 
 
-# Momentum tables are uniform in dk with spacing h <= _DK_STEP / E, E the
-# profile extent (L for sinc).  A shift in z leaves |chi|^2 unchanged, so
-# its second dk-derivative is at most E^2 (sum |chi2| h_seg)^2 and linear
-# interpolation errs by at most _DK_STEP^2/8 = 3.1e-5 of the density's
-# bound (sum |chi2| h_seg)^2 / norm_q; for sinc the exact value is
-# _DK_STEP^2/48 = 5.1e-6 of the peak.
-_DK_STEP = 1.0 / 64.0
-# nodes per block of the build: keeps chi_tilde_profile's complex
-# temporaries near 1 MB each
-_DK_BLOCK = 65536
-# A table needs 256,000 E/feature nodes of 16 bytes: 4 MB for sinc, 8 MB
-# for a poled pair, 66 MB for a 16-segment stack.  Above 2^22 nodes (64 MB,
-# a quarter of the 4097 x 4096 reads of one marginal build) a profile's
-# density evaluates the spectrum at each radius it is asked for instead, so
-# a thin segment in a long profile costs no more memory than the reads.
-_DK_NODES_MAX = 1 << 22
+def _autocorrelation_lags(key: float | NonlinearityProfile) -> tuple[np.ndarray, np.ndarray]:
+    # The autocorrelation R(s) = int chi2(z) chi2(z + s) dz of the profile
+    # (the segment [0, L] with chi2 = 1/L for sinc) as ramps: for s >= 0,
+    # R(s) = sum_j w_j (lag_j - s)_+ over the distinct positive lags
+    # z_f - z_e between edges of chi2, with w_j = -sum sigma_e sigma_f over
+    # the edge pairs at that lag (sigma the jumps of chi2).  Returns the
+    # sorted lags and their weights; equal lags are combined exactly.  The
+    # pairs are taken d edges apart, one d at a time and combined as they
+    # come, so a uniform stack of n segments never holds its n^2/2 pairs.
+    segments = key.segments if isinstance(key, NonlinearityProfile) else ((0.0, key, 1.0 / key),)
+    jumps: dict[float, float] = {}
+    for za, zb, amp in segments:
+        jumps[za] = jumps.get(za, 0.0) + amp
+        jumps[zb] = jumps.get(zb, 0.0) - amp
+    edges = np.array(sorted(z for z, sigma in jumps.items() if sigma != 0.0))
+    sigma = np.array([jumps[z] for z in edges.tolist()])
+    lags, weights = [], []
+    for d in range(1, edges.size):
+        lag, which = np.unique(edges[d:] - edges[:-d], return_inverse=True)
+        lags.append(lag)
+        weights.append(np.bincount(which, weights=sigma[d:] * sigma[:-d], minlength=lag.size))
+    lags, which = np.unique(np.concatenate(lags), return_inverse=True)
+    weights = -np.bincount(which, weights=np.concatenate(weights), minlength=lags.size)
+    keep = weights != 0.0
+    return lags[keep], weights[keep]
 
 
-def _modulus_sq(key: float | NonlinearityProfile) -> Callable[[np.ndarray], np.ndarray]:
-    # |chi(dk)|^2 of the sinc crystal of length key, or of the profile key
-    if isinstance(key, NonlinearityProfile):
-        return lambda dk: np.abs(chi_tilde_profile(dk, key)) ** 2
-    return lambda dk: sinc(0.5 * dk * key) ** 2
+# (i x^2)^n / (n! (n + 1/2)(n + 3/2)): below x^2 = 1, 20 terms take the
+# remainder under 1e-20
+_RAMP_SERIES = 20
 
 
-def _table_nodes(key: float | NonlinearityProfile) -> int:
-    # intervals of the momentum table for key: h = dk_max / n <= _DK_STEP / E
-    extent, feature = _feature_lengths(key)
-    return math.ceil(4.0 * _U_HALF * (extent / feature) / _DK_STEP)
+def _ramp_kernel(x: np.ndarray) -> np.ndarray:
+    # k(x) = int_0^1 (1 - s) s^{-1/2} e^{i x^2 s} ds for x >= 0, in closed
+    # form F(x) (2/x - i/x^3) + i e^{ix^2}/x^2 with F the Fresnel integral.
+    # Its 1/x^2 terms cancel as x -> 0, losing digits like 1/x^2, so
+    # x^2 <= 1 (and x = 0 exactly, where k = 4/3) takes the power series.
+    out = np.empty(x.shape, dtype=complex)
+    small = x * x <= 1.0
+    xs = x[small]
+    ixx = 1j * xs * xs
+    term = np.ones(xs.shape, dtype=complex)
+    total = term / 0.75
+    for n in range(1, _RAMP_SERIES):
+        term *= ixx / n
+        total += term / ((n + 0.5) * (n + 1.5))
+    out[small] = total
+    xl = x[~small]
+    inv = 1.0 / xl
+    out[~small] = fresnel(xl) * (2.0 - 1j * inv * inv) * inv + 1j * np.exp(1j * xl * xl) * inv * inv
+    return out
 
 
-# The marginals built from a table have their own cache, so only a few
-# tables are kept: at most 4 x 64 MB.
-@lru_cache(maxsize=4)
-def _momentum_table(
-    k_p: float, key: float | NonlinearityProfile
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """|chi(dk)|^2 / norm_q of a sinc crystal of length ``key``, or of the
-    profile ``key``, on nodes dk = k h, k = 0..n, spanning [0, dk_max] with
-    dk_max = 2 half^2 / k_p: the corner radius sqrt2 half of the marginal
-    quadrature.  Returns (h, base, slope), so that base[k] + f slope[k]
-    interpolates on [k h, (k + 1) h]; base[n] = slope[n] = 0 read as zero
-    from dk_max on."""
-    modulus_sq = _modulus_sq(key)
-    _, feature = _feature_lengths(key)
-    n = _table_nodes(key)
-    h = (4.0 * _U_HALF / feature) / n
-    vals = np.empty(n + 1)
-    for start in range(0, n + 1, _DK_BLOCK):
-        stop = min(start + _DK_BLOCK, n + 1)
-        vals[start:stop] = modulus_sq(np.arange(start, stop) * h)
-    vals /= _momentum_norm(k_p, key)
-    slope = np.empty(n + 1)
-    np.subtract(vals[1:], vals[:-1], out=slope[:n])
-    slope[n] = vals[n] = 0.0
-    vals.setflags(write=False)
-    slope.setflags(write=False)
-    return h, vals, slope
+def _momentum_marginal(k_p: float, key: float | NonlinearityProfile) -> Callable[[np.ndarray], np.ndarray]:
+    # The exact projection M(t) = int p(sqrt(t^2 + y^2)) dy over all y of
+    # the momentum density p(q) = |chi(q^2/k_p)|^2 / norm_q.  With
+    # |chi(dk)|^2 = int R(s) e^{i dk s} ds and
+    # int e^{i s y^2/k_p} dy = sqrt(pi k_p/|s|) e^{i sgn(s) pi/4},
+    # M(t) = (2 sqrt(pi k_p)/norm_q) Re[e^{i pi/4} int_0^E R(s) s^{-1/2} e^{i omega s} ds]
+    # with omega = t^2/k_p and E the extent; on the ramps of R the integral
+    # is sum_j w_j lag_j^{3/2} k(t sqrt(lag_j/k_p)).
+    lags, weights = _autocorrelation_lags(key)
+    scale = 2.0 * math.sqrt(math.pi * k_p) / _momentum_norm(k_p, key)
+    rotation = complex(math.sqrt(0.5), math.sqrt(0.5)) * scale
 
+    def marginal(t):
+        t = np.abs(np.asarray(t, dtype=float))
+        total = np.zeros(t.shape, dtype=complex)
+        # one lag at a time: memory stays a few arrays of t's size
+        for lag, weight in zip(lags.tolist(), weights.tolist()):
+            total += weight * lag**1.5 * _ramp_kernel(t * math.sqrt(lag / k_p))
+        return (rotation * total).real
 
-def _direct_momentum_pdf(
-    k_p: float, key: float | NonlinearityProfile, dk_max: float
-) -> Callable[[np.ndarray], np.ndarray]:
-    # |chi(q^2/k_p)|^2 / norm_q evaluated at each radius, zero from dk_max
-    # on as the table reads: the route of profiles too fine to tabulate
-    modulus_sq = _modulus_sq(key)
-    norm = _momentum_norm(k_p, key)
-
-    def pdf(q):
-        q = np.asarray(q, dtype=float)
-        dk = q * q / k_p
-        inside = dk < dk_max
-        out = np.zeros(q.shape)
-        out[inside] = modulus_sq(dk[inside]) / norm
-        return out
-
-    return pdf
+    return marginal
 
 
 def momentum_radial_density(c: CrystalParams, m: PhaseMatchModel) -> RadialDensity:
     """The anti-diagonal momentum density as a radial profile.  Non-Gaussian
-    models read one cached table per (k_p, L) or (k_p, profile): linear in
-    dk = q^2/k_p within 3.1e-5 of (sum |chi2| h_seg)^2 / norm_q (5.1e-6 of
-    the peak for sinc), and zero beyond dk_max = 2 half_range^2 / k_p.  A
-    profile whose extent exceeds about 16 of its thinnest segments would
-    need more than 2^22 nodes; its density evaluates the spectrum at each
-    radius instead, exactly and likewise zero beyond dk_max."""
+    models evaluate |chi(q^2/k_p)|^2 / norm_q exactly at every radius, and
+    carry the exact 1D marginal in closed form: Fresnel integrals over the
+    piecewise-linear autocorrelation of chi2, one kernel per distinct
+    positive lag between edges of the profile.  A profile with n_e edges
+    has at most n_e (n_e - 1)/2 lags (one for sinc, n for a contiguous
+    stack of n equal segments), and the marginal costs that many kernel
+    evaluations per point, with memory of a few arrays of the points."""
     if m.kind == "gauss":
         return _gaussian_radial(variance_q_minus(c))
     key = _modulus_key(c, m)
     _, feature = _feature_lengths(key)
-    half = math.sqrt(2.0 * _U_HALF * c.k_p / feature)
-    if _table_nodes(key) > _DK_NODES_MAX:
-        pdf = _direct_momentum_pdf(c.k_p, key, 2.0 * half * half / c.k_p)
-        return RadialDensity(pdf=pdf, half_range=half, sigma=None)
-    h, base, slope = _momentum_table(c.k_p, key)
-    scale = 1.0 / (h * c.k_p)
-    last = base.size - 1
+    norm = _momentum_norm(c.k_p, key)
+    k_p = c.k_p
 
     def pdf(q):
-        # direct index into the uniform table, fmin also sending non-finite
-        # radii past its end; in place, because fresh block-sized
-        # temporaries cost more than the arithmetic
         q = np.asarray(q, dtype=float)
-        x = np.multiply(q, q, out=np.empty(q.shape))
-        x *= scale
-        np.fmin(x, last, out=x)
-        i = x.astype(np.intp)
-        x -= i
-        x *= slope[i]
-        x += base[i]
-        return x
+        dk = q * q / k_p
+        if isinstance(key, NonlinearityProfile):
+            return np.abs(chi_tilde_profile(dk, key)) ** 2 / norm
+        return sinc(0.5 * dk * key) ** 2 / norm
 
-    return RadialDensity(pdf=pdf, half_range=half, sigma=None)
+    half = math.sqrt(2.0 * _U_HALF * k_p / feature)
+    return RadialDensity(pdf=pdf, half_range=half, sigma=None, marginal=_momentum_marginal(k_p, key))
 
 
 def _position_kernel(rho: np.ndarray, c: CrystalParams, m: PhaseMatchModel) -> np.ndarray:

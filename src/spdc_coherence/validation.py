@@ -217,8 +217,8 @@ def check_exit_vs_centred() -> CheckResult:
     """Moving the crystal must reshape the position density (phase matters)
     while leaving the momentum spectrum's modulus untouched.  rho = 0 is
     left out: there the exit-face density sits on its log-squared peak,
-    which would swamp the change in shape.  Both crystals read one
-    momentum table, so the modulus is checked on the spectra themselves,
+    which would swamp the change in shape.  The momentum density reads
+    |chi| alone, so the modulus is checked on the spectra themselves,
     which carry z0 in their phase."""
     L, k_p = 1000.0, 10.0
     c_exit = CrystalParams(L=L, k_p=k_p)  # z0 = L

@@ -110,6 +110,29 @@ def marginal_of_radial(pdf, t, y_cap):
     return 2.0 * quad_osc(lambda y: float(pdf(math.hypot(t, y))), 0.0, y_cap)
 
 
+def profile_momentum_marginal(t, k_p, segments, y_cap=20.0):
+    """1D marginal 2 int_0^inf p(sqrt(t^2 + y^2)) dy of
+    profile_momentum_radial, by brute force.  The midpoint rule covers
+    [0, y_cap] with 32 nodes per period of the spectrum's fastest
+    oscillation there (dk = q^2/k_p, period 2 pi / extent in dk).  Beyond
+    y_cap only the non-oscillating part of |chi|^2 is kept,
+    sum_e sigma_e^2 / dk^2 with sigma_e the jump of chi2 at edge e, and
+    integrated by quad; the oscillating rest falls off one power faster."""
+    jumps = {}
+    for za, zb, amp in segments:
+        jumps[za] = jumps.get(za, 0.0) + amp
+        jumps[zb] = jumps.get(zb, 0.0) - amp
+    extent = max(jumps) - min(jumps)
+    n = math.ceil(32.0 * y_cap * y_cap * extent / (math.pi * k_p))
+    h = y_cap / n
+    y = (np.arange(n) + 0.5) * h
+    body = h * float(np.sum(profile_momentum_radial(np.hypot(t, y), k_p, segments)))
+    norm_q = math.pi**2 * k_p * sum(amp * amp * (zb - za) for za, zb, amp in segments)
+    tail = k_p * k_p * sum(s * s for s in jumps.values()) / norm_q
+    rest = quad_osc(lambda v: tail / (t * t + v * v) ** 2, y_cap, np.inf)
+    return 2.0 * (body + rest)
+
+
 def gaussian_2d(x, y, var1, var2, covar=0.0):
     """Normalized correlated 2D Gaussian, for injecting synthetic grids."""
     det = var1 * var2 - covar * covar

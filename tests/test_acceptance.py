@@ -155,7 +155,7 @@ def test_criterion_6_position_density_oracle_and_geometry():
         [phasematch.p_chi_position(float(r), c_mid, phasematch.EXACT_SINC) for r in probe]
     )
     pos_dev = float(np.max(np.abs(pos_exit - pos_mid) / np.max(pos_mid)))
-    # both crystals read one momentum table, so the modulus is compared on
+    # the momentum density reads |chi| alone, so the modulus is compared on
     # the spectra, which carry z0 in their phase
     dks = np.linspace(0.02, 1.0, 50) ** 2 / K_P
     mom_exit = np.abs(phasematch.chi_tilde_sinc(dks, c_exit)) ** 2

@@ -3,12 +3,14 @@ resolution guard, and thread-count independence."""
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from oracles import (
     marginal_of_radial,
+    profile_momentum_marginal,
     profile_momentum_radial,
     si_position_radial,
     sinc_momentum_radial,
@@ -27,7 +29,7 @@ from spdc_coherence.joint import (
     widths_from_grid,
 )
 from spdc_coherence.numerics import grid_moments
-from spdc_coherence.params import CrystalParams, PumpParams
+from spdc_coherence.params import CrystalParams, PumpParams, params_dict
 from spdc_coherence.phasematch import (
     EXACT_SINC,
     GAUSSIAN_APPROX,
@@ -99,7 +101,10 @@ class TestPointwiseDensities:
 
     def test_momentum_marginal_against_scipy(self):
         """The tabulated minus marginal vs adaptive quadrature across the
-        scipy-built radial density."""
+        scipy-built radial density, and out to the window edge vs a
+        brute-force projection, at marginal nodes there: the marginal
+        oscillates in t with a period of about 7 node spacings near the
+        edge, so between nodes linear interpolation would be tested too."""
         for t, tol in ((0.0, 5e-4), (0.05, 5e-4), (0.1, 5e-4), (0.2, 5e-4), (0.4, 1e-3)):
             want = marginal_of_radial(
                 lambda r: sinc_momentum_radial(r, CRYSTAL.L, K_P), t, 200.0
@@ -107,13 +112,19 @@ class TestPointwiseDensities:
             got = _minus_factor(PUMP, CRYSTAL, EXACT_SINC, "momentum", t)
             assert got == pytest.approx(want, rel=tol)
         # the poled pair's analytic norm sits 1.2e-4 above the package's
-        # truncated one; larger t is left out, where the package's window
-        # (|y| up to half_range) starts to cut the marginal short
+        # truncated one
         segments = ((0.0, 500.0, 1.0), (500.0, 1000.0, -1.0))
         for t in (0.0, 0.1, 0.2, 0.4):
             want = marginal_of_radial(lambda r: profile_momentum_radial(r, K_P, segments), t, 200.0)
             got = _minus_factor(PUMP, CRYSTAL, POLED_PAIR, "momentum", t)
             assert got == pytest.approx(want, rel=5e-4)
+        for model, segments in ((EXACT_SINC, ((0.0, CRYSTAL.L, 1.0 / CRYSTAL.L),)), (POLED_PAIR, segments)):
+            nodes = joint._minus_marginal(CRYSTAL, model, "momentum").nodes
+            for k in (2048, 3072, 3686, 4055, 4096):  # 0.5 to 1 of the window
+                t = float(nodes[k])
+                want = profile_momentum_marginal(t, K_P, segments)
+                got = _minus_factor(PUMP, CRYSTAL, model, "momentum", t)
+                assert got == pytest.approx(want, rel=5e-4)
 
     def test_position_marginal_against_scipy(self):
         for t in (0.0, 3.0, 10.0, 25.0):
@@ -200,7 +211,7 @@ class TestEvaluateGrid:
 
     def test_mass_capture_heavy_tails(self):
         g = evaluate_grid(PUMP, CRYSTAL, EXACT_SINC, "momentum", "rotated")
-        assert g.mass >= 0.998  # observed 0.99882
+        assert g.mass >= 0.998  # observed 0.998922
         g = evaluate_grid(PUMP, CRYSTAL, EXACT_SINC, "position", "rotated")
         # exit-face origin spike undersampled by design; see joint docstring
         assert g.mass >= 0.99
@@ -323,6 +334,58 @@ class TestSerialization:
         parsed = np.array([[float(v) for v in row.split(",")[1:]] for row in rows])
         assert np.allclose(parsed, g.values, rtol=1e-8, atol=1e-300)
 
+    @staticmethod
+    def _reference_json(g):
+        # json.dumps of the whole document, values as a list of floats
+        doc = {
+            "space": g.space,
+            "coords": g.coords,
+            "axis1": {"lo": g.axis1.lo, "hi": g.axis1.hi, "count": g.axis1.count, "label": g.axis1.label},
+            "axis2": {"lo": g.axis2.lo, "hi": g.axis2.hi, "count": g.axis2.count, "label": g.axis2.label},
+            "values": [float(v) for v in g.values.ravel()],
+        }
+        if g.pump is not None:
+            doc["pump"] = params_dict(g.pump)
+        if g.crystal is not None:
+            doc["crystal"] = params_dict(g.crystal)
+        if g.model is not None:
+            profile = g.model.profile
+            doc["model"] = {
+                "kind": g.model.kind,
+                "profile": None if profile is None else [list(seg) for seg in profile.segments],
+            }
+        return json.dumps(doc, indent=1)
+
+    @staticmethod
+    def _reference_csv(g):
+        # one f-string per number
+        lines = [
+            f"# joint density, space={g.space}, coords={g.coords}",
+            f"# rows: {g.axis1.label or 'axis1'} centres;"
+            f" columns: {g.axis2.label or 'axis2'} centres",
+        ]
+        c2 = ",".join(f"{v:.9g}" for v in g.axis2.centers)
+        lines.append(f"{g.axis1.label or 'axis1'}\\{g.axis2.label or 'axis2'},{c2}")
+        for center, row in zip(g.axis1.centers, g.values):
+            lines.append(f"{center:.9g}," + ",".join(f"{v:.9g}" for v in row))
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("with_params", [True, False], ids=["params", "bare"])
+    def test_serializers_match_reference_bytes(self, with_params):
+        """Both exports write exactly the bytes of json.dumps over the whole
+        document and of one f-string per number, on awkward values."""
+        awkward = [0.0, 5e-324, 1e-300, 1.0 / 3.0, 1e16, 2.0**-1074 * 3, 123456789.0, 0.1]
+        values = np.resize(np.array(awkward), (8, 12))
+        ax1 = Axis(-1.0 / 3.0, 1e16, 8, 'q "s" \\ x')
+        ax2 = Axis(-5e-324, 1e-300, 12, "")
+        extra = dict(pump=PUMP, crystal=CRYSTAL, model=POLED_PAIR) if with_params else {}
+        g = JointGrid(space="momentum", coords="lab", axis1=ax1, axis2=ax2, values=values, **extra)
+        assert g.to_json() == self._reference_json(g)
+        assert g.to_csv() == self._reference_csv(g)
+        sinc = evaluate_grid(PUMP, CRYSTAL, EXACT_SINC, "position", "rotated")
+        assert sinc.to_json() == self._reference_json(sinc)
+        assert sinc.to_csv() == self._reference_csv(sinc)
+
     def test_grid_immutable(self):
         g = evaluate_grid(PUMP, CRYSTAL, GAUSSIAN_APPROX, "momentum", "rotated")
         with pytest.raises(ValueError):
@@ -394,61 +457,90 @@ class TestMinusFactorCache:
         assert info.misses == 0 and info.currsize == 0
 
 
-class TestMomentumTable:
-    def test_cold_marginal_evaluates_the_spectrum_once_per_node(self, monkeypatch):
-        """A cold momentum minus marginal reads its radial density at
-        4097 x 4096 points; the spectrum behind it is evaluated only at the
-        nodes of the one cached table, which crystals that differ in z0 or
-        alpha alone share."""
-        points = []
-
-        def counted(fn):
-            def wrapper(x, *args):
-                points.append(np.size(x))
-                return fn(x, *args)
-
-            return wrapper
-
+class TestClosedFormMarginal:
+    def test_cold_momentum_marginal_reads_no_density(self):
+        """A non-Gaussian momentum minus marginal comes from the density's
+        closed form: a cold build reads the radial pdf at no point (the
+        transverse quadrature would read it 4097 x 4096 times)."""
         for model in (EXACT_SINC, POLED_PAIR):
-            momentum_radial_density(CRYSTAL, model)  # the norm integrals stay cached
-            phasematch._momentum_table.cache_clear()
-            joint._minus_marginal.cache_clear()
-            points.clear()
-            with monkeypatch.context() as mp:
-                mp.setattr(phasematch, "sinc", counted(phasematch.sinc))
-                mp.setattr(phasematch, "chi_tilde_profile", counted(phasematch.chi_tilde_profile))
-                joint._minus_marginal(CRYSTAL, model, "momentum")
-            _, base, _ = phasematch._momentum_table(K_P, phasematch._modulus_key(CRYSTAL, model))
-            assert 0 < sum(points) <= base.size
+            radial = momentum_radial_density(CRYSTAL, model)
+            reads = []
 
-        phasematch._momentum_table.cache_clear()
-        for c in (CRYSTAL, CRYSTAL_MID, CrystalParams(L=1000.0, k_p=K_P, alpha=0.3)):
-            momentum_radial_density(c, EXACT_SINC)
-        info = phasematch._momentum_table.cache_info()
-        assert info.misses == 1 and info.currsize == 1
+            def counted(r, pdf=radial.pdf):
+                reads.append(np.size(r))
+                return pdf(r)
 
+            joint._tabulated_marginal(radial._replace(pdf=counted))
+            assert reads == []
 
-    def test_untabulated_route_agrees_with_the_table(self, monkeypatch):
-        """Below the node cap a density evaluates the spectrum at every read
-        instead of tabulating it; the sinc marginal built that way matches
-        the tabulated one within the table's interpolation bound,
-        (1/64)^2/48 of the pdf's peak at every read."""
-        radial = momentum_radial_density(CRYSTAL, EXACT_SINC)
-        tabulated = joint._tabulated_marginal(radial)
-        monkeypatch.setattr(phasematch, "_DK_NODES_MAX", 1000)
-        phasematch._momentum_table.cache_clear()
-        direct = joint._tabulated_marginal(momentum_radial_density(CRYSTAL, EXACT_SINC))
-        assert phasematch._momentum_table.cache_info().currsize == 0
-        bound = 2.0 * radial.half_range * (1.0 / 64.0) ** 2 / 48.0 * float(radial.pdf(0.0))
-        assert np.max(np.abs(direct.vals - tabulated.vals)) <= bound
-        assert direct.nodes.tobytes() == tabulated.nodes.tobytes()
+    @pytest.mark.parametrize(
+        "model,lags",
+        [
+            (EXACT_SINC, 1),
+            (POLED_PAIR, 2),
+            (PhaseMatchModel.from_profile(NonlinearityProfile.alternating(16, 62.5)), 16),
+            # edges 0, 100, 350, 360, 1000: every one of the 10 gaps differs
+            (PhaseMatchModel.from_profile(NonlinearityProfile(
+                ((0.0, 100.0, 1.0), (100.0, 350.0, -0.5), (350.0, 360.0, 2.0), (360.0, 1000.0, 1.0)))), 10),
+        ],
+        ids=["sinc", "poled_pair", "alternating_16", "four_uneven"],
+    )
+    def test_one_kernel_per_distinct_lag(self, monkeypatch, model, lags):
+        """The build costs one Fresnel kernel over the 4097 nodes per
+        distinct positive lag between edges of chi2: one for sinc, n for a
+        stack of n equal segments, at most n_e (n_e - 1)/2 for n_e edges."""
+        calls = []
+        kernel = phasematch._ramp_kernel
+
+        def counted(x):
+            calls.append(np.size(x))
+            return kernel(x)
+
+        monkeypatch.setattr(phasematch, "_ramp_kernel", counted)
+        joint._tabulated_marginal(momentum_radial_density(CRYSTAL, model))
+        assert calls == [joint._MARGINAL_NODES] * lags
+
+    def test_long_stack_lags_in_small_memory(self):
+        """2,000 poled domains have 2,001 edges and 2 M edge pairs, but only
+        2,000 distinct lags; collecting them takes memory of the order of
+        the edges (holding every pair at once would take 124 MB)."""
+        key = NonlinearityProfile.alternating(2000, 0.5)
+        tracemalloc.start()
+        try:
+            lags, weights = phasematch._autocorrelation_lags(key)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20  # observed 0.75 MB
+        assert np.allclose(lags, 0.5 * np.arange(1, 2001), rtol=1e-12)
+        # R(0) = sum_j w_j lag_j is the profile's energy, sum chi2^2 h
+        assert float(np.sum(weights * lags)) == pytest.approx(1000.0, rel=1e-12)
+
+    def test_thin_segment_against_brute_force(self):
+        """A 1 um segment beside a 999 um one: the spectrum oscillates with
+        period 2 pi / 1000 in dk, which a 4096-node transverse quadrature
+        undersamples (3.2e-4 of the peak at t = 0.069 rad/um).  The closed
+        form matches a brute-force projection of the oracle density within
+        1e-4 of the peak; the oracle is rescaled from its analytic norm to
+        the package's truncated one."""
+        segments = ((0.0, 999.0, 1.0), (999.0, 1000.0, -1.0))
+        model = PhaseMatchModel.from_profile(NonlinearityProfile(segments))
+        minus = joint._minus_marginal(CRYSTAL, model, "momentum")
+        analytic = math.pi**2 * K_P * sum(amp * amp * (zb - za) for za, zb, amp in segments)
+        rescale = analytic / phasematch._momentum_norm(K_P, phasematch._modulus_key(CRYSTAL, model))
+        peak = float(minus.vals[0])
+        for k in (0, 1, 2, 3, 5, 16, 256, 4096):
+            want = rescale * profile_momentum_marginal(float(minus.nodes[k]), K_P, segments)
+            assert abs(float(minus.vals[k]) - want) <= 1e-4 * peak
 
 
 class TestMarginalBlocking:
     # CRYSTAL has its exit face at z0 = L
     @pytest.mark.parametrize("radial_density", [momentum_radial_density, position_radial_density])
     def test_block_height_leaves_the_table_unchanged(self, monkeypatch, radial_density):
-        radial = radial_density(CRYSTAL, EXACT_SINC)
+        # without its closed-form marginal the momentum density takes the
+        # transverse quadrature too
+        radial = radial_density(CRYSTAL, EXACT_SINC)._replace(marginal=None)
         built = []
         for chunk in (512, 64, 32):
             monkeypatch.setattr(joint, "_PROBE_CHUNK", chunk)

@@ -22,6 +22,7 @@ from spdc_coherence.numerics import (
     bessel_j0,
     exp1_i,
     find_root,
+    fresnel,
     grid_moments,
     hankel0,
     sine_integral,
@@ -156,6 +157,42 @@ class TestExp1I:
     def test_scalar_and_shape(self):
         assert type(exp1_i(2.0)) is complex
         assert exp1_i(np.ones((2, 3))).shape == (2, 3)
+
+
+def _scipy_fresnel(x):
+    # int_0^x e^{iv^2} dv from scipy's normalized S and C
+    s, c = special.fresnel(np.asarray(x) * math.sqrt(2.0 / math.pi))
+    return math.sqrt(math.pi / 2.0) * (c + 1j * s)
+
+
+class TestFresnel:
+    def test_against_scipy(self):
+        xs = np.concatenate(
+            [np.geomspace(1e-9, 1.9, 120), np.linspace(1.9, 2.1, 41), np.geomspace(2.1, 1e4, 200)]
+        )
+        for x in (xs, -xs):  # odd
+            # scipy's own rounding of its scaled argument grows with x
+            assert np.max(np.abs(fresnel(x) - _scipy_fresnel(x))) < 3e-12  # observed 1.7e-12
+        small = xs[xs <= 10.0]
+        assert np.max(np.abs(fresnel(small) - _scipy_fresnel(small))) < 5e-15  # observed 1.2e-15
+
+    def test_zero_and_limit(self):
+        assert fresnel(0.0) == 0.0
+        limit = 0.5 * math.sqrt(math.pi) * complex(math.sqrt(0.5), math.sqrt(0.5))
+        # the tail is i e^{ix^2} / (2x) to leading order
+        assert abs(fresnel(1e4) - limit) == pytest.approx(0.5e-4, rel=1e-6)
+
+    def test_split_point_continuity(self):
+        # power series up to 2, continued fraction above
+        assert abs(fresnel(2.0 - 1e-9) - fresnel(2.0 + 1e-9)) < 1e-8
+
+    def test_scalar_and_shape(self):
+        assert type(fresnel(2.0)) is complex
+        assert type(fresnel(np.float64(3.0))) is complex
+        assert fresnel(np.ones((2, 3))).shape == (2, 3)
+        assert fresnel(np.array([])).shape == (0,)
+        grid = np.linspace(0.0, 5.0, 12).reshape(3, 4)
+        assert fresnel(grid).tolist() == [[fresnel(float(v)) for v in row] for row in grid]
 
 
 class TestBesselJ0:

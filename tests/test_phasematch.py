@@ -247,15 +247,27 @@ class TestMomentumDensity:
             p_chi_momentum(0.1, C_EXIT, EXACT_SINC), rel=1e-12
         )
 
-    def test_beyond_table_is_zero(self):
-        half = momentum_radial_density(C_EXIT, EXACT_SINC).half_range
-        assert p_chi_momentum(1.001 * math.sqrt(2.0) * half, C_EXIT, EXACT_SINC) == 0.0
-        assert p_chi_momentum(1e6, C_EXIT, EXACT_SINC) == 0.0
+    # The density is |chi(q^2/k_p)|^2 / norm_q evaluated exactly at every
+    # radius, beyond the window too.
+    # The oracle is rescaled from its analytic norm to the package's
+    # truncated one, so only rounding in the spectrum's phases separates
+    # the two.
+    @staticmethod
+    def _against_oracle(model, segments):
+        rd = momentum_radial_density(C_EXIT, model)
+        # out to three times the corner radius sqrt2 half_range of the
+        # marginal's window
+        q = np.linspace(0.0, 3.0 * math.sqrt(2.0) * rd.half_range, 200001)
+        analytic = math.pi**2 * K_P * sum(amp * amp * (zb - za) for za, zb, amp in segments)
+        package = phasematch._momentum_norm(K_P, phasematch._modulus_key(C_EXIT, model))
+        want = profile_momentum_radial(q, K_P, segments) * (analytic / package)
+        got = rd.pdf(q)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)  # observed 9e-16
+        assert np.max(got[q > math.sqrt(2.0) * rd.half_range]) > 0.0
+        # the pointwise density is the same function
+        picks = q[::20000]
+        assert [p_chi_momentum(float(r), C_EXIT, model) for r in picks] == rd.pdf(picks).tolist()
 
-    # Linear interpolation in dk errs by at most (1/64)^2/8 of the bound
-    # (sum |chi2| h_seg)^2 / norm_q (the _DK_STEP note in phasematch).  The
-    # oracle is rescaled from its analytic norm to the package's truncated
-    # one, so that bound is all that separates the two.
     @pytest.mark.parametrize(
         "model,segments",
         [
@@ -268,45 +280,13 @@ class TestMomentumDensity:
         ids=["sinc", "poled_pair", "alternating_8"],
     )
     def test_table_against_oracle(self, model, segments):
-        rd = momentum_radial_density(C_EXIT, model)
-        q = np.linspace(0.0, math.sqrt(2.0) * rd.half_range, 200001)[:-1]
-        analytic = math.pi**2 * K_P * sum(amp * amp * (zb - za) for za, zb, amp in segments)
-        package = phasematch._momentum_norm(K_P, phasematch._modulus_key(C_EXIT, model))
-        want = profile_momentum_radial(q, K_P, segments) * (analytic / package)
-        spectrum_bound = sum(abs(amp) * (zb - za) for za, zb, amp in segments) ** 2
-        bound = (1.0 / 64.0) ** 2 / 8.0 * spectrum_bound / package
-        assert np.max(np.abs(rd.pdf(q) - want)) <= bound
+        self._against_oracle(model, segments)
 
-
-    def test_profile_too_fine_to_tabulate(self, monkeypatch):
-        """A 1 um segment beside a 999 um one would need 256 M table nodes
-        (4 GB).  The density builds no table: it evaluates the spectrum
-        once per radius read, matches the oracle to rounding and is zero
-        beyond dk_max like the table."""
+    def test_profile_too_fine_to_tabulate(self):
+        """A 1 um segment beside a 999 um one, which a table uniform in dk
+        could not hold: the density needs no table and is exact."""
         segments = ((0.0, 999.0, 1.0), (999.0, 1000.0, -1.0))
-        model = PhaseMatchModel.from_profile(NonlinearityProfile(segments))
-        key = phasematch._modulus_key(C_EXIT, model)
-        assert phasematch._table_nodes(key) > phasematch._DK_NODES_MAX
-        before = phasematch._momentum_table.cache_info()
-        rd = momentum_radial_density(C_EXIT, model)
-        q = np.linspace(0.0, math.sqrt(2.0) * rd.half_range, 100001)[:-1]
-        points = []
-        spectrum = phasematch.chi_tilde_profile
-
-        def counted(dk, prof):
-            points.append(np.size(dk))
-            return spectrum(dk, prof)
-
-        monkeypatch.setattr(phasematch, "chi_tilde_profile", counted)
-        got = rd.pdf(q)
-        assert sum(points) == q.size
-        assert phasematch._momentum_table.cache_info() == before
-        analytic = math.pi**2 * K_P * sum(amp * amp * (zb - za) for za, zb, amp in segments)
-        want = profile_momentum_radial(q, K_P, segments) * (analytic / phasematch._momentum_norm(K_P, key))
-        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(want)
-        assert rd.pdf(math.sqrt(2.0) * rd.half_range) == 0.0
-        assert p_chi_momentum(1e6, C_EXIT, model) == 0.0
-        assert p_chi_momentum(q[1], C_EXIT, model) == got[1]
+        self._against_oracle(PhaseMatchModel.from_profile(NonlinearityProfile(segments)), segments)
 
 
 class TestPositionDensity:
@@ -417,8 +397,9 @@ class TestRadialDensities:
 
 def test_position_grids_need_no_scipy():
     """The package declares numpy as its only dependency: position grids of
-    every non-Gaussian route build in an interpreter where importing scipy
-    fails."""
+    every non-Gaussian route, and the sinc and poled-pair momentum grids
+    with their Fresnel marginals, build in an interpreter where importing
+    scipy fails."""
     code = (
         "import sys\n"
         "sys.modules['scipy'] = None\n"
@@ -429,6 +410,9 @@ def test_position_grids_need_no_scipy():
         "for z0, m in ((1000.0, EXACT_SINC), (500.0, EXACT_SINC), (1000.0, poled)):\n"
         "    c = CrystalParams(L=1000.0, k_p=10.0, z0=z0)\n"
         "    assert evaluate_grid(p, c, m, 'position', 'rotated').mass > 0.9\n"
+        "for m in (EXACT_SINC, poled):\n"
+        "    c = CrystalParams(L=1000.0, k_p=10.0)\n"
+        "    assert evaluate_grid(p, c, m, 'momentum', 'rotated').mass > 0.9\n"
     )
     env = dict(os.environ)
     src = str(Path(spdc_coherence.__file__).resolve().parent.parent)
