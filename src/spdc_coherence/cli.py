@@ -98,8 +98,11 @@ def cmd_joint(args, write):
 
 
 def cmd_phase_diagram(args, write):
-    if args.x_max <= 0 or args.y_max <= 0 or args.nx < 1 or args.ny < 1:
-        raise ParseError("cli", 0, "phase-diagram needs positive ranges and counts")
+    # 0 < v < inf is False for nan as well
+    if not all(0.0 < v < math.inf for v in (args.x_max, args.y_max, args.alpha)):
+        raise ParseError("cli", 0, "phase-diagram needs finite positive --x-max, --y-max and --alpha")
+    if args.nx < 1 or args.ny < 1:
+        raise ParseError("cli", 0, "phase-diagram needs positive counts")
     cells = sweep_phase_diagram((0.0, args.x_max), (0.0, args.y_max), args.nx, args.ny, args.alpha)
     write("phase_diagram.csv", sweep_to_csv(cells))
     total = len(cells)

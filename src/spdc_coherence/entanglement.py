@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .numerics import _format_distinct
 from .params import CrystalParams, PumpParams, validate_crystal, validate_pump
 from .phasematch import variance_q_minus, variance_rho_minus
 from .pump import variance_q_plus, variance_rho_plus
@@ -165,9 +166,18 @@ def sweep_phase_diagram(
 
 
 def sweep_to_csv(cells: list[PhaseDiagramCell]) -> str:
+    """One row per cell, coordinates to 9 significant digits.  Each distinct
+    x and y is formatted once (a sweep has nx + ny of them against nx * ny
+    rows), so the cost scales with the number of distinct coordinates plus
+    a cheap per-row join."""
+    g9 = "{:.9g}".format
+    xs = _format_distinct([cell.x for cell in cells], g9)
+    ys = _format_distinct([cell.y for cell in cells], g9)
     lines = ["x,y,type1,type2,classification"]
-    for cell in cells:
-        lines.append(
-            f"{cell.x:.9g},{cell.y:.9g},{int(cell.type1)},{int(cell.type2)},{cell.classification}"
-        )
-    return "\n".join(lines) + "\n"
+    lines += [
+        f"{x},{y},{int(cell.type1)},{int(cell.type2)},{cell.classification}"
+        for x, y, cell in zip(xs, ys, cells)
+    ]
+    del xs, ys  # the joined text is the peak; keep the columns out of it
+    lines.append("")  # the trailing newline, without a second copy of the text
+    return "\n".join(lines)

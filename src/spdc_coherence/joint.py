@@ -52,7 +52,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import GridTooCoarse, ParseError, ZeroMass
-from .numerics import grid_moments
+from .numerics import _format_distinct, grid_moments
 from .params import CrystalParams, PumpParams, params_dict
 from .phasematch import (
     PhaseMatchModel,
@@ -337,7 +337,9 @@ class JointGrid:
         """Full-precision export; floats survive a load/dump cycle bit-exactly
         (shortest round-trip decimal representation).  The values are
         written as json.dumps(indent=1) would write them, float repr one per
-        line, and spliced into the dumped head."""
+        line, and spliced into the dumped head.  Each distinct value is
+        formatted once, so the cost scales with the number of distinct
+        values plus a cheap per-cell gather and join."""
         doc = {
             "space": self.space,
             "coords": self.coords,
@@ -360,7 +362,7 @@ class JointGrid:
             }
         # strings escape their newlines, so this line can only be the key
         head, tail = json.dumps(doc, indent=1).split('\n "values": []', 1)
-        reprs = list(map(float.__repr__, self.values.ravel().tolist()))
+        reprs = _format_distinct(self.values.ravel(), float.__repr__)
         reprs[0] = head + '\n "values": [\n  ' + reprs[0]
         reprs[-1] += "\n ]" + tail
         return ",\n  ".join(reprs)
@@ -397,7 +399,9 @@ class JointGrid:
 
     def to_csv(self) -> str:
         """Readable export: header comments, first row axis2 centres, then
-        one row per axis1 centre.  9 significant digits."""
+        one row per axis1 centre.  9 significant digits.  Each distinct value
+        is formatted once, so the cost scales with the number of distinct
+        values plus a cheap per-cell gather and join."""
         lines = [
             f"# joint density, space={self.space}, coords={self.coords}",
             f"# rows: {self.axis1.label or 'axis1'} centres;"
@@ -405,9 +409,12 @@ class JointGrid:
         ]
         c2 = ",".join(map(_g9, self.axis2.centers.tolist()))
         lines.append(f"{self.axis1.label or 'axis1'}\\{self.axis2.label or 'axis2'},{c2}")
-        for center, row in zip(self.axis1.centers.tolist(), self.values.tolist()):
-            lines.append(_g9(center) + "," + ",".join(map(_g9, row)))
-        return "\n".join(lines) + "\n"
+        rows = _format_distinct(self.values, _g9)
+        for center, row in zip(self.axis1.centers.tolist(), rows):
+            lines.append(_g9(center) + "," + ",".join(row))
+        del rows  # free the cell strings before the text is joined
+        lines.append("")  # the trailing newline, without a second copy of the text
+        return "\n".join(lines)
 
 
 _g9 = "{:.9g}".format

@@ -1,6 +1,6 @@
 """Self-contained numerical kernels: special functions (Si, E1 on the
-imaginary axis, the Fresnel integral, J0), a radial (order-0 Hankel) transform, bisection, and
-discrete moment extraction.
+imaginary axis, the Fresnel integral, J0), a radial (order-0 Hankel) transform, bisection,
+discrete moment extraction, and the text formatting of float arrays.
 
 Nothing in here knows about pumps or crystals.  The physics modules quote
 closed-form results; the Hankel transform is the independent numerical
@@ -439,3 +439,19 @@ def grid_moments(values, centers1, centers2) -> Moments:
     var2 = float(np.sum(cols * dy * dy)) / mass
     covar = float(np.sum(dx * np.einsum("ij,j->i", w, dy))) / mass
     return Moments(mean1, mean2, var1, var2, covar)
+
+
+def _format_distinct(values, fmt: Callable[[float], str]) -> list:
+    """fmt(v) for every v of a float array, nested in lists as
+    values.tolist() would nest the floats, with fmt called once per
+    distinct bit pattern.
+
+    The values are grouped by their 64-bit patterns rather than compared as
+    floats, so 0.0 and -0.0 (which format differently) stay apart.  Grids
+    sampled from mirror-symmetric factors repeat most of their values, so
+    this is what keeps text exports from formatting the same float again.
+    """
+    arr = np.ascontiguousarray(values, dtype=np.float64)
+    bits, inverse = np.unique(arr.view(np.uint64), return_inverse=True)
+    strings = np.array(list(map(fmt, bits.view(np.float64).tolist())), dtype=object)
+    return strings[inverse].reshape(arr.shape).tolist()

@@ -213,6 +213,19 @@ class TestErrorPaths:
                      "--model", "profile", "--profile", str(prof)])
         assert code == 2
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--alpha", "0"), ("--alpha", "-0.5"), ("--alpha", "nan"), ("--alpha", "inf"),
+        ("--x-max", "nan"), ("--x-max", "inf"), ("--y-max", "nan"), ("--y-max", "inf"),
+        ("--y-max", "0"), ("--nx", "0"),
+    ])
+    def test_phase_diagram_bad_numbers(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "o"
+        code = main(["phase-diagram", "--out", str(out), "--nx", "4", "--ny", "4", flag, value])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not (out / "phase_diagram.csv").exists()
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
             main(["--version"])

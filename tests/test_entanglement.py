@@ -206,6 +206,28 @@ class TestSweep:
 
 
 class TestSweepCsv:
+    @staticmethod
+    def _reference_csv(cells):
+        # one f-string per row
+        lines = ["x,y,type1,type2,classification"]
+        for cell in cells:
+            lines.append(
+                f"{cell.x:.9g},{cell.y:.9g},{int(cell.type1)},{int(cell.type2)},{cell.classification}"
+            )
+        return "\n".join(lines) + "\n"
+
+    def test_matches_reference_bytes(self):
+        cells = sweep_phase_diagram((0.0, 3.0), (0.0, 4.0), 300, 400, ALPHA)
+        assert sweep_to_csv(cells) == self._reference_csv(cells)
+        y1 = 2.0 / math.sqrt(ALPHA)
+        hand = [classify_xy(x, y, ALPHA) for x, y in (
+            (0.0, 0.5), (-0.0, 0.5), (0.0, 5e-324), (-0.0, y1 + 1.0), (1.0 / 3.0, 0.5), (0.0, 0.5), (1e16, 1.0),
+        )]
+        text = sweep_to_csv(hand)
+        assert text == self._reference_csv(hand)
+        assert text.splitlines()[1:3] == ["0,0.5,0,1,type2_pos_antimom", "-0,0.5,0,1,type2_pos_antimom"]
+        assert sweep_to_csv([]) == "x,y,type1,type2,classification\n"
+
     def test_format(self):
         cells = sweep_phase_diagram((0.0, 1.0), (0.0, 1.0), 3, 2, ALPHA)
         lines = sweep_to_csv(cells).splitlines()

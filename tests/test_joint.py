@@ -373,18 +373,45 @@ class TestSerialization:
     @pytest.mark.parametrize("with_params", [True, False], ids=["params", "bare"])
     def test_serializers_match_reference_bytes(self, with_params):
         """Both exports write exactly the bytes of json.dumps over the whole
-        document and of one f-string per number, on awkward values."""
-        awkward = [0.0, 5e-324, 1e-300, 1.0 / 3.0, 1e16, 2.0**-1074 * 3, 123456789.0, 0.1]
+        document and of one f-string per number, on awkward values: signed
+        zeros side by side, values repeated in cells far apart, and the
+        default rotated and lab-coordinate sinc grids."""
+        awkward = [0.0, -0.0, 5e-324, 1e-300, 1.0 / 3.0, 1e16, 2.0**-1074 * 3, 123456789.0, 0.1]
         values = np.resize(np.array(awkward), (8, 12))
+        values[0, 0] = values[-1, -1] = 0.7
+        values[0, -1] = values[-1, 0] = -0.0
         ax1 = Axis(-1.0 / 3.0, 1e16, 8, 'q "s" \\ x')
         ax2 = Axis(-5e-324, 1e-300, 12, "")
         extra = dict(pump=PUMP, crystal=CRYSTAL, model=POLED_PAIR) if with_params else {}
         g = JointGrid(space="momentum", coords="lab", axis1=ax1, axis2=ax2, values=values, **extra)
-        assert g.to_json() == self._reference_json(g)
+        text = g.to_json()
+        assert text == self._reference_json(g)
+        assert "  -0.0,\n  5e-324" in text and "  0.0,\n  -0.0" in text
         assert g.to_csv() == self._reference_csv(g)
+        assert ",0,-0,4.94065646e-324," in g.to_csv()
         sinc = evaluate_grid(PUMP, CRYSTAL, EXACT_SINC, "position", "rotated")
         assert sinc.to_json() == self._reference_json(sinc)
         assert sinc.to_csv() == self._reference_csv(sinc)
+        lab = evaluate_grid(PUMP_NARROW, CRYSTAL, EXACT_SINC, "position", "lab")
+        assert lab.to_json() == self._reference_json(lab)
+        assert lab.to_csv() == self._reference_csv(lab)
+
+    def test_csv_formats_each_distinct_value_once(self, monkeypatch):
+        """to_csv calls _g9 once per distinct value and once per axis centre,
+        not once per cell."""
+        g = evaluate_grid(PUMP, CRYSTAL, EXACT_SINC, "position", "rotated")
+        distinct = np.unique(g.values.view(np.uint64)).size
+        assert distinct < 0.6 * g.values.size  # mirror-symmetric factors repeat values
+        calls = []
+        g9 = joint._g9
+
+        def counting(v):
+            calls.append(v)
+            return g9(v)
+
+        monkeypatch.setattr(joint, "_g9", counting)
+        assert g.to_csv() == self._reference_csv(g)
+        assert len(calls) <= distinct + g.axis1.count + g.axis2.count
 
     def test_grid_immutable(self):
         g = evaluate_grid(PUMP, CRYSTAL, GAUSSIAN_APPROX, "momentum", "rotated")

@@ -19,6 +19,7 @@ from spdc_coherence.errors import (
 )
 from spdc_coherence.numerics import (
     RadialGrid,
+    _format_distinct,
     bessel_j0,
     exp1_i,
     find_root,
@@ -311,3 +312,24 @@ class TestGridMoments:
         centers = (np.arange(8) + 0.5) / 8
         with pytest.raises(ZeroMass):
             grid_moments(np.zeros((8, 8)), centers, centers)
+
+
+class TestFormatDistinct:
+    def test_one_call_per_bit_pattern(self):
+        values = np.array([[0.1, -0.0, 0.0, 0.1], [2.5, 0.0, -0.0, 5e-324], [0.1, 2.5, 5e-324, 1e300]])
+        calls = []
+
+        def fmt(v):
+            calls.append(v)
+            return repr(v)
+
+        out = _format_distinct(values, fmt)
+        assert out == [[repr(v) for v in row] for row in values.tolist()]
+        # -0.0 and 0.0 compare equal but are two bit patterns, each formatted once
+        assert len(calls) == 6
+        assert sorted(map(repr, calls)) == sorted(["-0.0", "0.0", "0.1", "2.5", "5e-324", "1e+300"])
+        assert out[0][1] == "-0.0" and out[0][2] == "0.0"
+
+    def test_list_input_and_empty(self):
+        assert _format_distinct([3.0, 0, 3.0], "{:.9g}".format) == ["3", "0", "3"]
+        assert _format_distinct([], repr) == []
