@@ -9,6 +9,7 @@ neither.  A CSV of all cells can be kept for proper plotting.
 """
 
 import argparse
+import math
 import sys
 
 from spdc_coherence import sweep_phase_diagram
@@ -24,6 +25,11 @@ def main() -> int:
     ap.add_argument("--alpha", type=float, default=0.455)
     ap.add_argument("--csv", help="optional output CSV path")
     args = ap.parse_args()
+    # 0 < v < inf is False for nan as well
+    if not all(0.0 < v < math.inf for v in (args.x_max, args.y_max, args.alpha)):
+        ap.error("--x-max, --y-max and --alpha must be finite and positive")
+    if args.nx < 1 or args.ny < 1:
+        ap.error("--nx and --ny must be positive")
 
     cells = sweep_phase_diagram((0.0, args.x_max), (0.0, args.y_max), args.nx, args.ny, args.alpha)
     glyph = {"type1_antipos_corrmom": "#", "type2_pos_antimom": "o", "none": "."}

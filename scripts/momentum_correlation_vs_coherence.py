@@ -15,9 +15,12 @@ import sys
 from spdc_coherence import (
     EXACT_SINC,
     CrystalParams,
+    NonPositiveParameter,
     PumpParams,
     classify,
     evaluate_grid,
+    validate_crystal,
+    validate_pump,
     widths_from_grid,
 )
 
@@ -30,8 +33,14 @@ def main() -> int:
     ap.add_argument("--points", type=int, default=9, help="ell_c values per decade sweep (default 9)")
     ap.add_argument("--csv", help="optional output CSV path")
     args = ap.parse_args()
+    if args.points < 2:
+        ap.error("--points must be at least 2")
+    try:
+        validate_pump(PumpParams(w=args.w, k_p=args.k_p))
+        c = validate_crystal(CrystalParams(L=args.L, k_p=args.k_p))
+    except NonPositiveParameter as exc:
+        ap.error(str(exc))
 
-    c = CrystalParams(L=args.L, k_p=args.k_p)
     # log-spaced from deeply incoherent (w/100) to w, plus the coherent limit
     ells = [args.w * 10 ** (-2.0 + 2.0 * i / (args.points - 1)) for i in range(args.points)]
     ells.append(math.inf)

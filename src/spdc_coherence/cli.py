@@ -128,8 +128,9 @@ def cmd_phasematch(args, write):
     m = _model_from_args(args)
     if args.dk_max is not None:
         dk_max = args.dk_max
-        if dk_max <= 0:
-            raise ParseError("cli", 0, "--dk-max must be positive")
+        # 0 < v < inf is False for nan as well
+        if not 0.0 < dk_max < math.inf:
+            raise ParseError("cli", 0, "--dk-max must be finite and positive")
     else:
         feature = m.profile.min_segment_length if m.profile is not None else c.L
         dk_max = 16.0 * math.pi / feature

@@ -12,11 +12,13 @@ position density, so the two defaults are genuinely different there.
 
 Everything is expressed through the mismatch dk; for a degenerate pair
 dk = q_minus^2 / k_p with q_minus the anti-diagonal transverse wave
-vector.  Densities are normalized over their 2D plane.  The momentum
-norms are integrated numerically once and cached (analytic for the
-Gaussian model).  Every non-Gaussian momentum density is |chi(dk)|^2 /
-norm_q evaluated exactly at each radius; it depends on k_p and L for
-sinc, k_p and the profile otherwise, never on z0 or alpha.  Its 1D
+vector.  Densities are normalized over their 2D plane, exactly: by
+Parseval the momentum norm of a non-Gaussian model is
+pi^2 k_p sum chi2^2 (z_b - z_a) over the segments of its profile (the
+sinc model being the one segment [0, L] with chi2 = 1/L), and the
+Gaussian model's is analytic.  Every non-Gaussian momentum density is
+|chi(dk)|^2 / norm_q evaluated exactly at each radius; it depends on k_p
+and L for sinc, k_p and the profile otherwise, never on z0 or alpha.  Its 1D
 marginal is a closed form too: |chi|^2 is the Fourier transform of the
 profile's autocorrelation, which is piecewise linear, so the transverse
 projection reduces to Fresnel integrals, one kernel per distinct lag
@@ -63,13 +65,10 @@ __all__ = [
 
 _TAYLOR_SWITCH = 1e-5  # |dk| * segment length below which the series is used
 
-# Dimensionless cutoffs for the heavy-tailed sinc-family densities, in the
+# Dimensionless window of the heavy-tailed sinc-family densities, in the
 # natural argument u (= dk * feature / 2).  The tail mass beyond u is
-# ~ 1/(pi u): 1000 keeps default grids above 99.9% capture, 4000 puts the
-# normalization integrals at the 1e-4 level.
+# ~ 1/(pi u): 1000 keeps default grids above 99.9% capture.
 _U_HALF = 1000.0
-_U_NORM = 4000.0
-_N_NORM = 32768
 
 
 @dataclass(frozen=True)
@@ -265,59 +264,12 @@ def variance_rho_minus(c: CrystalParams) -> float:
     return c.L * (c.alpha + 1.0 / c.alpha) / (2.0 * c.k_p)
 
 
-# -- normalization machinery -------------------------------------------------
-
-def _midpoint(n: int, hi: float) -> np.ndarray:
-    return (np.arange(n) + 0.5) * (hi / n)
-
-
-def _midpoint_richardson(f: Callable[[np.ndarray], np.ndarray], hi: float, n: int) -> float:
-    # Composite midpoint at n and 2n panels, Richardson-combined.  The
-    # plain rule carries an (h^2/24)[f'(hi) - f'(0)] boundary term that
-    # matters for integrands with a steep start; this cancels it.
-    coarse = float(np.sum(f(_midpoint(n, hi)))) * (hi / n)
-    fine = float(np.sum(f(_midpoint(2 * n, hi)))) * (hi / (2 * n))
-    return (4.0 * fine - coarse) / 3.0
-
-
-@lru_cache(maxsize=1)
-def _sinc_sq_area() -> float:
-    # int_0^inf sinc^2(u) du, truncated at _U_NORM.  Kept numerical (the
-    # analytic value is pi/2) so the closed forms stay independently
-    # checkable against this route.
-    return _midpoint_richardson(lambda u: sinc(u) ** 2, _U_NORM, _N_NORM)
-
-
-@lru_cache(maxsize=16)
-def _profile_momentum_norm(k_p: float, prof: NonlinearityProfile) -> float:
-    # 2D integral of |chi_profile(q^2/k_p)|^2 over the q plane.
-    dk_cap = 2.0 * _U_NORM / prof.min_segment_length
-    q = _midpoint(_N_NORM, math.sqrt(k_p * dk_cap))
-    vals = np.abs(chi_tilde_profile(q * q / k_p, prof)) ** 2
-    return float(2.0 * math.pi * np.sum(q * vals) * (q[1] - q[0]))
-
-
-def _modulus_key(c: CrystalParams, m: PhaseMatchModel) -> float | NonlinearityProfile:
-    # what |chi(dk)|^2 of a non-Gaussian model depends on besides k_p: the
-    # length of a sinc crystal, or the profile (a shift in z changes only
-    # the phase, so z0 never enters; alpha belongs to the Gaussian model)
-    return c.L if m.kind == "sinc" else m.profile
-
-
-def _feature_lengths(key: float | NonlinearityProfile) -> tuple[float, float]:
-    # (overall extent, finest feature) of the longitudinal structure named
-    # by a _modulus_key; these set the position and momentum scales of the
-    # densities.
-    if isinstance(key, NonlinearityProfile):
-        zlo, zhi = key.extent
-        return zhi - zlo, key.min_segment_length
-    return key, key
-
-
-@lru_cache(maxsize=1)
-def _u_sinc_1e() -> float:
-    # abscissa where sinc^2 drops to 1/e
-    return find_root(lambda u: sinc(u) ** 2 - math.exp(-1.0), 1.0, 2.0, tol=1e-13)
+def _modulus_key(c: CrystalParams, m: PhaseMatchModel) -> NonlinearityProfile:
+    # what |chi(dk)|^2 of a non-Gaussian model depends on besides k_p: its
+    # profile, for sinc the one segment [0, L] with chi2 = 1/L (a shift in
+    # z changes only the phase, so z0 never enters; alpha belongs to the
+    # Gaussian model)
+    return m.profile if m.kind == "profile" else NonlinearityProfile(((0.0, c.L, 1.0 / c.L),))
 
 
 def _radius(v) -> float:
@@ -380,25 +332,23 @@ def _gaussian_radial(var: float) -> RadialDensity:
     return RadialDensity(pdf=pdf, half_range=5.0 * sigma, sigma=sigma)
 
 
-def _momentum_norm(k_p: float, key: float | NonlinearityProfile) -> float:
-    # integral of |chi(q^2/k_p)|^2 over the q plane, non-Gaussian models
-    if isinstance(key, NonlinearityProfile):
-        return _profile_momentum_norm(k_p, key)
-    return 2.0 * math.pi * (k_p / key) * _sinc_sq_area()
+def _momentum_norm(k_p: float, key: NonlinearityProfile) -> float:
+    # integral of |chi(q^2/k_p)|^2 over the q plane, exact by Parseval:
+    # d^2q = pi k_p d(dk) and int |chi(dk)|^2 d(dk) = 2 pi int chi2^2 dz
+    return math.pi**2 * k_p * sum(amp * amp * (zb - za) for za, zb, amp in key.segments)
 
 
-def _autocorrelation_lags(key: float | NonlinearityProfile) -> tuple[np.ndarray, np.ndarray]:
+def _autocorrelation_lags(key: NonlinearityProfile) -> tuple[np.ndarray, np.ndarray]:
     # The autocorrelation R(s) = int chi2(z) chi2(z + s) dz of the profile
-    # (the segment [0, L] with chi2 = 1/L for sinc) as ramps: for s >= 0,
-    # R(s) = sum_j w_j (lag_j - s)_+ over the distinct positive lags
-    # z_f - z_e between edges of chi2, with w_j = -sum sigma_e sigma_f over
-    # the edge pairs at that lag (sigma the jumps of chi2).  Returns the
-    # sorted lags and their weights; equal lags are combined exactly.  The
-    # pairs are taken d edges apart, one d at a time and combined as they
-    # come, so a uniform stack of n segments never holds its n^2/2 pairs.
-    segments = key.segments if isinstance(key, NonlinearityProfile) else ((0.0, key, 1.0 / key),)
+    # as ramps: for s >= 0, R(s) = sum_j w_j (lag_j - s)_+ over the distinct
+    # positive lags z_f - z_e between edges of chi2, with
+    # w_j = -sum sigma_e sigma_f over the edge pairs at that lag (sigma the
+    # jumps of chi2).  Returns the sorted lags and their weights; equal
+    # lags are combined exactly.  The pairs are taken d edges apart, one d
+    # at a time and combined as they come, so a uniform stack of n segments
+    # never holds its n^2/2 pairs.
     jumps: dict[float, float] = {}
-    for za, zb, amp in segments:
+    for za, zb, amp in key.segments:
         jumps[za] = jumps.get(za, 0.0) + amp
         jumps[zb] = jumps.get(zb, 0.0) - amp
     edges = np.array(sorted(z for z, sigma in jumps.items() if sigma != 0.0))
@@ -440,7 +390,7 @@ def _ramp_kernel(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _momentum_marginal(k_p: float, key: float | NonlinearityProfile) -> Callable[[np.ndarray], np.ndarray]:
+def _momentum_marginal(k_p: float, key: NonlinearityProfile) -> Callable[[np.ndarray], np.ndarray]:
     # The exact projection M(t) = int p(sqrt(t^2 + y^2)) dy over all y of
     # the momentum density p(q) = |chi(q^2/k_p)|^2 / norm_q.  With
     # |chi(dk)|^2 = int R(s) e^{i dk s} ds and
@@ -475,18 +425,14 @@ def momentum_radial_density(c: CrystalParams, m: PhaseMatchModel) -> RadialDensi
     if m.kind == "gauss":
         return _gaussian_radial(variance_q_minus(c))
     key = _modulus_key(c, m)
-    _, feature = _feature_lengths(key)
     norm = _momentum_norm(c.k_p, key)
     k_p = c.k_p
 
     def pdf(q):
         q = np.asarray(q, dtype=float)
-        dk = q * q / k_p
-        if isinstance(key, NonlinearityProfile):
-            return np.abs(chi_tilde_profile(dk, key)) ** 2 / norm
-        return sinc(0.5 * dk * key) ** 2 / norm
+        return np.abs(chi_tilde_profile(q * q / k_p, key)) ** 2 / norm
 
-    half = math.sqrt(2.0 * _U_HALF * k_p / feature)
+    half = math.sqrt(2.0 * _U_HALF * k_p / key.min_segment_length)
     return RadialDensity(pdf=pdf, half_range=half, sigma=None, marginal=_momentum_marginal(k_p, key))
 
 
@@ -500,7 +446,7 @@ def _position_kernel(rho: np.ndarray, c: CrystalParams, m: PhaseMatchModel) -> n
     # norm: density = (k_p/2)^2 |sum|^2 / norm_q.  The sinc model is the
     # one segment [z0 - L, z0] with chi2 = 1/L, matching chi_tilde_sinc's
     # dropped length factor.
-    segments = m.profile.segments if m.kind == "profile" else ((c.z0 - c.L, c.z0, 1.0 / c.L),)
+    segments = (m.profile if m.kind == "profile" else NonlinearityProfile.boxcar(c, 1.0 / c.L)).segments
     kappa = 0.25 * c.k_p * rho * rho
     total = np.zeros(rho.shape, dtype=complex)
     for za, zb, amp in segments:
@@ -524,9 +470,9 @@ def _position_table(c: CrystalParams, m: PhaseMatchModel) -> tuple[np.ndarray, n
     radial table, cached per (crystal, model).  Quadratic midpoint nodes
     rho_max ((k + 1/2)/n)^2 crowd towards the origin, where a face at
     z = 0 puts a log-squared peak, and never touch its divergence."""
-    length, _ = _feature_lengths(_modulus_key(c, m))
-    rho_max = math.sqrt(2.0 * _U_HALF * length / c.k_p)
-    t = _midpoint(_TABLE_NODES, 1.0)
+    zlo, zhi = _modulus_key(c, m).extent
+    rho_max = math.sqrt(2.0 * _U_HALF * (zhi - zlo) / c.k_p)
+    t = (np.arange(_TABLE_NODES) + 0.5) / _TABLE_NODES
     nodes = rho_max * t * t
     dens = _position_kernel(nodes, c, m)
     nodes.setflags(write=False)

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from spdc_coherence import joint, phasematch
 from spdc_coherence.cli import main
 from spdc_coherence.joint import JointGrid
 
@@ -74,14 +75,26 @@ class TestJoint:
         assert list(man["parameters"]["crystal"]) == ["L", "z0", "alpha", "beta", "k_p"]
 
     def test_deterministic_reruns(self, cfg, tmp_path, capsys):
-        outs = []
-        for name in ("a", "b"):
-            out = tmp_path / name
-            main(["joint", "--config", cfg, "--out", str(out), "--grid", "64",
-                  "--space", "position", "--coords", "lab", "--model", "gauss"])
-            outs.append(out)
-        for fname in ("joint_position_lab.csv", "joint_position_lab.json"):
-            assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+        """A cold run (minus-factor caches cleared) and a warm rerun write
+        the same data bytes, and manifests that differ only in duration_s."""
+        for model, space, coords, grid in (
+            ("gauss", "position", "lab", "64"),
+            ("sinc", "momentum", "rotated", "64"),
+            ("sinc", "position", "rotated", "256"),
+        ):
+            joint._minus_marginal.cache_clear()
+            phasematch._position_table.cache_clear()
+            outs = []
+            for name in ("cold", "warm"):
+                out = tmp_path / f"{model}_{space}_{coords}" / name
+                assert main(["joint", "--config", cfg, "--out", str(out), "--grid", grid,
+                             "--space", space, "--coords", coords, "--model", model]) == 0
+                outs.append(out)
+            for fname in (f"joint_{space}_{coords}.csv", f"joint_{space}_{coords}.json"):
+                assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+            cold, warm = (_read_json(out / "joint_manifest.json") for out in outs)
+            assert cold.pop("duration_s") >= 0.0 and warm.pop("duration_s") >= 0.0
+            assert cold == warm
 
     def test_position_grid_blind_to_coherence(self, tmp_path, capsys):
         csvs, value_arrays = [], []
@@ -225,6 +238,15 @@ class TestErrorPaths:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
         assert not (out / "phase_diagram.csv").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0"])
+    def test_phasematch_bad_dk_max(self, cfg, tmp_path, capsys, value):
+        out = tmp_path / "o"
+        code = main(["phasematch", "--config", cfg, "--out", str(out), "--dk-max", value])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not (out / "phasematch_sinc.csv").exists()
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc_info:

@@ -111,8 +111,6 @@ class TestPointwiseDensities:
             )
             got = _minus_factor(PUMP, CRYSTAL, EXACT_SINC, "momentum", t)
             assert got == pytest.approx(want, rel=tol)
-        # the poled pair's analytic norm sits 1.2e-4 above the package's
-        # truncated one
         segments = ((0.0, 500.0, 1.0), (500.0, 1000.0, -1.0))
         for t in (0.0, 0.1, 0.2, 0.4):
             want = marginal_of_radial(lambda r: profile_momentum_radial(r, K_P, segments), t, 200.0)
@@ -548,16 +546,13 @@ class TestClosedFormMarginal:
         period 2 pi / 1000 in dk, which a 4096-node transverse quadrature
         undersamples (3.2e-4 of the peak at t = 0.069 rad/um).  The closed
         form matches a brute-force projection of the oracle density within
-        1e-4 of the peak; the oracle is rescaled from its analytic norm to
-        the package's truncated one."""
+        1e-4 of the peak."""
         segments = ((0.0, 999.0, 1.0), (999.0, 1000.0, -1.0))
         model = PhaseMatchModel.from_profile(NonlinearityProfile(segments))
         minus = joint._minus_marginal(CRYSTAL, model, "momentum")
-        analytic = math.pi**2 * K_P * sum(amp * amp * (zb - za) for za, zb, amp in segments)
-        rescale = analytic / phasematch._momentum_norm(K_P, phasematch._modulus_key(CRYSTAL, model))
         peak = float(minus.vals[0])
         for k in (0, 1, 2, 3, 5, 16, 256, 4096):
-            want = rescale * profile_momentum_marginal(float(minus.nodes[k]), K_P, segments)
+            want = profile_momentum_marginal(float(minus.nodes[k]), K_P, segments)
             assert abs(float(minus.vals[k]) - want) <= 1e-4 * peak
 
 

@@ -23,7 +23,6 @@ from oracles import (
 )
 
 import spdc_coherence
-from spdc_coherence import phasematch
 from spdc_coherence.errors import ParseError
 from spdc_coherence.params import CrystalParams
 from spdc_coherence.phasematch import (
@@ -224,18 +223,18 @@ class TestMomentumDensity:
         for q in (0.0, 0.05, 0.1, 0.3):
             want = float(sinc_momentum_radial(q, L, K_P))
             got = p_chi_momentum(q, C_EXIT, EXACT_SINC)
-            # package normalization truncates the 1/u tail at the 1e-4 level
-            assert got == pytest.approx(want, rel=2e-4)
+            # both normalize by the exact pi^2 k_p / L
+            assert got == pytest.approx(want, rel=1e-12)
 
     def test_peak_value(self):
         want = L / (math.pi**2 * K_P)
-        assert p_chi_momentum(0.0, C_EXIT, EXACT_SINC) == pytest.approx(want, rel=2e-4)
+        assert p_chi_momentum(0.0, C_EXIT, EXACT_SINC) == pytest.approx(want, rel=1e-12)
 
     def test_peak_ratio_gauss_over_sinc(self):
         ratio = p_chi_momentum(0.0, C_EXIT, GAUSSIAN_APPROX) / p_chi_momentum(
             0.0, C_EXIT, EXACT_SINC
         )
-        assert ratio == pytest.approx(math.pi * 0.455, rel=5e-4)
+        assert ratio == pytest.approx(math.pi * 0.455, rel=1e-12)
 
     def test_geometry_free(self):
         for q in (0.0, 0.08, 0.2):
@@ -248,9 +247,8 @@ class TestMomentumDensity:
         )
 
     # The density is |chi(q^2/k_p)|^2 / norm_q evaluated exactly at every
-    # radius, beyond the window too.
-    # The oracle is rescaled from its analytic norm to the package's
-    # truncated one, so only rounding in the spectrum's phases separates
+    # radius, beyond the window too.  Both sides normalize by the exact
+    # Parseval norm, so only rounding in the spectrum's phases separates
     # the two.
     @staticmethod
     def _against_oracle(model, segments):
@@ -258,9 +256,7 @@ class TestMomentumDensity:
         # out to three times the corner radius sqrt2 half_range of the
         # marginal's window
         q = np.linspace(0.0, 3.0 * math.sqrt(2.0) * rd.half_range, 200001)
-        analytic = math.pi**2 * K_P * sum(amp * amp * (zb - za) for za, zb, amp in segments)
-        package = phasematch._momentum_norm(K_P, phasematch._modulus_key(C_EXIT, model))
-        want = profile_momentum_radial(q, K_P, segments) * (analytic / package)
+        want = profile_momentum_radial(q, K_P, segments)
         got = rd.pdf(q)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)  # observed 9e-16
         assert np.max(got[q > math.sqrt(2.0) * rd.half_range]) > 0.0
@@ -326,20 +322,19 @@ class TestPositionDensity:
     def test_beyond_table_is_zero(self):
         assert p_chi_position(1e6, C_EXIT, EXACT_SINC) == 0.0
 
-    # Tolerances add two bounds, relative to the largest oracle value on
-    # the tested radii: the package normalizes by momentum norms truncated
-    # at u = 4000 (1/(2u) of pi/2, 8e-5, for the sinc model; 1.2e-4
-    # measured for the poled pair), and linear interpolation between table
-    # nodes errs by at most h^2/8 max|f''|, evaluated on the oracle over
-    # [1, 50] um: 5.1e-5 (exit face), 1.2e-5 (z0 = 1.5 L), 7.0e-5 (poled
-    # pair).  Each tolerance is that sum rounded up by half.
+    # Both sides normalize by the exact Parseval norm, so the tolerance is
+    # the interpolation bound alone, relative to the largest oracle value
+    # on the tested radii: linear interpolation between table nodes errs
+    # by at most h^2/8 max|f''|, evaluated on the oracle over [1, 50] um:
+    # 5.1e-5 (exit face), 1.2e-5 (z0 = 1.5 L), 7.0e-5 (poled pair).  Each
+    # tolerance is that bound rounded up by about half.
     @pytest.mark.parametrize(
         "c,model,segments,tol",
         [
-            (C_EXIT, EXACT_SINC, ((0.0, L, 1.0 / L),), 2e-4),
-            (CrystalParams(L=L, k_p=K_P, z0=1.5 * L), EXACT_SINC, ((0.5 * L, 1.5 * L, 1.0 / L),), 1.5e-4),
+            (C_EXIT, EXACT_SINC, ((0.0, L, 1.0 / L),), 8e-5),
+            (CrystalParams(L=L, k_p=K_P, z0=1.5 * L), EXACT_SINC, ((0.5 * L, 1.5 * L, 1.0 / L),), 2e-5),
             (C_EXIT, PhaseMatchModel.from_profile(NonlinearityProfile.alternating(2, 500.0)),
-             ((0.0, 500.0, 1.0), (500.0, 1000.0, -1.0)), 3e-4),
+             ((0.0, 500.0, 1.0), (500.0, 1000.0, -1.0)), 1.1e-4),
         ],
         ids=["exit_face", "z0_1.5L", "poled_pair"],
     )

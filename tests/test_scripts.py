@@ -24,3 +24,25 @@ def test_script_runs(name, argv, expected, monkeypatch, capsys, tmp_path):
     assert exc_info.value.code == 0
     assert expected in capsys.readouterr().out
     assert csv_path.read_text(encoding="utf-8").strip()
+
+
+@pytest.mark.parametrize(
+    "name,argv",
+    [
+        ("momentum_correlation_vs_coherence.py", ["--points", "1"]),
+        ("momentum_correlation_vs_coherence.py", ["--w", "0"]),
+        ("momentum_correlation_vs_coherence.py", ["--L", "nan"]),
+        ("entanglement_phase_diagram.py", ["--nx", "0"]),
+        ("entanglement_phase_diagram.py", ["--x-max", "0"]),
+        ("entanglement_phase_diagram.py", ["--alpha", "nan"]),
+    ],
+)
+def test_script_rejects_bad_input(name, argv, monkeypatch, capsys, tmp_path):
+    csv_path = tmp_path / "out.csv"
+    monkeypatch.setattr(sys, "argv", [name, *argv, "--csv", str(csv_path)])
+    with pytest.raises(SystemExit) as exc_info:
+        runpy.run_path(str(SCRIPTS / name), run_name="__main__")
+    assert exc_info.value.code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1].startswith(f"{name}: error:")
+    assert not csv_path.exists()
