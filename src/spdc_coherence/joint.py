@@ -12,14 +12,11 @@ density develops the familiar tilted-ellipse correlations.
 Each factor is a frozen _Marginal1D: _gaussian_marginal builds the
 closed-form one of a Gaussian factor, _tabulated_marginal the
 interpolation table of a heavy-tailed radial density, on 4097 nodes
-across its window.  The table's values come from the density's exact
-marginal when it carries one (every non-Gaussian momentum density, whose
-projection over all transverse offsets is a sum of Fresnel integrals),
-else from a midpoint quadrature across the window (position densities).
-Only the minus factor can need a table, and it does not depend on the
-pump: it is cached per (crystal, model, space), so a sweep over pump
-coherence builds it once.  The plus factor is always Gaussian and never
-cached.
+across its window, from the exact marginal that the density carries
+(phasematch decides how each density projects).  Only the minus factor
+can need a table, and it does not depend on the pump: it is cached per
+(crystal, model, space), so a sweep over pump coherence builds it once.
+The plus factor is always Gaussian and never cached.
 
 Grid values are raw samples of the normalized joint density at cell
 centres; nothing is renormalized after sampling, so cell sums are an
@@ -33,8 +30,8 @@ geometry (z0 = L), gives the position density an integrable
 log-squared peak at the origin, |E1(i k_p rho^2 / 4L)|^2 ~
 (ln(k_p rho^2 / 4L) + 0.577)^2 as rho -> 0.  At L = 1000 um and
 k_p = 10 rad/um the disc rho < 0.5 um holds 1.28% of the mass.  Its 1D
-marginal stays finite but has a cusp at the origin (14% lower at
-0.5 um) inside a 1/e half-width of 5.3 um, so the coarseness guard
+marginal stays finite but has a cusp at the origin (15% lower at
+0.5 um) inside a 1/e half-width of 5.24 um, so the coarseness guard
 cannot see it; default grids (1.6 um cells there) sample across it and
 their cell sums soften accordingly.  Centred crystals (z0 = L/2) have
 no such feature.
@@ -75,13 +72,7 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 
-# marginalization quadrature for non-Gaussian factors
-_MARGINAL_NODES = 4097
-_MARGINAL_QUAD = 4096
-# probe rows per block: each float64 temporary of a block holds
-# _PROBE_CHUNK x _MARGINAL_QUAD values (1 MB at 32 rows), small enough to
-# stay in a per-core L2 cache; row sums do not depend on the block height
-_PROBE_CHUNK = 32
+_MARGINAL_NODES = 4097  # table nodes of a non-Gaussian factor's marginal
 
 # rows per block of the lab fill: a block's temporaries hold _FILL_ROWS
 # rows, so a 2048^2 fill keeps 0.5 MB of them live instead of several
@@ -146,21 +137,11 @@ def _gaussian_marginal(sigma: float) -> _Marginal1D:
 
 
 def _tabulated_marginal(radial: RadialDensity) -> _Marginal1D:
-    """Marginal of a non-Gaussian radial density, tabulated once: from the
-    density's own exact marginal when it carries one, else by integrating
-    it across the transverse direction."""
+    """Marginal of a non-Gaussian radial density, tabulated once from the
+    density's own exact marginal."""
     span = radial.half_range
     nodes = np.linspace(0.0, span, _MARGINAL_NODES)
-    if radial.marginal is not None:
-        vals = radial.marginal(nodes)
-    else:
-        hy = span / _MARGINAL_QUAD
-        y = (np.arange(_MARGINAL_QUAD) + 0.5) * hy
-        vals = np.empty(_MARGINAL_NODES)
-        for start in range(0, _MARGINAL_NODES, _PROBE_CHUNK):
-            block = nodes[start : start + _PROBE_CHUNK]
-            r = np.sqrt(block[:, None] ** 2 + y[None, :] ** 2)
-            vals[start : start + _PROBE_CHUNK] = 2.0 * hy * np.sum(radial.pdf(r), axis=1)
+    vals = radial.marginal(nodes)
     # shared by every pump through the minus-factor cache
     nodes.setflags(write=False)
     vals.setflags(write=False)

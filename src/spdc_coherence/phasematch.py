@@ -28,6 +28,8 @@ of each piecewise-constant segment (z_a, z_b, chi2) is
 chi2 [E1(i kappa/z_b) - E1(i kappa/z_a)] with kappa = k_p rho^2 / 4, and
 Parseval's theorem turns the momentum norm into the position scale, so
 no position-space normalization integral or Hankel transform is needed.
+It is tabulated once, and the 1D marginal of the table's linear
+interpolant is a closed form too, so no density is projected by quadrature.
 """
 
 from __future__ import annotations
@@ -272,6 +274,12 @@ def _modulus_key(c: CrystalParams, m: PhaseMatchModel) -> NonlinearityProfile:
     return m.profile if m.kind == "profile" else NonlinearityProfile(((0.0, c.L, 1.0 / c.L),))
 
 
+def _placed_profile(c: CrystalParams, m: PhaseMatchModel) -> NonlinearityProfile:
+    # the profile where it sits along z: for sinc the one segment [z0 - L, z0]
+    # with chi2 = 1/L, matching chi_tilde_sinc's dropped length factor
+    return m.profile if m.kind == "profile" else NonlinearityProfile.boxcar(c, 1.0 / c.L)
+
+
 def _radius(v) -> float:
     # |v| of a scalar radius or a 2-vector
     v = np.asarray(v, dtype=float)
@@ -313,8 +321,8 @@ class RadialDensity(NamedTuple):
     pdf: vectorized radius -> density.  half_range: radius capturing all
     but a few 1e-4 of the mass.  sigma: per-axis standard deviation when
     the density is Gaussian, else None (heavy-tailed sinc family).
-    marginal: the exact 1D marginal, vectorized offset t -> integral of
-    pdf(sqrt(t^2 + y^2)) over every y, when a closed form exists, else None.
+    marginal: the exact 1D marginal of a non-Gaussian density, vectorized
+    offset t -> integral of pdf(sqrt(t^2 + y^2)) over every y, else None.
     """
 
     pdf: Callable[[np.ndarray], np.ndarray]
@@ -443,10 +451,8 @@ def _position_kernel(rho: np.ndarray, c: CrystalParams, m: PhaseMatchModel) -> n
     # chi2 [E1(i kappa/z_b) - E1(i kappa/z_a)]; a face at z = 0 adds
     # E1(i inf) = 0, and a segment that straddles 0 splits there into the
     # same two end terms.  Parseval fixes the scale from the momentum
-    # norm: density = (k_p/2)^2 |sum|^2 / norm_q.  The sinc model is the
-    # one segment [z0 - L, z0] with chi2 = 1/L, matching chi_tilde_sinc's
-    # dropped length factor.
-    segments = (m.profile if m.kind == "profile" else NonlinearityProfile.boxcar(c, 1.0 / c.L)).segments
+    # norm: density = (k_p/2)^2 |sum|^2 / norm_q.
+    segments = _placed_profile(c, m).segments
     kappa = 0.25 * c.k_p * rho * rho
     total = np.zeros(rho.shape, dtype=complex)
     for za, zb, amp in segments:
@@ -462,6 +468,7 @@ def _position_kernel(rho: np.ndarray, c: CrystalParams, m: PhaseMatchModel) -> n
 # 7e-5 of the largest value on 1-50 um for the exit-face, z0 = 1.5 L and
 # poled-pair densities at L = 1000 um, k_p = 10 rad/um
 _TABLE_NODES = 2048
+_OFFSET_BLOCK = 64  # offsets per block of the table's marginal: 1 MB temporaries
 
 
 @lru_cache(maxsize=8)
@@ -469,15 +476,41 @@ def _position_table(c: CrystalParams, m: PhaseMatchModel) -> tuple[np.ndarray, n
     """The closed-form position density of a non-Gaussian model on a
     radial table, cached per (crystal, model).  Quadratic midpoint nodes
     rho_max ((k + 1/2)/n)^2 crowd towards the origin, where a face at
-    z = 0 puts a log-squared peak, and never touch its divergence."""
-    zlo, zhi = _modulus_key(c, m).extent
-    rho_max = math.sqrt(2.0 * _U_HALF * (zhi - zlo) / c.k_p)
+    z = 0 puts a log-squared peak, and never touch its divergence.
+    rho_max^2 k_p / (2 _U_HALF) is the placed profile's extent E, or the
+    sinc tail's scale (z_lo^2 + z_hi^2)/E if it lies off z = 0."""
+    zlo, zhi = _placed_profile(c, m).extent
+    rho_max = math.sqrt(2.0 * _U_HALF * (zhi - zlo + 2.0 * max(zlo * zhi, 0.0) / (zhi - zlo)) / c.k_p)
     t = (np.arange(_TABLE_NODES) + 0.5) / _TABLE_NODES
     nodes = rho_max * t * t
     dens = _position_kernel(nodes, c, m)
     nodes.setflags(write=False)
     dens.setflags(write=False)
     return nodes, dens
+
+
+def _position_marginal(nodes: np.ndarray, vals: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    # The exact projection M(t) = int p(sqrt(t^2 + y^2)) dy over all y of
+    # the table's interpolant p (vals[0] below the first node, zero past the
+    # last node R).  By parts in s = sqrt(r^2 - t^2), M(t) = 2 p(R) s(R) plus,
+    # over nodes r_j > t, d_j (r_j s_j - t^2 ln((r_j + s_j)/t)) with d_j the
+    # jump of p' at r_j.  A node r_j <= t enters as r = t and adds 0.
+    jumps = np.diff(np.diff(vals) / np.diff(nodes), prepend=0.0, append=0.0)
+
+    def marginal(t):
+        t = np.abs(np.asarray(t, dtype=float))
+        flat = t.ravel()
+        out = 2.0 * vals[-1] * np.sqrt(np.maximum(nodes[-1] ** 2 - flat * flat, 0.0))
+        for start in range(0, flat.size, _OFFSET_BLOCK):
+            tb = flat[start : start + _OFFSET_BLOCK, None]
+            first = int(np.searchsorted(nodes, tb.min(), side="right"))
+            r = np.maximum(nodes[first:], tb)
+            s = np.sqrt(r * r - tb * tb)
+            log = np.log((r + s) / np.where(tb > 0.0, tb, 1.0))
+            out[start : start + _OFFSET_BLOCK] += (r * s - tb * tb * log) @ jumps[first:]
+        return out.reshape(t.shape)
+
+    return marginal
 
 
 def position_radial_density(c: CrystalParams, m: PhaseMatchModel) -> RadialDensity:
@@ -489,4 +522,4 @@ def position_radial_density(c: CrystalParams, m: PhaseMatchModel) -> RadialDensi
     def pdf(r):
         return np.interp(np.abs(np.asarray(r, dtype=float)), nodes, vals, right=0.0)
 
-    return RadialDensity(pdf=pdf, half_range=float(nodes[-1]), sigma=None)
+    return RadialDensity(pdf=pdf, half_range=float(nodes[-1]), sigma=None, marginal=_position_marginal(nodes, vals))

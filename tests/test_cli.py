@@ -81,6 +81,7 @@ class TestJoint:
             ("gauss", "position", "lab", "64"),
             ("sinc", "momentum", "rotated", "64"),
             ("sinc", "position", "rotated", "256"),
+            ("sinc", "position", "lab", "256"),
         ):
             joint._minus_marginal.cache_clear()
             phasematch._position_table.cache_clear()

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 from oracles import (
+    e1_position_radial,
     marginal_of_radial,
     profile_momentum_marginal,
     profile_momentum_radial,
+    quad_osc,
     si_position_radial,
     sinc_momentum_radial,
 )
@@ -131,6 +133,19 @@ class TestPointwiseDensities:
             )
             got = _minus_factor(PUMP, CRYSTAL_MID, EXACT_SINC, "position", t)
             assert got == pytest.approx(want, rel=5e-4)
+        # a face at z = 0 (exit-face sinc, poled pair) puts a log^2 spike
+        # at the origin; quad gets breakpoints down to 1e-6 um to resolve it
+        cuts = [0.0, 1e-6, 1e-4, 1e-2, 0.1, 0.5, 1.0, 3.0, 10.0, 30.0, 100.0, 500.0, math.inf]
+        for model, segments in (
+            (EXACT_SINC, ((0.0, CRYSTAL.L, 1.0 / CRYSTAL.L),)),
+            (POLED_PAIR, ((0.0, 500.0, 1.0), (500.0, 1000.0, -1.0))),
+        ):
+            density = lambda y: float(e1_position_radial(y, K_P, segments))
+            want = 2.0 * sum(quad_osc(density, a, b) for a, b in zip(cuts, cuts[1:]))
+            minus = joint._minus_marginal(CRYSTAL, model, "position")
+            got = _minus_factor(PUMP, CRYSTAL, model, "position", 0.0)
+            # observed 1.6e-4 (sinc) and 2.3e-4 (poled pair) of the peak
+            assert abs(got - want) <= 3e-4 * float(np.max(minus.vals))
 
     def test_position_ignores_coherence(self):
         pts = [(12.0, -3.0), (0.0, 0.0), (-80.0, 40.0)]
@@ -209,10 +224,19 @@ class TestEvaluateGrid:
 
     def test_mass_capture_heavy_tails(self):
         g = evaluate_grid(PUMP, CRYSTAL, EXACT_SINC, "momentum", "rotated")
-        assert g.mass >= 0.998  # observed 0.998922
+        assert g.mass >= 0.998  # observed 0.998842
         g = evaluate_grid(PUMP, CRYSTAL, EXACT_SINC, "position", "rotated")
         # exit-face origin spike undersampled by design; see joint docstring
         assert g.mass >= 0.99
+
+    @pytest.mark.parametrize("z0_over_L", [1.5, 3.0, 10.0, 100.0, -1.0, -5.0])
+    def test_mass_capture_off_origin_crystal(self, z0_over_L):
+        """A crystal wholly on one side of z = 0 spreads wider the further
+        it sits, and the position window follows it (observed 0.99837 at
+        every placement)."""
+        c = CrystalParams(L=1000.0, k_p=K_P, z0=z0_over_L * 1000.0)
+        g = evaluate_grid(PUMP_NARROW, c, EXACT_SINC, "position", "rotated")
+        assert g.mass >= 0.998
 
     @pytest.mark.parametrize(
         "space,crystal,model",
@@ -483,12 +507,18 @@ class TestMinusFactorCache:
 
 
 class TestClosedFormMarginal:
-    def test_cold_momentum_marginal_reads_no_density(self):
-        """A non-Gaussian momentum minus marginal comes from the density's
-        closed form: a cold build reads the radial pdf at no point (the
-        transverse quadrature would read it 4097 x 4096 times)."""
-        for model in (EXACT_SINC, POLED_PAIR):
-            radial = momentum_radial_density(CRYSTAL, model)
+    def test_cold_marginal_reads_no_density(self):
+        """Every non-Gaussian minus marginal comes from the density's closed
+        form: a cold build reads the radial pdf at no point (the transverse
+        quadrature would read it 4097 x 4096 times)."""
+        for radial_density, crystal, model in (
+            (momentum_radial_density, CRYSTAL, EXACT_SINC),
+            (momentum_radial_density, CRYSTAL, POLED_PAIR),
+            (position_radial_density, CRYSTAL, EXACT_SINC),
+            (position_radial_density, CRYSTAL_MID, EXACT_SINC),
+            (position_radial_density, CRYSTAL, POLED_PAIR),
+        ):
+            radial = radial_density(crystal, model)
             reads = []
 
             def counted(r, pdf=radial.pdf):
@@ -556,19 +586,23 @@ class TestClosedFormMarginal:
             assert abs(float(minus.vals[k]) - want) <= 1e-4 * peak
 
 
-class TestMarginalBlocking:
-    # CRYSTAL has its exit face at z0 = L
-    @pytest.mark.parametrize("radial_density", [momentum_radial_density, position_radial_density])
-    def test_block_height_leaves_the_table_unchanged(self, monkeypatch, radial_density):
-        # without its closed-form marginal the momentum density takes the
-        # transverse quadrature too
-        radial = radial_density(CRYSTAL, EXACT_SINC)._replace(marginal=None)
-        built = []
-        for chunk in (512, 64, 32):
-            monkeypatch.setattr(joint, "_PROBE_CHUNK", chunk)
-            built.append(joint._tabulated_marginal(radial))
-        a = built[0]
-        for b in built[1:]:
-            assert a.vals.tobytes() == b.vals.tobytes()
-            assert a.width_half == b.width_half
-            assert a.half_range_default == b.half_range_default
+    @pytest.mark.parametrize(
+        "crystal,model",
+        [(CRYSTAL, EXACT_SINC), (CRYSTAL_MID, EXACT_SINC), (CRYSTAL, POLED_PAIR)],
+        ids=["exit_face", "centred", "poled_pair"],
+    )
+    def test_position_table_against_brute_force(self, crystal, model):
+        """The closed-form projection of the position table's interpolant
+        matches a 2^21-node midpoint projection of the same pdf within 1e-9
+        of the peak (observed below 1e-11)."""
+        radial = position_radial_density(crystal, model)
+        minus = joint._minus_marginal(crystal, model, "position")
+        peak = float(np.max(minus.vals))
+        n = 2**21
+        for k in (16, 256, 2048, 4000):
+            t = float(minus.nodes[k])
+            # the pdf drops to zero at the table's last node
+            h = math.sqrt(radial.half_range**2 - t * t) / n
+            y = (np.arange(n) + 0.5) * h
+            want = 2.0 * h * float(np.sum(radial.pdf(np.hypot(t, y))))
+            assert abs(float(minus.vals[k]) - want) <= 1e-9 * peak
