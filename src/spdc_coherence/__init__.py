@@ -27,6 +27,7 @@ from .errors import (
     NegativeArgument,
     NonPositiveParameter,
     NoSignChange,
+    ParameterMismatch,
     ParseError,
     ZeroMass,
 )

@@ -9,6 +9,7 @@ __all__ = [
     "NoSignChange",
     "ZeroMass",
     "ParseError",
+    "ParameterMismatch",
 ]
 
 
@@ -57,3 +58,6 @@ class ParseError(ValueError):
         self.line = line
         super().__init__(f"{source}:{line}: {msg}" if line else f"{source}: {msg}")
 
+
+class ParameterMismatch(ValueError):
+    """Parameter sets that must agree on a shared quantity do not."""

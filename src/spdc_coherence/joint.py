@@ -48,7 +48,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import GridTooCoarse, ParseError, ZeroMass
+from .errors import GridTooCoarse, ParameterMismatch, ParseError, ZeroMass
 from .numerics import _format_distinct, grid_moments
 from .params import CrystalParams, PumpParams, params_dict
 from .phasematch import (
@@ -183,7 +183,7 @@ def _minus_marginal(c: CrystalParams, m: PhaseMatchModel, space: str) -> _Margin
 def _factor_pair(p: PumpParams, c: CrystalParams, m: PhaseMatchModel, space: str):
     """(plus marginal, minus marginal) for the requested space."""
     if p.k_p != c.k_p:
-        raise ValueError("pump and crystal disagree on k_p")
+        raise ParameterMismatch("pump and crystal disagree on k_p")
     if space == "momentum":
         plus_var = variance_q_plus(p)
     elif space == "position":

@@ -2,6 +2,10 @@
 imaginary axis, the Fresnel integral, J0), a radial (order-0 Hankel) transform, bisection,
 discrete moment extraction, and the text formatting of float arrays.
 
+J0 is a power series up to |x| = 12 and beyond it the modulus-phase form of
+Hankel's expansion, one cosine per point, within 5.4e-12 of scipy's j0 on
+[0, 3000]; the Hankel transform takes an array of radii in one call.
+
 Nothing in here knows about pumps or crystals.  The physics modules quote
 closed-form results; the Hankel transform is the independent numerical
 route those results are checked against, so it deliberately avoids
@@ -272,50 +276,81 @@ def fresnel(x):
     return complex(out) if arr.ndim == 0 else out
 
 
-# Hankel-symbol coefficients c_m = prod_{j<=m} (2j-1)^2 / (8^m m!), the
-# numerators of the large-argument cosine/sine expansions of J0.
-def _hankel_coeffs(n: int) -> list[float]:
-    c = [1.0]
-    for m in range(1, n):
-        c.append(c[-1] * (2 * m - 1) ** 2 / (8.0 * m))
-    return c
-
-
-_J0_C = _hankel_coeffs(14)
 _J0_SPLIT = 12.0
+# 1/(k!)^2, the power series of J0 in -x^2/4, 41 terms past the constant
+_J0_SERIES = tuple(1.0 / math.factorial(k) ** 2 for k in range(42))
+# Beyond the split, Hankel's expansion sqrt(2/(pi x)) (P cos chi - Q sin chi)
+# with chi = x - pi/4 in modulus-phase form: M = P^2 + Q^2 and
+# Phi = atan(Q/P), both series in y = 1/x built from the Hankel symbols
+# c_m = prod_{j<=m} (2j-1)^2 / (8^m m!) and truncated after y^13.  These are
+# the exact fractions rounded once (the tests re-derive them): the
+# coefficients of y^0, y^2, ..., y^12 in M and of y^1, y^3, ..., y^13 in Phi.
+_J0_MODULUS = (
+    1.0, -0.125, 0.2109375, -1.0986328125, 11.775970458984375, -214.61706161499023, 5951.152271032333,
+)
+_J0_PHASE = (
+    -0.125, 0.06510416666666667, -0.2095703125, 1.6380658830915178, -23.475127749972874,
+    535.640519510616, -17837.279688947478,
+)
+
+
+def _horner(coeffs, w: np.ndarray) -> np.ndarray:
+    # sum over k of coeffs[k] w^k, in place on one fresh buffer
+    acc = coeffs[-1] * w
+    for a in coeffs[-2:0:-1]:
+        acc += a
+        acc *= w
+    acc += coeffs[0]
+    return acc
+
+
+def _j0_series(x: np.ndarray) -> np.ndarray:
+    w = x * x
+    w *= -0.25
+    return _horner(_J0_SERIES, w)
+
+
+def _j0_asymptotic(x: np.ndarray) -> np.ndarray:
+    # sqrt(2 M(y) y / pi) cos(x + (Phi(y) - pi/4)): one cosine per point
+    y = 1.0 / x
+    y2 = y * y
+    amp = _horner(_J0_MODULUS, y2)
+    amp *= y
+    amp *= 2.0 / math.pi
+    np.sqrt(amp, out=amp)
+    phase = _horner(_J0_PHASE, y2)
+    phase *= y
+    phase -= math.pi / 4.0
+    phase += x
+    with np.errstate(invalid="ignore"):  # cos(inf); its limit is set below
+        np.cos(phase, out=phase)
+    amp *= phase
+    amp[x == math.inf] = 0.0
+    return amp
 
 
 def bessel_j0(x):
-    """Bessel function J0 by power series (|x| <= 12) and the large-argument
-    cosine/sine expansion beyond.  Absolute error < 1e-8 everywhere (measured
-    ~5e-12).  Accepts scalars or arrays.
+    """Bessel function J0 by its power series (|x| <= 12) and beyond by the
+    modulus-phase form of Hankel's expansion, sqrt(2 M(1/x) / (pi x))
+    cos(x - pi/4 + Phi(1/x)), with one cosine per point.  Absolute error
+    below 5.4e-12 against scipy's j0 on [0, 3000] (measured 5.34e-12, just
+    above the split); J0(+-inf) = 0.0 and NaN stays NaN.  Accepts scalars
+    or arrays; a scalar or 0-d input returns a float.
     """
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    ax = np.abs(x)
-    out = np.empty_like(ax)
-
+    arr = np.asarray(x, dtype=float)
+    ax = np.abs(arr.ravel())
     small = ax <= _J0_SPLIT
-    if np.any(small):
-        z = ax[small] ** 2 / 4.0
-        term = np.ones_like(z)
-        acc = np.ones_like(z)
-        for k in range(1, 42):
-            term *= -z / (k * k)
-            acc += term
-        out[small] = acc
-    if not np.all(small):
-        xb = ax[~small]
-        c = _J0_C
-        ix2 = 1.0 / (xb * xb)
-        p = 1.0 + ix2 * (-c[2] + ix2 * (c[4] + ix2 * (-c[6] + ix2 * (c[8] + ix2 * (-c[10] + ix2 * c[12])))))
-        q = (1.0 / xb) * (
-            -c[1] + ix2 * (c[3] + ix2 * (-c[5] + ix2 * (c[7] + ix2 * (-c[9] + ix2 * (c[11] - ix2 * c[13])))))
-        )
-        chi = xb - math.pi / 4.0
-        out[~small] = np.sqrt(2.0 / (math.pi * xb)) * (np.cos(chi) * p - np.sin(chi) * q)
-    return float(out[0]) if scalar else out
+    k = int(np.count_nonzero(small))
+    if small[:k].all():
+        # the series arguments lead, as in any ascending input (hankel0's
+        # q rho): two slices, no gather or scatter
+        out = np.concatenate((_j0_series(ax[:k]), _j0_asymptotic(ax[k:])))
+    else:
+        out = np.empty_like(ax)
+        out[small] = _j0_series(ax[small])
+        large = ~small
+        out[large] = _j0_asymptotic(ax[large])
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -357,25 +392,35 @@ class RadialGrid:
         return cls(r_max, np.asarray(f(nodes), dtype=float))
 
 
-def hankel0(f: RadialGrid, rho: float) -> float:
-    """Order-0 Hankel transform sample (1/2pi) * int q f(q) J0(q rho) dq,
-    midpoint rule over the grid.
+def hankel0(f: RadialGrid, rho):
+    """Order-0 Hankel transform (1/2pi) * int q f(q) J0(q rho) dq at each
+    radius rho, midpoint rule over the grid.
 
-    The caller owns the truncation at r_max: f should have decayed there,
-    or its tail must cancel oscillatorily.  Raises GridTooCoarse when the
-    J0 oscillation period at r_max covers fewer than 4 samples.
+    Accepts a scalar (returns a float) or an array of radii (returns an
+    array of its shape), one J0 evaluation over the grid per radius; an
+    array gives bit for bit the scalar calls' values.  The caller owns the
+    truncation at r_max: f should have decayed there, or its tail must
+    cancel oscillatorily.  Raises NegativeArgument for a negative or
+    non-finite radius, and GridTooCoarse when one period of J0(q rho) at the
+    largest radius covers fewer than 4 samples.
     """
-    if rho < 0.0:
-        raise NegativeArgument(f"hankel0 needs rho >= 0, got {rho!r}")
+    arr = np.asarray(rho, dtype=float)
+    flat = arr.ravel()
+    bad = ~((flat >= 0.0) & (flat < math.inf))
+    if bad.any():
+        raise NegativeArgument(f"hankel0 needs finite rho >= 0, got {float(flat[np.argmax(bad)])!r}")
     h = f.step
-    if rho > 0.0 and 2.0 * math.pi / rho < 4.0 * h:
-        needed = math.ceil(4.0 * f.r_max * rho / (2.0 * math.pi))
+    top = float(flat.max()) if flat.size else 0.0
+    if top > 0.0 and 2.0 * math.pi / top < 4.0 * h:
+        needed = math.ceil(4.0 * f.r_max * top / (2.0 * math.pi))
         raise GridTooCoarse(
-            f"J0(q rho) at rho={rho:g} oscillates faster than 4 samples per period",
+            f"J0(q rho) at rho={top:g} oscillates faster than 4 samples per period",
             suggested_count=needed,
         )
     q = f.nodes
-    return float(np.sum(q * f.values * bessel_j0(q * rho)) * h / (2.0 * math.pi))
+    qf = q * f.values
+    out = np.array([np.sum(qf * bessel_j0(q * r)) for r in flat.tolist()]) * h / (2.0 * math.pi)
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def find_root(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-12) -> float:

@@ -198,10 +198,10 @@ def check_si_vs_hankel() -> CheckResult:
     # normalization needs the full radial span, not just the comparison
     # window (the tail past 5 sqrt(L/k_p) still holds ~2.5% of the mass)
     r_full = math.sqrt(2.0 * 1000.0 * L / k_p) * np.linspace(0.0, 1.0, 1024) ** 2
-    dens_full = np.array([hankel0(grid_re, float(r)) for r in r_full]) ** 2
+    dens_full = hankel0(grid_re, r_full) ** 2
     norm = 2.0 * math.pi * float(np.trapezoid(r_full * dens_full, r_full))
     rhos = np.linspace(0.0, 5.0 * math.sqrt(L / k_p), 200)
-    dens = np.array([hankel0(grid_re, float(r)) for r in rhos]) ** 2 / norm
+    dens = hankel0(grid_re, rhos) ** 2 / norm
     ref = phasematch.position_radial_density(c, phasematch.EXACT_SINC).pdf(rhos)
     l2 = math.sqrt(float(np.sum((dens - ref) ** 2)) / float(np.sum(ref**2)))
     return CheckResult(

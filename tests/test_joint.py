@@ -19,7 +19,7 @@ from oracles import (
 )
 
 from spdc_coherence import joint, phasematch
-from spdc_coherence.errors import GridTooCoarse, ZeroMass
+from spdc_coherence.errors import GridTooCoarse, ParameterMismatch, ZeroMass
 from spdc_coherence.joint import (
     Axis,
     DEFAULT_COUNT,
@@ -158,8 +158,10 @@ class TestPointwiseDensities:
 
     def test_k_p_mismatch(self):
         other = CrystalParams(L=1000.0, k_p=9.0)
-        with pytest.raises(ValueError, match="k_p"):
+        with pytest.raises(ParameterMismatch, match="k_p"):
             joint_momentum_density(PUMP, other, EXACT_SINC, 0.0, 0.0)
+        # still a ValueError to callers that catch that
+        assert issubclass(ParameterMismatch, ValueError)
 
     def test_correlation_ridge(self):
         # equal positions: diagonal factor at sqrt2 rho times the minus peak
@@ -500,7 +502,7 @@ class TestMinusFactorCache:
 
     def test_k_p_mismatch_raises_before_any_build(self):
         joint._minus_marginal.cache_clear()
-        with pytest.raises(ValueError, match="k_p"):
+        with pytest.raises(ParameterMismatch, match="k_p"):
             evaluate_grid(PumpParams(w=100.0, k_p=9.0), CRYSTAL, EXACT_SINC, "momentum", "rotated")
         info = joint._minus_marginal.cache_info()
         assert info.misses == 0 and info.currsize == 0

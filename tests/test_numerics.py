@@ -1,6 +1,8 @@
 """Special functions and grid machinery against scipy and closed forms."""
 
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from oracles import SI_AT_1, SI_AT_PI, gaussian_2d
 from scipy import special
 
+from spdc_coherence import numerics
 from spdc_coherence.errors import (
     GridTooCoarse,
     NegativeArgument,
@@ -196,14 +199,77 @@ class TestFresnel:
         assert fresnel(grid).tolist() == [[fresnel(float(v)) for v in row] for row in grid]
 
 
+def _hankel_modulus_phase(degree=13):
+    """Exact coefficients of M = P^2 + Q^2 and Phi = atan(Q/P) in y = 1/x,
+    J0's Hankel cosine/sine series P = sum (-1)^k c_2k y^2k and
+    Q = -sum (-1)^k c_(2k+1) y^(2k+1), truncated after y^degree, from the
+    Hankel symbols c_m = prod_{j<=m} (2j-1)^2 / (8^m m!)."""
+    n = degree + 1
+    c = [Fraction(1)]
+    for m in range(1, n):
+        c.append(c[-1] * (2 * m - 1) ** 2 / (8 * m))
+    P = [(-1) ** (m // 2) * c[m] if m % 2 == 0 else Fraction(0) for m in range(n)]
+    Q = [-((-1) ** (m // 2)) * c[m] if m % 2 else Fraction(0) for m in range(n)]
+
+    def mul(a, b):
+        return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(n)]
+
+    inv_p = [1 / P[0]] + [Fraction(0)] * degree
+    for k in range(1, n):
+        inv_p[k] = -sum(P[i] * inv_p[k - i] for i in range(1, k + 1)) / P[0]
+    t = mul(Q, inv_p)  # odd, starting at y^1
+    t2 = mul(t, t)
+    phi = [Fraction(0)] * n
+    power, j = t, 0
+    while any(power):  # atan t = t - t^3/3 + t^5/5 - ...
+        phi = [f + Fraction((-1) ** j, 2 * j + 1) * p for f, p in zip(phi, power)]
+        power, j = mul(power, t2), j + 1
+    modulus = [a + b for a, b in zip(mul(P, P), mul(Q, Q))]
+    return modulus[0:n:2], phi[1:n:2]
+
+
 class TestBesselJ0:
     def test_against_scipy(self):
-        xs = np.linspace(0.0, 120.0, 4801)
-        assert np.max(np.abs(bessel_j0(xs) - special.j0(xs))) < 1e-8  # observed ~5e-12
+        # the whole range check_si_vs_hankel feeds it: q rho up to ~2000
+        xs = np.linspace(0.0, 2000.0, 400001)
+        assert np.max(np.abs(bessel_j0(xs) - special.j0(xs))) < 1e-11  # observed 5.3e-12
 
     def test_split_point(self):
         for x in (11.999999, 12.000001):
             assert abs(bessel_j0(x) - special.j0(x)) < 1e-9
+
+    def test_continuous_across_split(self):
+        # power series at 12 and below, modulus-phase form above
+        below, above = 12.0, float(np.nextafter(12.0, 13.0))
+        assert abs(bessel_j0(below) - bessel_j0(above)) < 1e-11  # observed 4.9e-12
+        xs = np.linspace(11.9, 12.1, 2001)
+        assert np.max(np.abs(bessel_j0(xs) - special.j0(xs))) < 1e-11
+
+    def test_modulus_phase_coefficients_exact(self):
+        modulus, phase = _hankel_modulus_phase()
+        assert modulus[:3] == [1, Fraction(-1, 8), Fraction(27, 128)]
+        assert phase[:3] == [Fraction(-1, 8), Fraction(25, 384), Fraction(-1073, 5120)]
+        assert numerics._J0_MODULUS == tuple(float(v) for v in modulus)
+        assert numerics._J0_PHASE == tuple(float(v) for v in phase)
+
+    def test_non_finite(self):
+        # the limit at +-inf is 0.0, as scipy returns; NaN stays NaN; no warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert bessel_j0(math.inf) == 0.0 and bessel_j0(-math.inf) == 0.0
+            assert math.isnan(bessel_j0(math.nan))
+            out = bessel_j0(np.array([math.inf, 3.0, math.nan, -math.inf, 30.0]))
+        assert out[0] == 0.0 and out[3] == 0.0 and math.isnan(out[2])
+        assert np.array_equal(out[[1, 4]], bessel_j0(np.array([3.0, 30.0])))
+
+    def test_order_independent_bits(self):
+        # ascending input takes two slices, any other order a gather per branch
+        xs = np.linspace(0.0, 300.0, 20000)
+        perm = np.random.default_rng(7).permutation(xs.size)
+        assert np.array_equal(bessel_j0(xs[perm]), bessel_j0(xs)[perm])
+        grid = bessel_j0(xs.reshape(100, 200))
+        assert grid.shape == (100, 200)
+        assert np.array_equal(grid.ravel(), bessel_j0(xs))
 
     def test_even(self):
         assert bessel_j0(-7.3) == bessel_j0(7.3)
@@ -211,6 +277,7 @@ class TestBesselJ0:
     def test_scalar(self):
         assert bessel_j0(0.0) == 1.0
         assert isinstance(bessel_j0(2.0), float)
+        assert type(bessel_j0(np.array(20.0))) is float
 
 
 class TestFindRoot:
@@ -283,6 +350,32 @@ class TestHankel0:
         assert needed is not None and needed > 64
         finer = RadialGrid.from_function(lambda q: np.exp(-q * q), 30.0, int(needed))
         hankel0(finer, 10.0)  # must not raise
+
+    def test_array_matches_scalar_calls(self):
+        g = RadialGrid.from_function(lambda q: np.exp(-q * q), 25.0, 4096)
+        rhos = np.array([[0.0, 0.5, 1.3], [2.7, 4.0, 0.5]])
+        out = hankel0(g, rhos)
+        assert out.shape == rhos.shape
+        want = np.array([[hankel0(g, float(r)) for r in row] for row in rhos])
+        assert out.tobytes() == want.tobytes()
+        assert type(hankel0(g, 1.3)) is float and type(hankel0(g, np.array(1.3))) is float
+        assert hankel0(g, np.array([])).shape == (0,)
+
+    def test_guard_reads_largest_radius(self):
+        g = RadialGrid.from_function(lambda q: np.exp(-q * q), 30.0, 64)
+        hankel0(g, np.array([0.0, 1.0, 2.0]))  # all resolved
+        with pytest.raises(GridTooCoarse) as exc_info:
+            hankel0(g, np.array([0.0, 1.0, 10.0, 2.0]))
+        assert "rho=10" in str(exc_info.value)
+        assert exc_info.value.suggested_count == math.ceil(4.0 * 30.0 * 10.0 / (2.0 * math.pi))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5])
+    def test_non_finite_or_negative_rho(self, bad):
+        g = RadialGrid.from_function(lambda q: np.exp(-q * q), 10.0, 64)
+        with pytest.raises(NegativeArgument, match="finite rho >= 0"):
+            hankel0(g, bad)
+        with pytest.raises(NegativeArgument, match=f"got {bad!r}"):
+            hankel0(g, np.array([0.5, bad, 1.0]))
 
 
 def _gaussian_grid(var1, var2, covar, half=8.0, n=256):
