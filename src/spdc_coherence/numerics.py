@@ -340,16 +340,9 @@ def bessel_j0(x):
     arr = np.asarray(x, dtype=float)
     ax = np.abs(arr.ravel())
     small = ax <= _J0_SPLIT
-    k = int(np.count_nonzero(small))
-    if small[:k].all():
-        # the series arguments lead, as in any ascending input (hankel0's
-        # q rho): two slices, no gather or scatter
-        out = np.concatenate((_j0_series(ax[:k]), _j0_asymptotic(ax[k:])))
-    else:
-        out = np.empty_like(ax)
-        out[small] = _j0_series(ax[small])
-        large = ~small
-        out[large] = _j0_asymptotic(ax[large])
+    out = np.empty_like(ax)
+    out[small] = _j0_series(ax[small])
+    out[~small] = _j0_asymptotic(ax[~small])
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
