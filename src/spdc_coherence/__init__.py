@@ -29,6 +29,7 @@ from .errors import (
     NoSignChange,
     ParameterMismatch,
     ParseError,
+    UnknownChoice,
     ZeroMass,
 )
 from .joint import (

@@ -10,6 +10,7 @@ __all__ = [
     "ZeroMass",
     "ParseError",
     "ParameterMismatch",
+    "UnknownChoice",
 ]
 
 
@@ -61,3 +62,7 @@ class ParseError(ValueError):
 
 class ParameterMismatch(ValueError):
     """Parameter sets that must agree on a shared quantity do not."""
+
+
+class UnknownChoice(ValueError):
+    """A string option names none of the values it accepts."""

@@ -41,14 +41,13 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import GridTooCoarse, ParameterMismatch, ParseError, ZeroMass
+from .errors import GridTooCoarse, ParameterMismatch, UnknownChoice, ZeroMass
 from .numerics import _format_distinct, grid_moments
 from .params import CrystalParams, PumpParams, params_dict
 from .phasematch import (
@@ -74,11 +73,6 @@ _SQRT2 = math.sqrt(2.0)
 
 _MARGINAL_NODES = 4097  # table nodes of a non-Gaussian factor's marginal
 
-# rows per block of the lab fill: a block's temporaries hold _FILL_ROWS
-# rows, so a 2048^2 fill keeps 0.5 MB of them live instead of several
-# grid-sized 32 MB arrays
-_FILL_ROWS = 32
-
 DEFAULT_COUNT = 256
 
 
@@ -103,7 +97,13 @@ class Axis:
 
     @property
     def centers(self) -> np.ndarray:
-        return self.lo + (np.arange(self.count) + 0.5) * self.step
+        return _ladder(0.5 * (self.lo + self.hi), self.count, self.step)
+
+
+def _ladder(mid: float, n: int, step: float) -> np.ndarray:
+    """mid + (k - (n-1)/2) step for k < n: the offsets are exact, so the
+    points mirror exactly about mid and so do the grid values on them."""
+    return mid + (np.arange(n) - 0.5 * (n - 1)) * step
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,7 +189,7 @@ def _factor_pair(p: PumpParams, c: CrystalParams, m: PhaseMatchModel, space: str
     elif space == "position":
         plus_var = variance_rho_plus(p)
     else:
-        raise ValueError(f"unknown space {space!r}, expected 'momentum' or 'position'")
+        raise UnknownChoice(f"unknown space {space!r}, expected 'momentum' or 'position'")
     return _gaussian_marginal(math.sqrt(plus_var)), _minus_marginal(c, m, space)
 
 
@@ -230,8 +230,7 @@ def default_axes(
     """Symmetric windows of +/- 5 widths per factor.  Rotated: one factor
     per axis.  Lab: each axis must contain the rotated box, so the two
     half-ranges combine as (h_plus + h_minus)/sqrt2."""
-    if coords not in ("rotated", "lab"):
-        raise ValueError(f"unknown coords {coords!r}, expected 'lab' or 'rotated'")
+    _check_coords(coords)
     plus, minus = _factor_pair(p, c, m, space)
     la, lb = _LABELS[(space, coords)]
     if coords == "rotated":
@@ -241,14 +240,9 @@ def default_axes(
     return Axis(-h, h, count, la), Axis(-h, h, count, lb)
 
 
-def _workers() -> int:
-    env = os.environ.get("SPDC_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ParseError("SPDC_THREADS", 0, f"must be an integer, got {env!r}") from None
-    return min(4, os.cpu_count() or 1)
+def _check_coords(coords: str):
+    if coords not in ("rotated", "lab"):
+        raise UnknownChoice(f"unknown coords {coords!r}, expected 'lab' or 'rotated'")
 
 
 def _check_resolution(plus: _Marginal1D, minus: _Marginal1D, coords: str, ax1: Axis, ax2: Axis):
@@ -420,41 +414,37 @@ def evaluate_grid(
     """Sample the joint density at cell centres.
 
     Rotated coordinates build the exact outer product of the two factor
-    marginals.  Lab coordinates rotate each sample point into the factor
-    frame; rows are evaluated in blocks of _FILL_ROWS, in parallel when
-    SPDC_THREADS allows (it caps the worker count), each block written to
-    its own rows, so results never depend on the thread count.  Raises
-    GridTooCoarse, with a suggested count, when the narrower factor's 1/e
-    width would span fewer than 4 cells.
+    marginals.  Lab cell (k, j) holds plus((s_k + i_j)/sqrt2) *
+    minus((s_k - i_j)/sqrt2).  On axes of one step, s + i and s - i each
+    take n1 + n2 - 1 values: each factor is sampled once on them and the
+    grid is the product of a Hankel and a Toeplitz view of the samples.
+    Other lab axes are filled row by row.  Raises UnknownChoice for an
+    unknown space or coords before any build, and GridTooCoarse, with a
+    suggested count, when the narrower factor's 1/e width would span
+    fewer than 4 cells.
     """
+    _check_coords(coords)
     plus, minus = _factor_pair(p, c, m, space)
     if axes is None:
         axes = default_axes(p, c, m, space, coords)
     ax1, ax2 = axes
-    if coords not in ("rotated", "lab"):
-        raise ValueError(f"unknown coords {coords!r}, expected 'lab' or 'rotated'")
     _check_resolution(plus, minus, coords, ax1, ax2)
 
-    c1 = ax1.centers
-    c2 = ax2.centers
     if coords == "rotated":
-        values = np.outer(plus(c1), minus(c2))
+        values = np.outer(plus(ax1.centers), minus(ax2.centers))
+    elif ax1.step == ax2.step:
+        # s_k + i_j is sums[k + j], s_k - i_j is diffs[k - j + n2 - 1]
+        n2 = ax2.count
+        n = ax1.count + n2 - 1
+        mid1, mid2 = 0.5 * (ax1.lo + ax1.hi), 0.5 * (ax2.lo + ax2.hi)
+        sums = plus(_ladder(mid1 + mid2, n, ax1.step) / _SQRT2)
+        diffs = minus(_ladder(mid1 - mid2, n, ax1.step) / _SQRT2)
+        values = sliding_window_view(sums, n2) * sliding_window_view(diffs, n2)[:, ::-1]
     else:
+        i = ax2.centers
         values = np.empty((ax1.count, ax2.count))
-
-        def fill(rows: range):
-            s = c1[rows.start : rows.stop, None]
-            i = c2[None, :]
-            values[rows.start : rows.stop] = plus((s + i) / _SQRT2) * minus((s - i) / _SQRT2)
-
-        spans = [range(k, min(k + _FILL_ROWS, ax1.count)) for k in range(0, ax1.count, _FILL_ROWS)]
-        n_workers = _workers()
-        if n_workers == 1 or ax1.count < 64:
-            for rows in spans:
-                fill(rows)
-        else:
-            with ThreadPoolExecutor(max_workers=n_workers) as pool:
-                list(pool.map(fill, spans))
+        for k, s in enumerate(ax1.centers):
+            values[k] = plus((s + i) / _SQRT2) * minus((s - i) / _SQRT2)
 
     return JointGrid(
         space=space, coords=coords, axis1=ax1, axis2=ax2, values=values,

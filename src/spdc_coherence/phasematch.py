@@ -41,7 +41,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, UnknownChoice
 from .numerics import exp1_i, find_root, fresnel, sinc
 from .params import CrystalParams
 
@@ -175,7 +175,7 @@ class PhaseMatchModel:
 
     def __post_init__(self):
         if self.kind not in ("sinc", "gauss", "profile"):
-            raise ValueError(f"unknown phase-match model kind {self.kind!r}")
+            raise UnknownChoice(f"unknown phase-match model kind {self.kind!r}")
         if (self.kind == "profile") != (self.profile is not None):
             raise ValueError("profile models need a NonlinearityProfile, others must not carry one")
 

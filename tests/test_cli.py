@@ -201,15 +201,6 @@ class TestErrorPaths:
         assert main(["joint", "--config", cfg, "--out", str(tmp_path / "o"),
                      "--model", "sinc", "--profile", str(prof)]) == 2
 
-    def test_bad_thread_count(self, cfg, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("SPDC_THREADS", "abc")
-        code = main(["joint", "--config", cfg, "--out", str(tmp_path / "o"),
-                     "--grid", "64", "--coords", "lab", "--model", "gauss"])
-        assert code == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1
-        assert err[0].startswith("error:") and "SPDC_THREADS" in err[0]
-
     def test_nondegenerate_beta(self, tmp_path, capsys):
         cfgp = tmp_path / "beta.cfg"
         cfgp.write_text(CONFIG + "crystal.beta = 2\n", encoding="utf-8")

@@ -1,5 +1,5 @@
 """Joint grids: factorization, moments vs closed forms, serialization,
-resolution guard, and thread-count independence."""
+resolution guard, and the lab fill against the per-cell formula."""
 
 import json
 import math
@@ -19,7 +19,7 @@ from oracles import (
 )
 
 from spdc_coherence import joint, phasematch
-from spdc_coherence.errors import GridTooCoarse, ParameterMismatch, ZeroMass
+from spdc_coherence.errors import GridTooCoarse, ParameterMismatch, UnknownChoice, ZeroMass
 from spdc_coherence.joint import (
     Axis,
     DEFAULT_COUNT,
@@ -69,6 +69,11 @@ class TestAxis:
         assert ax.step == 0.25
         assert ax.centers[0] == pytest.approx(-0.875)
         assert ax.centers[-1] == pytest.approx(0.875)
+
+    @pytest.mark.parametrize("count", [255, 256])
+    def test_symmetric_centers_mirror_exactly(self, count):
+        ax = Axis(-0.3, 0.3, count)
+        assert np.array_equal(ax.centers, -ax.centers[::-1])
 
     def test_bad_range(self):
         with pytest.raises(ValueError):
@@ -198,9 +203,9 @@ class TestDefaultAxes:
         assert ax1.count == ax2.count == 64
 
     def test_bad_space_and_coords(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UnknownChoice, match="space 'energy'"):
             default_axes(PUMP, CRYSTAL, EXACT_SINC, "energy", "rotated")
-        with pytest.raises(ValueError):
+        with pytest.raises(UnknownChoice, match="coords 'cartesian'"):
             default_axes(PUMP, CRYSTAL, EXACT_SINC, "momentum", "cartesian")
 
 
@@ -425,7 +430,7 @@ class TestSerialization:
         not once per cell."""
         g = evaluate_grid(PUMP, CRYSTAL, EXACT_SINC, "position", "rotated")
         distinct = np.unique(g.values.view(np.uint64)).size
-        assert distinct < 0.6 * g.values.size  # mirror-symmetric factors repeat values
+        assert distinct < 0.3 * g.values.size  # mirror-exact factors repeat values; observed 0.25
         calls = []
         g9 = joint._g9
 
@@ -460,23 +465,47 @@ class TestSerialization:
                 JointGrid(space="position", coords="lab", axis1=ax, axis2=ax, values=vals)
 
 
-class TestThreading:
-    def test_thread_count_invisible(self, monkeypatch):
-        results = []
-        for threads in ("1", "3"):
-            monkeypatch.setenv("SPDC_THREADS", threads)
-            g = evaluate_grid(PUMP_NARROW, CRYSTAL, EXACT_SINC, "momentum", "lab")
-            results.append(g.values)
-        assert np.array_equal(results[0], results[1])
+def _per_cell(g):
+    """The lab grid's defining formula, cell by cell from the axis centres."""
+    plus, minus = joint._factor_pair(g.pump, g.crystal, g.model, g.space)
+    s = g.axis1.centers[:, None]
+    i = g.axis2.centers[None, :]
+    return plus((s + i) / SQRT2) * minus((s - i) / SQRT2)
 
-    def test_bad_env_value(self, monkeypatch):
-        monkeypatch.setenv("SPDC_THREADS", "many")
-        with pytest.raises(ValueError, match="SPDC_THREADS"):
-            evaluate_grid(PUMP_NARROW, CRYSTAL, EXACT_SINC, "momentum", "lab")
 
-    def test_zero_clamps_to_one(self, monkeypatch):
-        monkeypatch.setenv("SPDC_THREADS", "0")
-        evaluate_grid(PUMP_NARROW, CRYSTAL, EXACT_SINC, "momentum", "lab")
+# default lab routes, each fine enough for its grid guard
+LAB_ROUTES = [
+    ("momentum", CRYSTAL, EXACT_SINC),
+    ("position", CRYSTAL, EXACT_SINC),
+    ("position", CRYSTAL_MID, EXACT_SINC),
+    ("momentum", CRYSTAL, GAUSSIAN_APPROX),
+    ("position", CRYSTAL, GAUSSIAN_APPROX),
+]
+
+
+class TestLabFill:
+    @pytest.mark.parametrize("space,crystal,model", LAB_ROUTES[:2])
+    def test_matches_per_cell_formula(self, space, crystal, model):
+        g = evaluate_grid(PUMP_NARROW, crystal, model, space, "lab")
+        want = _per_cell(g)
+        assert np.max(np.abs(g.values - want)) <= 1e-14 * want.max()
+
+    def test_unequal_steps_fill_by_rows(self):
+        # the centred sinc crystal is the non-Gaussian route whose guard
+        # passes at 64 cells
+        ax1, ax2 = default_axes(PUMP_NARROW, CRYSTAL_MID, EXACT_SINC, "position", "lab", count=64)
+        ax2 = Axis(ax2.lo, ax2.hi, 96, ax2.label)
+        assert ax1.step != ax2.step
+        g = evaluate_grid(PUMP_NARROW, CRYSTAL_MID, EXACT_SINC, "position", "lab", (ax1, ax2))
+        assert g.values.shape == (64, 96)
+        want = _per_cell(g)
+        assert np.max(np.abs(g.values - want)) <= 1e-14 * want.max()
+
+    @pytest.mark.parametrize("space,crystal,model", LAB_ROUTES)
+    def test_default_grid_mirror_exact(self, space, crystal, model):
+        v = evaluate_grid(PUMP_NARROW, crystal, model, space, "lab").values
+        assert np.array_equal(v, v[::-1, ::-1])
+        assert np.array_equal(v, v.T)
 
 
 class TestMinusFactorCache:
@@ -504,6 +533,17 @@ class TestMinusFactorCache:
         joint._minus_marginal.cache_clear()
         with pytest.raises(ParameterMismatch, match="k_p"):
             evaluate_grid(PumpParams(w=100.0, k_p=9.0), CRYSTAL, EXACT_SINC, "momentum", "rotated")
+        info = joint._minus_marginal.cache_info()
+        assert info.misses == 0 and info.currsize == 0
+
+    @pytest.mark.parametrize("space,coords,bad", [
+        ("energy", "lab", "space 'energy'"),
+        ("momentum", "cartesian", "coords 'cartesian'"),
+    ])
+    def test_unknown_choice_raises_before_any_build(self, space, coords, bad):
+        joint._minus_marginal.cache_clear()
+        with pytest.raises(UnknownChoice, match=bad):
+            evaluate_grid(PUMP, CRYSTAL, EXACT_SINC, space, coords)
         info = joint._minus_marginal.cache_info()
         assert info.misses == 0 and info.currsize == 0
 

@@ -23,7 +23,7 @@ from oracles import (
 )
 
 import spdc_coherence
-from spdc_coherence.errors import ParseError
+from spdc_coherence.errors import ParseError, UnknownChoice
 from spdc_coherence.params import CrystalParams
 from spdc_coherence.phasematch import (
     EXACT_SINC,
@@ -163,7 +163,7 @@ class TestProfiles:
             NonlinearityProfile(((0.0, math.inf, 1.0),))
 
     def test_model_wiring(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UnknownChoice, match="model kind 'boxcar'"):
             PhaseMatchModel("boxcar")
         with pytest.raises(ValueError):
             PhaseMatchModel("profile")  # missing the profile itself
