@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import NonPositiveParameter
 from .numerics import _format_distinct
 from .params import CrystalParams, PumpParams, validate_crystal, validate_pump
 from .phasematch import variance_q_minus, variance_rho_minus
@@ -124,9 +125,11 @@ class PhaseDiagramCell:
 
 def classify_xy(x: float, y: float, alpha: float) -> PhaseDiagramCell:
     """Phase-diagram verdict at a single dimensionless point (flat
-    wavefronts assumed)."""
-    if x < 0.0 or y <= 0.0 or not 0.0 < alpha:
-        raise ValueError("need x >= 0, y > 0, alpha > 0")
+    wavefronts assumed).  Raises NonPositiveParameter unless x >= 0 and
+    y, alpha > 0 are all finite."""
+    # written so that NaN fails it
+    if not (0.0 <= x < math.inf and 0.0 < y < math.inf and 0.0 < alpha < math.inf):
+        raise NonPositiveParameter("x, y, alpha", f"need finite x >= 0, y > 0, alpha > 0; got {x!r}, {y!r}, {alpha!r}")
     type1 = y > 2.0 / math.sqrt(alpha)
     type2 = y * y < 4.0 / ((alpha + 1.0 / alpha) * (1.0 + 4.0 * x * x))
     if type1 and type2:  # unreachable for alpha < 1; guards the algebra
@@ -147,13 +150,15 @@ def sweep_phase_diagram(
     ny: int,
     alpha: float,
 ) -> list[PhaseDiagramCell]:
-    """Classify an nx-by-ny grid of cell centres, row-major in x then y."""
+    """Classify an nx-by-ny grid of cell centres, row-major in x then y.
+    Raises NonPositiveParameter for a range that is not finite with positive
+    width, a count below one, or a cell that classify_xy rejects."""
     x_lo, x_hi = x_range
     y_lo, y_hi = y_range
-    if not (x_hi > x_lo and y_hi > y_lo):
-        raise ValueError("sweep ranges must have positive width")
+    if not (-math.inf < x_lo < x_hi < math.inf and -math.inf < y_lo < y_hi < math.inf):
+        raise NonPositiveParameter("range", f"need finite ranges of positive width; got {x_range!r}, {y_range!r}")
     if nx < 1 or ny < 1:
-        raise ValueError("sweep needs at least one cell per axis")
+        raise NonPositiveParameter("count", f"need at least one cell per axis, got {nx!r} x {ny!r}")
     dx = (x_hi - x_lo) / nx
     dy = (y_hi - y_lo) / ny
     cells = []

@@ -273,7 +273,8 @@ class JointGrid:
 
     values[i, j] is the density at (axis1 centre i, axis2 centre j).
     Optional params record what produced the grid; injected grids may
-    leave them None.
+    leave them None.  The values are stored read-only: a writeable array
+    or a view is copied, a read-only array that owns its data is kept.
     """
 
     space: str
@@ -292,10 +293,14 @@ class JointGrid:
                 f"values shape {v.shape} does not match axes "
                 f"({self.axis1.count}, {self.axis2.count})"
             )
-        if not np.all(np.isfinite(v)) or np.any(v < 0.0):
+        # NaN propagates through both reductions, so it fails the test too
+        if not (v.min() >= 0.0 and v.max() < math.inf):
             raise ValueError("grid values must be finite and non-negative")
-        v = v.copy()
-        v.setflags(write=False)
+        # a read-only array that owns its data is kept: only its holder
+        # could make it writeable again, as evaluate_grid never does
+        if v.flags.writeable or not v.flags.owndata:
+            v = v.copy()
+            v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
     @property
@@ -446,6 +451,7 @@ def evaluate_grid(
         for k, s in enumerate(ax1.centers):
             values[k] = plus((s + i) / _SQRT2) * minus((s - i) / _SQRT2)
 
+    values.setflags(write=False)  # the grid takes it over without a copy
     return JointGrid(
         space=space, coords=coords, axis1=ax1, axis2=ax2, values=values,
         pump=p, crystal=c, model=m,

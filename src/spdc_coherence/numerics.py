@@ -2,6 +2,13 @@
 imaginary axis, the Fresnel integral, J0), a radial (order-0 Hankel) transform, bisection,
 discrete moment extraction, and the text formatting of float arrays.
 
+Si and E1 on the imaginary axis are power series up to |x| = 4, the
+complex Fresnel integral up to |x| = 2; beyond, each is one continued
+fraction of the upper incomplete gamma function Gamma(a, z), a = 0 for E1
+and Si and a = 1/2 for the Fresnel tail, run in numpy complex arithmetic.
+The error bounds in their docstrings were measured against 40-digit mpmath
+values; mpmath is not a dependency.
+
 J0 is a power series up to |x| = 12 and beyond it the modulus-phase form of
 Hankel's expansion, one cosine per point, within 5.4e-12 of scipy's j0 on
 [0, 3000]; the Hankel transform takes an array of radii in one call.
@@ -55,91 +62,52 @@ def sinc(x):
 
 
 def _si_series(x: np.ndarray) -> np.ndarray:
-    # sum over k of (-1)^k x^(2k+1) / ((2k+1)(2k+1)!), each element
-    # stopping at the first term below 1e-18; finished elements leave the
-    # working set so the rest see exactly the scalar recursion
-    out = np.empty_like(x)
-    idx = np.arange(x.size)
+    # Si(x) = sum over k of (-1)^k x^(2k+1) / ((2k+1) (2k+1)!); 20 terms
+    # past the first take the remainder below 1e-20 at x = 4
     xx = x * x
     a = total = x
-    for k in range(1, 64):
-        a = a * (xx / ((2 * k) * (2 * k + 1)))
-        t = a / (2 * k + 1)
-        total = total - t if (k & 1) else total + t
-        done = a < 1e-18
-        if np.count_nonzero(done):
-            out[idx[done]] = total[done]
-            keep = ~done
-            idx, xx, a, total = idx[keep], xx[keep], a[keep], total[keep]
-            if not idx.size:
-                break
-    out[idx] = total
+    for k in range(1, 21):
+        a = a * (-xx / ((2 * k) * (2 * k + 1)))
+        total = total + a / (2 * k + 1)
+    return total
+
+
+def _gamma_cf(a: float, z: np.ndarray) -> np.ndarray:
+    # e^z z^(-a) Gamma(a, z) by the modified Lentz recursion of its continued
+    # fraction, b_i = z + 2i - 1 - a and a_i = -(i-1)(i-1-a).  On the
+    # imaginary axis at |z| > 4, as used here, it reaches machine precision
+    # within 48 steps (3 at |z| = 1e4).  Each element stops at its own
+    # convergence and leaves the working set.
+    n = z.size
+    out = np.empty(n, dtype=complex)
+    idx = np.arange(n)
+    c = np.full(n, 1e308, dtype=complex)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = 1.0 / (z + (1.0 - a))
+        h = d
+        for i in range(2, 500):
+            a_i = -(i - 1) * (i - 1 - a)
+            b = z + (2 * i - 1 - a)
+            d = 1.0 / (a_i * d + b)
+            c = b + a_i / c
+            delta = c * d
+            h = h * delta
+            done = np.abs(delta - 1.0) < 1e-16
+            if np.count_nonzero(done):
+                out[idx[done]] = h[done]
+                keep = ~done
+                idx, z, c, d, h = (v[keep] for v in (idx, z, c, d, h))
+                if not idx.size:
+                    break
+    out[idx] = h
     return out
 
 
-# The continued fraction below runs CPython's complex arithmetic
-# (_Py_c_prod, _Py_c_quot) on (real, imag) array pairs, operation for
-# operation, so each element gets the bits the scalar recursion gave;
-# numpy's complex division rounds differently in the last place.  Terms
-# with a zero imaginary part are dropped from the formulas: they only
-# ever change the sign of an exact zero.
-
-
-def _cmul(ar, ai, br, bi):
-    return ar * br - ai * bi, ar * bi + ai * br
-
-
-def _real_over(a, br, bi):
-    # a / (br + i bi) for real a, by Smith's rule as _Py_c_quot does it
-    by_real = np.abs(br) >= np.abs(bi)
-    ratio = np.where(by_real, bi / br, br / bi)
-    denom = np.where(by_real, br + bi * ratio, br * ratio + bi)
-    a_ratio = a * ratio
-    return np.where(by_real, a, a_ratio) / denom, -np.where(by_real, a_ratio, a) / denom
-
-
-def _e1_large(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # (Re, Im) of E1(ix) for x > 4, through the auxiliary functions: the
-    # divergent asymptotic series cannot reach 1e-10 near the split point,
-    # so the continued fraction of e^{ix} E1(ix) (modified Lentz recursion
-    # with b_i = 2i - 1 + ix, a_i = -(i-1)^2) is run instead; that
-    # converges to machine precision for x > 4.  Each element stops at its
-    # own convergence and leaves the working set.
-    n = x.size
-    h_out = np.empty((2, n))
-    idx = np.arange(n)
-    bi = x
-    cr = np.full(n, 1e308)
-    ci = np.zeros(n)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dr, di = _real_over(1.0, 1.0, bi)
-        hr, hi = dr, di
-        for i in range(2, 500):
-            a = float(-((i - 1) ** 2))
-            br = float(2 * i - 1)
-            dr, di = _real_over(1.0, a * dr + br, a * di + bi)
-            qr, qi = _real_over(a, cr, ci)
-            cr, ci = br + qr, bi + qi
-            delta_r, delta_i = _cmul(cr, ci, dr, di)
-            hr, hi = _cmul(hr, hi, delta_r, delta_i)
-            done = np.abs(delta_r - 1.0) + np.abs(delta_i) < 1e-16
-            if np.count_nonzero(done):
-                h_out[0, idx[done]] = hr[done]
-                h_out[1, idx[done]] = hi[done]
-                keep = ~done
-                idx, bi, cr, ci, dr, di, hr, hi = (
-                    v[keep] for v in (idx, bi, cr, ci, dr, di, hr, hi)
-                )
-                if not idx.size:
-                    break
-    h_out[0, idx] = hr
-    h_out[1, idx] = hi
-    # libm cos/sin per element, as the scalar route called them: numpy's
-    # own may take a SIMD path that differs in the last place
-    cos = np.array([math.cos(v) for v in x.tolist()])
-    msin = -np.array([math.sin(v) for v in x.tolist()])
-    # E1(ix) = e^{-ix} h: the real part is -Ci(x), the imaginary Si(x) - pi/2
-    return cos * h_out[0] - msin * h_out[1], cos * h_out[1] + msin * h_out[0]
+def _e1_large(x: np.ndarray) -> np.ndarray:
+    # E1(ix) = Gamma(0, ix), e^{-ix} times the fraction at z = ix, for x > 4:
+    # there the divergent asymptotic series cannot reach 1e-10, but the
+    # fraction converges to machine precision
+    return np.exp(-1j * x) * _gamma_cf(0.0, 1j * x)
 
 
 def _ci_series(x: np.ndarray) -> np.ndarray:
@@ -157,9 +125,10 @@ def _ci_series(x: np.ndarray) -> np.ndarray:
 def sine_integral(x):
     """Si(x), the integral of sin(t)/t from 0 to x, for x >= 0.
 
-    Power series up to x = 4, auxiliary functions above; absolute error
-    below 1e-10 on the whole domain (in practice ~1e-15).  Accepts scalars
-    or arrays; a scalar or 0-d input returns a float.  Negative arguments
+    Power series up to x = 4, above it pi/2 + Im E1(ix) by the continued
+    fraction of ``exp1_i``.  Absolute error below 1.1e-15 on [0, 1e4]
+    (largest 1.08e-15, in the series near x = 3.7).  Accepts scalars or
+    arrays; a scalar or 0-d input returns a float.  Negative arguments
     raise NegativeArgument: all callers here pass quadratic phases, so the
     odd extension is intentionally not provided.
     """
@@ -174,7 +143,7 @@ def sine_integral(x):
     if small.any():
         out[small] = _si_series(flat[small])
     if not small.all():
-        out[~small] = math.pi / 2 + _e1_large(flat[~small])[1]
+        out[~small] = math.pi / 2 + _e1_large(flat[~small]).imag
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
@@ -182,24 +151,24 @@ def exp1_i(x):
     """E1(ix) = -Ci(x) + i (Si(x) - pi/2), the exponential integral on the
     imaginary axis, for real x != 0.
 
-    Power series up to |x| = 4, the continued fraction of ``sine_integral``
-    above; negative x gives the complex conjugate.  Relative error below
-    1e-14 measured for 1e-9 <= |x| <= 1e4 (E1 diverges like -ln|x| at 0).
+    Power series up to |x| = 4, above it e^{-ix} times the continued
+    fraction of e^z Gamma(0, z) at z = ix; negative x gives the complex
+    conjugate.  Relative error below 5e-15 for 1e-9 <= |x| <= 1e4 (largest
+    4.8e-15, in the series near x = 3.85; E1 diverges like -ln|x| at 0).
     Accepts scalars or arrays; a scalar or 0-d input returns a complex.
     """
     arr = np.asarray(x, dtype=float)
     flat = arr.ravel()
     ax = np.abs(flat)
-    re = np.empty_like(ax)
-    im = np.empty_like(ax)
+    out = np.empty(ax.shape, dtype=complex)
     small = ax <= _SI_SPLIT
     if small.any():
-        re[small] = -_ci_series(ax[small])
-        im[small] = _si_series(ax[small]) - math.pi / 2
+        xs = ax[small]
+        out[small] = -_ci_series(xs) + 1j * (_si_series(xs) - math.pi / 2)
     if not small.all():
-        re[~small], im[~small] = _e1_large(ax[~small])
-    im[flat < 0.0] *= -1.0
-    out = (re + 1j * im).reshape(arr.shape)
+        out[~small] = _e1_large(ax[~small])
+    out.imag[flat < 0.0] *= -1.0
+    out = out.reshape(arr.shape)
     return complex(out) if arr.ndim == 0 else out
 
 
@@ -219,48 +188,17 @@ def _fresnel_series(x: np.ndarray) -> np.ndarray:
     return total
 
 
-def _fresnel_tail(x: np.ndarray) -> np.ndarray:
-    # int_x^inf e^{iv^2} dv = (x/2) e^{ix^2} h for x > 2, h the continued
-    # fraction of Gamma(1/2, z) / (e^{-z} z^{1/2}) at z = -ix^2 (modified
-    # Lentz recursion with b_1 = z + 1/2, b_i = z + 2i - 3/2,
-    # a_i = -(i-1)(i-3/2)); the a = 1/2 case of the fraction _e1_large runs
-    # for E1 = Gamma(0, .).  Each element stops at its own convergence
-    # (65 steps at the split, fewer above) and leaves the working set.
-    n = x.size
-    h_out = np.empty(n, dtype=complex)
-    idx = np.arange(n)
-    z = -1j * x * x
-    c = np.full(n, 1e308, dtype=complex)
-    d = 1.0 / (z + 0.5)
-    h = d
-    for i in range(2, 500):
-        a = -(i - 1) * (i - 1.5)
-        b = z + (2 * i - 1.5)
-        d = 1.0 / (a * d + b)
-        c = b + a / c
-        delta = c * d
-        h = h * delta
-        done = np.abs(delta - 1.0) < 1e-16
-        if np.count_nonzero(done):
-            h_out[idx[done]] = h[done]
-            keep = ~done
-            idx, z, c, d, h = (v[keep] for v in (idx, z, c, d, h))
-            if not idx.size:
-                break
-    h_out[idx] = h
-    return 0.5 * x * np.exp(1j * x * x) * h_out
-
-
 def fresnel(x):
     """F(x) = int_0^x e^{i v^2} dv, the complex Fresnel integral in the
     unnormalized convention (C + iS of scipy's fresnel at x sqrt(2/pi),
     times sqrt(pi/2)); odd in x, tending to (sqrt(pi)/2) e^{i pi/4}.
 
-    Power series up to |x| = 2, above it the limit minus the tail's
-    continued fraction.  Absolute error below 4e-15 for |x| <= 100
-    (measured against 40-digit values); beyond, the rounding of x^2 in the
-    phase dominates, below 1e-16 x.  Accepts scalars or arrays; a scalar
-    or 0-d input returns a complex.
+    Power series up to |x| = 2, above it the limit minus the tail, the
+    continued fraction of e^z z^(-1/2) Gamma(1/2, z) at z = -ix^2.  Absolute
+    error below 1e-15 for |x| <= 10 (largest 6.9e-16); above, the rounding
+    of x^2 in the phase dominates, at most |x| eps / 4 < 5.6e-17 |x|
+    (largest 5.04e-15 on [0, 100], at x = 91.0).  Accepts scalars or
+    arrays; a scalar or 0-d input returns a complex.
     """
     arr = np.asarray(x, dtype=float)
     flat = arr.ravel()
@@ -270,7 +208,9 @@ def fresnel(x):
     if small.any():
         out[small] = _fresnel_series(ax[small])
     if not small.all():
-        out[~small] = _FRESNEL_LIMIT - _fresnel_tail(ax[~small])
+        # int_x^inf e^{iv^2} dv = (x/2) e^{ix^2} e^z z^(-1/2) Gamma(1/2, z), z = -ix^2
+        xl = ax[~small]
+        out[~small] = _FRESNEL_LIMIT - 0.5 * xl * np.exp(1j * xl * xl) * _gamma_cf(0.5, -1j * xl * xl)
     out[flat < 0.0] *= -1.0
     out = out.reshape(arr.shape)
     return complex(out) if arr.ndim == 0 else out

@@ -133,8 +133,11 @@ class TestClassify:
 
 class TestClassifyXY:
     def test_domain(self):
-        for x, y, alpha in ((-0.1, 1.0, 0.455), (0.0, 0.0, 0.455), (0.0, 1.0, 0.0)):
-            with pytest.raises(ValueError):
+        nan, inf = math.nan, math.inf
+        for x, y, alpha in ((-0.1, 1.0, 0.455), (0.0, 0.0, 0.455), (0.0, 1.0, 0.0),
+                            (nan, 1.0, 0.455), (1.0, nan, 0.455), (1.0, 1.0, inf), (1.0, 1.0, nan),
+                            (inf, 1.0, 0.455), (1.0, inf, 0.455)):
+            with pytest.raises(NonPositiveParameter):
                 classify_xy(x, y, alpha)
 
     def test_strict_boundary(self):
@@ -199,9 +202,19 @@ class TestSweep:
         assert max(ys_type2) < boundary < max(ys_type2) + 0.01
 
     def test_range_validation(self):
-        with pytest.raises(ValueError):
-            sweep_phase_diagram((1.0, 1.0), (0.0, 4.0), 10, 10, ALPHA)
-        with pytest.raises(ValueError):
+        inf, nan = math.inf, math.nan
+        for x_range, y_range, alpha, name in (
+            ((1.0, 1.0), (0.0, 4.0), 0.455, "range"),
+            ((0.0, inf), (0.0, 1.0), 0.455, "range"),
+            ((0.0, 1.0), (0.0, inf), 0.455, "range"),
+            ((-inf, 1.0), (0.0, 1.0), 0.455, "range"),
+            ((0.0, nan), (0.0, 1.0), 0.455, "range"),
+            ((0.0, 1.0), (0.0, 1.0), inf, "alpha"),
+            ((0.0, 1.0), (0.0, 1.0), nan, "alpha"),
+        ):
+            with pytest.raises(NonPositiveParameter, match=name):
+                sweep_phase_diagram(x_range, y_range, 4, 4, alpha)
+        with pytest.raises(NonPositiveParameter, match="count"):
             sweep_phase_diagram((0.0, 3.0), (0.0, 4.0), 0, 10, ALPHA)
 
 

