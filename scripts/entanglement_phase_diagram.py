@@ -9,10 +9,9 @@ neither.  A CSV of all cells can be kept for proper plotting.
 """
 
 import argparse
-import math
 import sys
 
-from spdc_coherence import sweep_phase_diagram
+from spdc_coherence import NonPositiveParameter, sweep_phase_diagram
 from spdc_coherence.entanglement import sweep_to_csv
 
 
@@ -25,19 +24,15 @@ def main() -> int:
     ap.add_argument("--alpha", type=float, default=0.455)
     ap.add_argument("--csv", help="optional output CSV path")
     args = ap.parse_args()
-    # 0 < v < inf is False for nan as well
-    if not all(0.0 < v < math.inf for v in (args.x_max, args.y_max, args.alpha)):
-        ap.error("--x-max, --y-max and --alpha must be finite and positive")
-    if args.nx < 1 or args.ny < 1:
-        ap.error("--nx and --ny must be positive")
+    try:
+        cells = sweep_phase_diagram((0.0, args.x_max), (0.0, args.y_max), args.nx, args.ny, args.alpha)
+    except NonPositiveParameter as exc:
+        ap.error(str(exc))
 
-    cells = sweep_phase_diagram((0.0, args.x_max), (0.0, args.y_max), args.nx, args.ny, args.alpha)
     glyph = {"type1_antipos_corrmom": "#", "type2_pos_antimom": "o", "none": "."}
-    by_pos = {(cell.x, cell.y): glyph[cell.classification] for cell in cells}
-    xs = sorted({cell.x for cell in cells})
-    ys = sorted({cell.y for cell in cells}, reverse=True)
-    for y in ys:
-        print("".join(by_pos[(x, y)] for x in xs))
+    # cells are row-major in x then y; print the largest y first
+    for j in reversed(range(args.ny)):
+        print("".join(glyph[cells[i * args.ny + j].classification] for i in range(args.nx)))
     print(f"alpha={args.alpha}: '#' immune witness, 'o' coherence-fragile witness, '.' neither")
 
     if args.csv:

@@ -11,6 +11,7 @@ import argparse
 import csv
 import math
 import sys
+from dataclasses import replace
 
 from spdc_coherence import (
     EXACT_SINC,
@@ -19,8 +20,6 @@ from spdc_coherence import (
     PumpParams,
     classify,
     evaluate_grid,
-    validate_crystal,
-    validate_pump,
     widths_from_grid,
 )
 
@@ -36,8 +35,8 @@ def main() -> int:
     if args.points < 2:
         ap.error("--points must be at least 2")
     try:
-        validate_pump(PumpParams(w=args.w, k_p=args.k_p))
-        c = validate_crystal(CrystalParams(L=args.L, k_p=args.k_p))
+        coherent = PumpParams(w=args.w, k_p=args.k_p)
+        c = CrystalParams(L=args.L, k_p=args.k_p)
     except NonPositiveParameter as exc:
         ap.error(str(exc))
 
@@ -48,7 +47,7 @@ def main() -> int:
     rows = []
     print(f"{'ell_c':>12}  {'diag width':>12}  {'anti width':>12}  {'prod_pm':>9}  {'prod_mp':>9}  sense")
     for ell in ells:
-        p = PumpParams(w=args.w, k_p=args.k_p, ell_c=ell)
+        p = replace(coherent, ell_c=ell)
         grid = evaluate_grid(p, c, EXACT_SINC, "momentum", "rotated")
         dp, dm = widths_from_grid(grid)
         rep = classify(p, c)

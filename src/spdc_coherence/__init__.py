@@ -59,8 +59,6 @@ from .params import (
     load_params,
     read_config,
     serialize_params,
-    validate_crystal,
-    validate_pump,
 )
 from .phasematch import (
     EXACT_SINC,

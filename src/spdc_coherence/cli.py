@@ -35,8 +35,13 @@ from .phasematch import (
 from .pump import variance_q_plus, variance_rho_plus
 
 
-def _params_doc(p, c) -> dict:
-    return {"pump": params_dict(p), "crystal": params_dict(c)}
+def _params_doc(p, c, m: PhaseMatchModel | None = None, **extra) -> dict:
+    doc = {"pump": params_dict(p), "crystal": params_dict(c), **extra}
+    if m is not None:
+        doc["model"] = m.kind
+        if m.profile is not None:
+            doc["profile_segments"] = [list(s) for s in m.profile.segments]
+    return doc
 
 
 def _model_from_args(args) -> PhaseMatchModel:
@@ -87,22 +92,10 @@ def cmd_joint(args, write):
         f"{stem}: {args.grid}x{args.grid} cells, mass {grid.mass:.6f}, "
         f"diagonal width {dp:.6g}, anti-diagonal width {dm:.6g}"
     )
-    params = _params_doc(p, c)
-    params["space"] = args.space
-    params["coords"] = args.coords
-    params["grid"] = args.grid
-    params["model"] = m.kind
-    if m.profile is not None:
-        params["profile_segments"] = [list(s) for s in m.profile.segments]
-    return params, 0
+    return _params_doc(p, c, m, space=args.space, coords=args.coords, grid=args.grid), 0
 
 
 def cmd_phase_diagram(args, write):
-    # 0 < v < inf is False for nan as well
-    if not all(0.0 < v < math.inf for v in (args.x_max, args.y_max, args.alpha)):
-        raise ParseError("cli", 0, "phase-diagram needs finite positive --x-max, --y-max and --alpha")
-    if args.nx < 1 or args.ny < 1:
-        raise ParseError("cli", 0, "phase-diagram needs positive counts")
     cells = sweep_phase_diagram((0.0, args.x_max), (0.0, args.y_max), args.nx, args.ny, args.alpha)
     write("phase_diagram.csv", sweep_to_csv(cells))
     total = len(cells)
@@ -144,13 +137,7 @@ def cmd_phasematch(args, write):
     name = f"phasematch_{m.kind}.csv"
     write(name, "\n".join(lines) + "\n")
     print(f"{name}: {args.n} samples over mismatch [0, {dk_max:.6g}]")
-    params = _params_doc(p, c)
-    params["model"] = m.kind
-    params["dk_max"] = dk_max
-    params["n"] = args.n
-    if m.profile is not None:
-        params["profile_segments"] = [list(s) for s in m.profile.segments]
-    return params, 0
+    return _params_doc(p, c, m, dk_max=dk_max, n=args.n), 0
 
 
 def cmd_validate(args, write):
@@ -265,9 +252,11 @@ def main(argv=None) -> int:
         write(name, json.dumps(manifest, indent=1) + "\n")
         return code
     except (
-        ParseError, GridTooCoarse, NonPositiveParameter, NegativeArgument, ZeroMass, OSError
+        ParseError, GridTooCoarse, NonPositiveParameter, NegativeArgument, ZeroMass, OSError, ArithmeticError
     ) as exc:
-        kind = "grid too coarse: " if isinstance(exc, GridTooCoarse) else ""
+        # ArithmeticError: a finite parameter so extreme that float arithmetic fails
+        kind = ("grid too coarse: " if isinstance(exc, GridTooCoarse)
+                else "out of floating-point range: " if isinstance(exc, ArithmeticError) else "")
         print(f"error: {kind}{exc}", file=sys.stderr)
         return 2
 

@@ -25,10 +25,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
+
+import numpy as np
 
 from .errors import NonPositiveParameter
 from .numerics import _format_distinct
-from .params import CrystalParams, PumpParams, validate_crystal, validate_pump
+from .params import CrystalParams, PumpParams
 from .phasematch import variance_q_minus, variance_rho_minus
 from .pump import variance_q_plus, variance_rho_plus
 
@@ -55,6 +58,7 @@ NONE = "none"              # equal widths
 _TYPE1 = "type1_antipos_corrmom"
 _TYPE2 = "type2_pos_antimom"
 _NEITHER = "none"
+_LABELS = {(True, False): _TYPE1, (False, True): _TYPE2, (False, False): _NEITHER}
 
 
 def product_pm(p: PumpParams, c: CrystalParams) -> float:
@@ -98,8 +102,6 @@ def classify(p: PumpParams, c: CrystalParams) -> WitnessReport:
     """Evaluate both witnesses for a parameter set.  Verdicts are strict
     (a product exactly at 1/2 witnesses nothing).  Correlation senses
     compare the Gaussian-model rotated variances in each space."""
-    p = validate_pump(p)
-    c = validate_crystal(c)
     pm_val = product_pm(p, c)
     mp_val = product_mp(p, c)
     return WitnessReport(
@@ -123,6 +125,21 @@ class PhaseDiagramCell:
     classification: str
 
 
+def _verdicts(x, y, alpha: float):
+    """Both witness verdicts at the points (x, y), elementwise over numpy
+    values broadcast together, with the same floating-point operations as
+    the scalar formulas.  alpha must already be checked: positive, finite."""
+    with np.errstate(over="ignore"):  # 4 x^2 -> inf just means no type2
+        type1 = y > 2.0 / math.sqrt(alpha)
+        type2 = y * y < 4.0 / ((alpha + 1.0 / alpha) * (1.0 + 4.0 * x * x))
+    type1, type2 = np.broadcast_arrays(type1, type2)
+    both = type1 & type2
+    if both.any():  # unreachable for alpha < 1; guards the algebra
+        x0, y0 = (np.broadcast_to(v, both.shape)[both][0] for v in (x, y))
+        raise AssertionError(f"witness regions overlap at x={x0}, y={y0}, alpha={alpha}")
+    return type1, type2
+
+
 def classify_xy(x: float, y: float, alpha: float) -> PhaseDiagramCell:
     """Phase-diagram verdict at a single dimensionless point (flat
     wavefronts assumed).  Raises NonPositiveParameter unless x >= 0 and
@@ -130,17 +147,8 @@ def classify_xy(x: float, y: float, alpha: float) -> PhaseDiagramCell:
     # written so that NaN fails it
     if not (0.0 <= x < math.inf and 0.0 < y < math.inf and 0.0 < alpha < math.inf):
         raise NonPositiveParameter("x, y, alpha", f"need finite x >= 0, y > 0, alpha > 0; got {x!r}, {y!r}, {alpha!r}")
-    type1 = y > 2.0 / math.sqrt(alpha)
-    type2 = y * y < 4.0 / ((alpha + 1.0 / alpha) * (1.0 + 4.0 * x * x))
-    if type1 and type2:  # unreachable for alpha < 1; guards the algebra
-        raise AssertionError(f"witness regions overlap at x={x}, y={y}, alpha={alpha}")
-    if type1:
-        label = _TYPE1
-    elif type2:
-        label = _TYPE2
-    else:
-        label = _NEITHER
-    return PhaseDiagramCell(x=x, y=y, type1=type1, type2=type2, classification=label)
+    type1, type2 = (bool(v) for v in _verdicts(np.float64(x), np.float64(y), alpha))
+    return PhaseDiagramCell(x=x, y=y, type1=type1, type2=type2, classification=_LABELS[type1, type2])
 
 
 def sweep_phase_diagram(
@@ -161,13 +169,16 @@ def sweep_phase_diagram(
         raise NonPositiveParameter("count", f"need at least one cell per axis, got {nx!r} x {ny!r}")
     dx = (x_hi - x_lo) / nx
     dy = (y_hi - y_lo) / ny
-    cells = []
-    for i in range(nx):
-        x = x_lo + (i + 0.5) * dx
-        for j in range(ny):
-            y = y_lo + (j + 0.5) * dy
-            cells.append(classify_xy(x, y, alpha))
-    return cells
+    # centres ascend from this corner and stay below the finite upper ends,
+    # so every cell is in classify_xy's domain when the corner is
+    classify_xy(x_lo + 0.5 * dx, y_lo + 0.5 * dy, alpha)
+    xs = x_lo + (np.arange(nx) + 0.5) * dx
+    ys = y_lo + (np.arange(ny) + 0.5) * dy
+    type1, type2 = (v.ravel().tolist() for v in _verdicts(xs[:, None], ys[None, :], alpha))
+    return [
+        PhaseDiagramCell(x=x, y=y, type1=t1, type2=t2, classification=_LABELS[t1, t2])
+        for (x, y), t1, t2 in zip(product(xs.tolist(), ys.tolist()), type1, type2)
+    ]
 
 
 def sweep_to_csv(cells: list[PhaseDiagramCell]) -> str:

@@ -127,10 +127,10 @@ def sine_integral(x):
 
     Power series up to x = 4, above it pi/2 + Im E1(ix) by the continued
     fraction of ``exp1_i``.  Absolute error below 1.1e-15 on [0, 1e4]
-    (largest 1.08e-15, in the series near x = 3.7).  Accepts scalars or
-    arrays; a scalar or 0-d input returns a float.  Negative arguments
-    raise NegativeArgument: all callers here pass quadratic phases, so the
-    odd extension is intentionally not provided.
+    (largest 1.08e-15, in the series near x = 3.7); Si(inf) = pi/2.
+    Accepts scalars or arrays; a scalar or 0-d input returns a float.
+    Negative arguments raise NegativeArgument: all callers here pass
+    quadratic phases, so the odd extension is intentionally not provided.
     """
     arr = np.asarray(x, dtype=float)
     flat = arr.ravel()
@@ -138,12 +138,13 @@ def sine_integral(x):
     if negative.any():
         bad = float(flat[np.argmax(negative)])
         raise NegativeArgument(f"sine_integral needs x >= 0, got {bad!r}")
-    out = np.empty_like(flat)
+    out = np.full_like(flat, math.pi / 2)  # the limit, kept at +inf
     small = flat <= _SI_SPLIT
+    large = ~(small | (flat == math.inf))
     if small.any():
         out[small] = _si_series(flat[small])
-    if not small.all():
-        out[~small] = math.pi / 2 + _e1_large(flat[~small]).imag
+    if large.any():
+        out[large] = math.pi / 2 + _e1_large(flat[large]).imag
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
@@ -154,19 +155,21 @@ def exp1_i(x):
     Power series up to |x| = 4, above it e^{-ix} times the continued
     fraction of e^z Gamma(0, z) at z = ix; negative x gives the complex
     conjugate.  Relative error below 5e-15 for 1e-9 <= |x| <= 1e4 (largest
-    4.8e-15, in the series near x = 3.85; E1 diverges like -ln|x| at 0).
-    Accepts scalars or arrays; a scalar or 0-d input returns a complex.
+    4.8e-15, in the series near x = 3.85; E1 diverges like -ln|x| at 0);
+    E1(+-i inf) = 0.  Accepts scalars or arrays; a scalar or 0-d input
+    returns a complex.
     """
     arr = np.asarray(x, dtype=float)
     flat = arr.ravel()
     ax = np.abs(flat)
-    out = np.empty(ax.shape, dtype=complex)
+    out = np.zeros(ax.shape, dtype=complex)  # the limit, kept at +-inf
     small = ax <= _SI_SPLIT
+    large = ~(small | (ax == math.inf))
     if small.any():
         xs = ax[small]
         out[small] = -_ci_series(xs) + 1j * (_si_series(xs) - math.pi / 2)
-    if not small.all():
-        out[~small] = _e1_large(ax[~small])
+    if large.any():
+        out[large] = _e1_large(ax[large])
     out.imag[flat < 0.0] *= -1.0
     out = out.reshape(arr.shape)
     return complex(out) if arr.ndim == 0 else out
@@ -174,6 +177,7 @@ def exp1_i(x):
 
 _FRESNEL_SPLIT = 2.0
 _FRESNEL_LIMIT = 0.5 * math.sqrt(math.pi) * complex(math.sqrt(0.5), math.sqrt(0.5))
+_FRESNEL_HUGE = 2.0**512  # x^2 overflows; the tail, ~1/(2x), vanished long before
 
 
 def _fresnel_series(x: np.ndarray) -> np.ndarray:
@@ -197,20 +201,23 @@ def fresnel(x):
     continued fraction of e^z z^(-1/2) Gamma(1/2, z) at z = -ix^2.  Absolute
     error below 1e-15 for |x| <= 10 (largest 6.9e-16); above, the rounding
     of x^2 in the phase dominates, at most |x| eps / 4 < 5.6e-17 |x|
-    (largest 5.04e-15 on [0, 100], at x = 91.0).  Accepts scalars or
-    arrays; a scalar or 0-d input returns a complex.
+    (largest 5.04e-15 on [0, 100], at x = 91.0).  From |x| = 2^512, where
+    x^2 overflows, up to F(+-inf) it returns the limit
+    +-(sqrt(pi)/2) e^{i pi/4}.  Accepts scalars or arrays; a scalar or 0-d
+    input returns a complex.
     """
     arr = np.asarray(x, dtype=float)
     flat = arr.ravel()
     ax = np.abs(flat)
-    out = np.empty(ax.shape, dtype=complex)
+    out = np.full(ax.shape, _FRESNEL_LIMIT)  # kept where x^2 overflows
     small = ax <= _FRESNEL_SPLIT
+    tail = ~(small | (ax >= _FRESNEL_HUGE))
     if small.any():
         out[small] = _fresnel_series(ax[small])
-    if not small.all():
+    if tail.any():
         # int_x^inf e^{iv^2} dv = (x/2) e^{ix^2} e^z z^(-1/2) Gamma(1/2, z), z = -ix^2
-        xl = ax[~small]
-        out[~small] = _FRESNEL_LIMIT - 0.5 * xl * np.exp(1j * xl * xl) * _gamma_cf(0.5, -1j * xl * xl)
+        xl = ax[tail]
+        out[tail] = _FRESNEL_LIMIT - 0.5 * xl * np.exp(1j * xl * xl) * _gamma_cf(0.5, -1j * xl * xl)
     out[flat < 0.0] *= -1.0
     out = out.reshape(arr.shape)
     return complex(out) if arr.ndim == 0 else out

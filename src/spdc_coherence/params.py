@@ -17,15 +17,13 @@ the sentinel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import NonPositiveParameter, ParseError
 
 __all__ = [
     "PumpParams",
     "CrystalParams",
-    "validate_pump",
-    "validate_crystal",
     "read_config",
     "load_params",
     "serialize_params",
@@ -38,6 +36,13 @@ __all__ = [
 DEFAULT_ALPHA = 0.455
 
 
+def _require_positive_finite(x, names) -> None:
+    for name in names:
+        v = getattr(x, name)
+        if not (0.0 < v < math.inf):
+            raise NonPositiveParameter(name, f"need a positive finite value, got {v!r}")
+
+
 @dataclass(frozen=True)
 class PumpParams:
     """Gaussian Schell-model pump at the crystal plane.
@@ -46,12 +51,25 @@ class PumpParams:
     k_p    pump wave number (rad/um)
     ell_c  transverse coherence length (um); inf = fully coherent
     R      wavefront curvature radius (um), signed; inf = flat phase
+
+    Construction raises NonPositiveParameter unless w, k_p are positive and
+    finite, ell_c positive (inf allowed) and R nonzero (inf allowed); the
+    sign of an absent phase term is meaningless, so R = -inf becomes +inf.
     """
 
     w: float
     k_p: float
     ell_c: float = math.inf
     R: float = math.inf
+
+    def __post_init__(self):
+        _require_positive_finite(self, ("w", "k_p"))
+        if math.isnan(self.ell_c) or self.ell_c <= 0.0:
+            raise NonPositiveParameter("ell_c", f"need a positive value (inf allowed), got {self.ell_c!r}")
+        if math.isnan(self.R) or self.R == 0.0:
+            raise NonPositiveParameter("R", f"need a nonzero value (inf allowed), got {self.R!r}")
+        if self.R == -math.inf:
+            object.__setattr__(self, "R", math.inf)
 
 
 @dataclass(frozen=True)
@@ -66,7 +84,11 @@ class CrystalParams:
            longitudinal spectrum purely real.
     alpha  width parameter of the Gaussian phase-matching approximation
     beta   nondegeneracy, beta^2 = k_i/k_s; only the degenerate pair,
-           beta = 1, is modelled and validation rejects any other value
+           beta = 1, is modelled
+
+    Construction raises NonPositiveParameter unless L, k_p, alpha are
+    positive and finite, z0 finite (either sign), z0 - L finite and below
+    z0 (L must not vanish next to z0), and beta = 1.
     """
 
     L: float
@@ -78,44 +100,17 @@ class CrystalParams:
     def __post_init__(self):
         if self.z0 is None:
             object.__setattr__(self, "z0", float(self.L))
-
-
-def validate_pump(p: PumpParams) -> PumpParams:
-    """Check invariants; canonicalize infinities.  Returns the same
-    instance when nothing needs rewriting.
-
-    w, k_p: positive and finite.  ell_c: positive, inf allowed.
-    R: nonzero (a zero curvature radius is degenerate; use inf for a
-    flat phase front); -inf is folded onto +inf since the sign of an
-    absent phase term is meaningless.
-    """
-    for name in ("w", "k_p"):
-        v = getattr(p, name)
-        if not (0.0 < v < math.inf):
-            raise NonPositiveParameter(name, f"need a positive finite value, got {v!r}")
-    if math.isnan(p.ell_c) or p.ell_c <= 0.0:
-        raise NonPositiveParameter("ell_c", f"need a positive value (inf allowed), got {p.ell_c!r}")
-    if math.isnan(p.R) or p.R == 0.0:
-        raise NonPositiveParameter("R", f"need a nonzero value (inf allowed), got {p.R!r}")
-    if math.isinf(p.R) and p.R < 0.0:
-        return replace(p, R=math.inf)
-    return p
-
-
-def validate_crystal(c: CrystalParams) -> CrystalParams:
-    """Check invariants.  z0 is unrestricted in sign but must be finite;
-    beta must be 1, the degenerate pair."""
-    for name in ("L", "k_p", "alpha"):
-        v = getattr(c, name)
-        if not (0.0 < v < math.inf):
-            raise NonPositiveParameter(name, f"need a positive finite value, got {v!r}")
-    if not math.isfinite(c.z0):
-        raise NonPositiveParameter("z0", f"need a finite position, got {c.z0!r}")
-    if c.beta != 1.0:
-        raise NonPositiveParameter(
-            "beta", f"only degenerate pairs are modelled, need 1, got {c.beta!r}"
-        )
-    return c
+        _require_positive_finite(self, ("L", "k_p", "alpha"))
+        if not math.isfinite(self.z0):
+            raise NonPositiveParameter("z0", f"need a finite position, got {self.z0!r}")
+        if not -math.inf < self.z0 - self.L < self.z0:
+            raise NonPositiveParameter(
+                "z0", f"need a finite entrance face z0 - L < z0, got L = {self.L!r}, z0 = {self.z0!r}"
+            )
+        if self.beta != 1.0:
+            raise NonPositiveParameter(
+                "beta", f"only degenerate pairs are modelled, need 1, got {self.beta!r}"
+            )
 
 
 # -- config file format ------------------------------------------------------
@@ -139,7 +134,7 @@ _REQUIRED_KEYS = ("pump.w", "pump.k_p", "crystal.L")
 
 
 def read_config(text: str, source: str = "<config>") -> tuple[PumpParams, CrystalParams]:
-    """Parse config text into validated parameter bundles.
+    """Parse config text into parameter bundles, which check themselves.
 
     Missing optional keys take their dataclass defaults (ell_c = R = inf,
     z0 = L, alpha = 0.455, beta = 1).  Unknown or duplicate keys are
@@ -176,9 +171,7 @@ def read_config(text: str, source: str = "<config>") -> tuple[PumpParams, Crysta
     for key, num in values.items():
         section, _, name = key.partition(".")
         kwargs[section][name] = num
-    p = validate_pump(PumpParams(**kwargs["pump"]))
-    c = validate_crystal(CrystalParams(**kwargs["crystal"]))
-    return p, c
+    return PumpParams(**kwargs["pump"]), CrystalParams(**kwargs["crystal"])
 
 
 def load_params(path) -> tuple[PumpParams, CrystalParams]:
@@ -201,7 +194,7 @@ def params_dict(x: PumpParams | CrystalParams) -> dict[str, float]:
 
 def serialize_params(p: PumpParams, c: CrystalParams) -> str:
     """Write parameters back in config syntax; parse(serialize(...)) is the
-    identity on validated bundles."""
+    identity on every bundle."""
     lines = [
         f"{section}.{name} = {_fmt_value(value)}\n"
         for section, x in (("pump", p), ("crystal", c))

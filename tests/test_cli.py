@@ -231,6 +231,27 @@ class TestErrorPaths:
         assert len(err) == 1 and err[0].startswith("error:")
         assert not (out / "phase_diagram.csv").exists()
 
+    @pytest.mark.parametrize("line, space", [
+        ("crystal.z0 = 1e300", "position"),  # L vanishes next to z0
+        ("pump.w = 1e-300", "momentum"),
+        ("pump.ell_c = 1e-300", "momentum"),
+        ("crystal.L = 1e300", "momentum"),
+        ("pump.w = 1e300", "momentum"),
+        ("pump.R = 1e-300", "momentum"),
+    ])
+    def test_extreme_finite_config(self, tmp_path, capsys, line, space):
+        key = line.split(" =")[0]
+        kept = [ln for ln in CONFIG.splitlines() if not ln.startswith(key)]
+        cfgp = tmp_path / "extreme.cfg"
+        cfgp.write_text("\n".join(kept + [line]) + "\n", encoding="utf-8")
+        out = tmp_path / "o"
+        code = main(["joint", "--config", str(cfgp), "--out", str(out), "--space", space,
+                     "--grid", "64"])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf", "0"])
     def test_phasematch_bad_dk_max(self, cfg, tmp_path, capsys, value):
         out = tmp_path / "o"

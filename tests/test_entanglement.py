@@ -183,6 +183,12 @@ class TestSweep:
             type2 = cell.y * cell.y < 4.0 / ((ALPHA + 1.0 / ALPHA) * (1.0 + 4.0 * cell.x**2))
             assert cell.type1 == type1 and cell.type2 == type2
             assert not (cell.type1 and cell.type2)
+        # the array sweep equals the scalar route cell by cell, centres included
+        for nx, ny in ((60, 80), (300, 400)):
+            dx, dy = 3.0 / nx, 4.0 / ny
+            assert sweep_phase_diagram((0.0, 3.0), (0.0, 4.0), nx, ny, ALPHA) == [
+                classify_xy((i + 0.5) * dx, (j + 0.5) * dy, ALPHA) for i in range(nx) for j in range(ny)
+            ]
 
     def test_type1_boundary_bracketed(self):
         cells = sweep_phase_diagram((0.0, 3.0), (0.0, 4.0), 6, 80, ALPHA)

@@ -208,6 +208,25 @@ class TestFresnel:
         assert fresnel(grid).tolist() == [[fresnel(float(v)) for v in row] for row in grid]
 
 
+def test_limits_at_infinity():
+    """Si, E1(ix) and F return their limits at +-inf, and F its limit wherever
+    x^2 overflows, without a numpy warning."""
+    inf = math.inf
+    limit = 0.5 * math.sqrt(math.pi) * complex(math.sqrt(0.5), math.sqrt(0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sine_integral(inf) == math.pi / 2
+        assert exp1_i(inf) == 0.0 and exp1_i(-inf) == 0.0
+        for x in (inf, 2.0**512, 1e300, np.finfo(float).max, np.nextafter(2.0**512, 0.0)):
+            assert fresnel(x) == limit and fresnel(-x) == -limit
+        # array calls mixing finite and infinite points
+        assert sine_integral(np.array([1.0, inf])).tolist() == [sine_integral(1.0), math.pi / 2]
+        assert exp1_i(np.array([-inf, 5.0, inf])).tolist() == [0.0, exp1_i(5.0), 0.0]
+        assert fresnel(np.array([1.0, 10.0, 1e200, -inf])).tolist() == [
+            fresnel(1.0), fresnel(10.0), limit, -limit
+        ]
+
+
 def _hankel_modulus_phase(degree=13):
     """Exact coefficients of M = P^2 + Q^2 and Phi = atan(Q/P) in y = 1/x,
     J0's Hankel cosine/sine series P = sum (-1)^k c_2k y^2k and

@@ -13,8 +13,6 @@ from spdc_coherence.params import (
     load_params,
     read_config,
     serialize_params,
-    validate_crystal,
-    validate_pump,
 )
 
 MINIMAL = "pump.w = 10\npump.k_p = 10\ncrystal.L = 1000\n"
@@ -89,40 +87,42 @@ class TestParseDiagnostics:
 
 class TestValidation:
     def test_pump_positivity(self):
-        for bad in (PumpParams(w=0.0, k_p=10.0), PumpParams(w=10.0, k_p=-1.0),
-                    PumpParams(w=math.inf, k_p=10.0)):
+        for bad in (dict(w=0.0, k_p=10.0), dict(w=10.0, k_p=-1.0), dict(w=math.inf, k_p=10.0)):
             with pytest.raises(NonPositiveParameter):
-                validate_pump(bad)
+                PumpParams(**bad)
 
     def test_pump_ell_c(self):
         with pytest.raises(NonPositiveParameter) as exc_info:
-            validate_pump(PumpParams(w=10.0, k_p=10.0, ell_c=-5.0))
+            PumpParams(w=10.0, k_p=10.0, ell_c=-5.0)
         assert exc_info.value.name == "ell_c"
-        validate_pump(PumpParams(w=10.0, k_p=10.0, ell_c=math.inf))  # inf fine
+        PumpParams(w=10.0, k_p=10.0, ell_c=math.inf)  # inf fine
 
     def test_pump_curvature(self):
         # zero radius is degenerate; both signs of a finite radius are legal
         with pytest.raises(NonPositiveParameter):
-            validate_pump(PumpParams(w=10.0, k_p=10.0, R=0.0))
-        assert validate_pump(PumpParams(w=10.0, k_p=10.0, R=-3e4)).R == -3e4
+            PumpParams(w=10.0, k_p=10.0, R=0.0)
+        assert PumpParams(w=10.0, k_p=10.0, R=-3e4).R == -3e4
 
     def test_negative_inf_curvature_folds(self):
-        out = validate_pump(PumpParams(w=10.0, k_p=10.0, R=-math.inf))
+        out = PumpParams(w=10.0, k_p=10.0, R=-math.inf)
         assert out.R == math.inf
 
-    def test_valid_pump_same_instance(self):
-        p = PumpParams(w=10.0, k_p=10.0)
-        assert validate_pump(p) is p
-
     def test_crystal(self):
-        for bad in (CrystalParams(L=0.0, k_p=10.0), CrystalParams(L=100.0, k_p=10.0, alpha=0.0),
-                    CrystalParams(L=100.0, k_p=10.0, beta=-1.0),
-                    CrystalParams(L=100.0, k_p=10.0, beta=2.0),
-                    CrystalParams(L=100.0, k_p=10.0, z0=math.inf)):
+        for bad in (dict(L=0.0, k_p=10.0), dict(L=100.0, k_p=10.0, alpha=0.0),
+                    dict(L=100.0, k_p=10.0, beta=-1.0),
+                    dict(L=100.0, k_p=10.0, beta=2.0),
+                    dict(L=100.0, k_p=10.0, z0=math.inf)):
             with pytest.raises(NonPositiveParameter):
-                validate_crystal(bad)
-        c = CrystalParams(L=100.0, k_p=10.0, z0=-50.0)  # negative position is fine
-        assert validate_crystal(c) is c
+                CrystalParams(**bad)
+        CrystalParams(L=100.0, k_p=10.0, z0=-50.0)  # negative position is fine
+
+    def test_entrance_face(self):
+        # z0 - L must be finite and below z0: L may not vanish next to z0
+        for L, z0 in ((1000.0, 1e300), (1000.0, -1e300), (1e308, -1e308)):
+            with pytest.raises(NonPositiveParameter) as exc_info:
+                CrystalParams(L=L, k_p=10.0, z0=z0)
+            assert exc_info.value.name == "z0"
+        CrystalParams(L=1e300, k_p=10.0)  # z0 = L: the entrance face sits at 0
 
 
 class TestRoundTrip:
@@ -150,8 +150,8 @@ class TestRoundTrip:
         alpha=st.floats(min_value=1e-2, max_value=10.0),
     )
     def test_round_trip_property(self, w, k_p, ell_c, R, L, z0, alpha):
-        p = validate_pump(PumpParams(w=w, k_p=k_p, ell_c=ell_c, R=R))
-        c = validate_crystal(CrystalParams(L=L, k_p=k_p, z0=z0, alpha=alpha))
+        p = PumpParams(w=w, k_p=k_p, ell_c=ell_c, R=R)
+        c = CrystalParams(L=L, k_p=k_p, z0=z0, alpha=alpha)
         p2, c2 = read_config(serialize_params(p, c))
         assert p2 == p
         assert c2 == c
