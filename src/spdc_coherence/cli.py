@@ -24,6 +24,7 @@ from . import __version__
 from .entanglement import classify, sweep_phase_diagram, sweep_to_csv
 from .errors import GridTooCoarse, NegativeArgument, NonPositiveParameter, ParseError, ZeroMass
 from .joint import DEFAULT_COUNT, default_axes, evaluate_grid, widths_from_grid
+from .numerics import _g9
 from .params import load_params, params_dict
 from .phasematch import (
     PhaseMatchModel,
@@ -38,9 +39,7 @@ from .pump import variance_q_plus, variance_rho_plus
 def _params_doc(p, c, m: PhaseMatchModel | None = None, **extra) -> dict:
     doc = {"pump": params_dict(p), "crystal": params_dict(c), **extra}
     if m is not None:
-        doc["model"] = m.kind
-        if m.profile is not None:
-            doc["profile_segments"] = [list(s) for s in m.profile.segments]
+        doc["model"] = m.as_dict()
     return doc
 
 
@@ -60,18 +59,12 @@ def _model_from_args(args) -> PhaseMatchModel:
 
 def cmd_variances(args, write):
     p, c = load_params(args.config)
-    rep = classify(p, c)
     doc = {
         "variance_rho_plus": variance_rho_plus(p),
         "variance_q_plus": variance_q_plus(p),
         "variance_rho_minus": variance_rho_minus(c),
         "variance_q_minus": variance_q_minus(c),
-        "product_pm": rep.product_pm,
-        "product_mp": rep.product_mp,
-        "type1": rep.type1,
-        "type2": rep.type2,
-        "correlation_position": rep.correlation_position,
-        "correlation_momentum": rep.correlation_momentum,
+        **classify(p, c)._asdict(),
     }
     for key, val in doc.items():
         print(f"{key} = {json.dumps(val)}")
@@ -133,7 +126,7 @@ def cmd_phasematch(args, write):
     vals = np.asarray(chi_tilde(dks, c, m), dtype=complex)
     lines = ["delta_kappa,re_chi,im_chi,abs_chi_sq"]
     for dk, v in zip(dks, vals):
-        lines.append(f"{dk:.9g},{v.real:.9g},{v.imag:.9g},{abs(v) ** 2:.9g}")
+        lines.append(",".join(map(_g9, (dk, v.real, v.imag, abs(v) ** 2))))
     name = f"phasematch_{m.kind}.csv"
     write(name, "\n".join(lines) + "\n")
     print(f"{name}: {args.n} samples over mismatch [0, {dk_max:.6g}]")
@@ -147,17 +140,7 @@ def cmd_validate(args, write):
     results = run_all()
     for r in results:
         print(r.line())
-    doc = [
-        {
-            "name": r.name,
-            "passed": r.passed,
-            "observed": r.observed,
-            "tolerance": r.tolerance,
-            "detail": r.detail,
-        }
-        for r in results
-    ]
-    write("validate_report.json", json.dumps(doc, indent=1) + "\n")
+    write("validate_report.json", json.dumps([r._asdict() for r in results], indent=1) + "\n")
     failures = [r.name for r in results if not r.passed]
     if failures:
         print(f"validation failed at: {failures[0]}", file=sys.stderr)
@@ -240,7 +223,10 @@ def main(argv=None) -> int:
         outputs.append(name)
 
     try:
-        parameters, code = args.fn(args, write)
+        # a finite input so extreme that numpy overflows or divides by zero
+        # raises FloatingPointError here instead of warning on to a bad grid
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            parameters, code = args.fn(args, write)
         manifest = {
             "command": args.command,
             "version": __version__,

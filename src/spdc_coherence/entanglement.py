@@ -17,20 +17,21 @@ the Gaussian phase-matching width alpha:
     product_pm < 1/2  iff  y > 2 / sqrt(alpha)
     product_mp < 1/2  iff  y^2 < 4 / ((alpha + 1/alpha)(1 + 4 x^2))
 
-The regions never touch for alpha < 1 (the second bound stays strictly
-below the first); the sweep asserts this.
+In exact arithmetic the regions never touch, for any alpha > 0: the
+second bound gives y^2 < 4 / (alpha + 1/alpha), which is below the 4 / alpha
+of the first.  The sweep asserts this, to catch rounding.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NonPositiveParameter
-from .numerics import _format_distinct
+from .numerics import _format_distinct, _g9
 from .params import CrystalParams, PumpParams
 from .phasematch import variance_q_minus, variance_rho_minus
 from .pump import variance_q_plus, variance_rho_plus
@@ -85,8 +86,7 @@ def _sense(var_plus: float, var_minus: float) -> str:
     return NONE
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(NamedTuple):
     """Both width products, their strict witness verdicts, and the
     correlation sense of each space's joint distribution."""
 
@@ -114,8 +114,7 @@ def classify(p: PumpParams, c: CrystalParams) -> WitnessReport:
     )
 
 
-@dataclass(frozen=True)
-class PhaseDiagramCell:
+class PhaseDiagramCell(NamedTuple):
     """One cell of the (x, y) sweep, evaluated at the cell centre."""
 
     x: float
@@ -134,7 +133,7 @@ def _verdicts(x, y, alpha: float):
         type2 = y * y < 4.0 / ((alpha + 1.0 / alpha) * (1.0 + 4.0 * x * x))
     type1, type2 = np.broadcast_arrays(type1, type2)
     both = type1 & type2
-    if both.any():  # unreachable for alpha < 1; guards the algebra
+    if both.any():  # unreachable in exact arithmetic; guards against rounding
         x0, y0 = (np.broadcast_to(v, both.shape)[both][0] for v in (x, y))
         raise AssertionError(f"witness regions overlap at x={x0}, y={y0}, alpha={alpha}")
     return type1, type2
@@ -176,7 +175,7 @@ def sweep_phase_diagram(
     ys = y_lo + (np.arange(ny) + 0.5) * dy
     type1, type2 = (v.ravel().tolist() for v in _verdicts(xs[:, None], ys[None, :], alpha))
     return [
-        PhaseDiagramCell(x=x, y=y, type1=t1, type2=t2, classification=_LABELS[t1, t2])
+        PhaseDiagramCell(x, y, t1, t2, _LABELS[t1, t2])
         for (x, y), t1, t2 in zip(product(xs.tolist(), ys.tolist()), type1, type2)
     ]
 
@@ -186,9 +185,8 @@ def sweep_to_csv(cells: list[PhaseDiagramCell]) -> str:
     x and y is formatted once (a sweep has nx + ny of them against nx * ny
     rows), so the cost scales with the number of distinct coordinates plus
     a cheap per-row join."""
-    g9 = "{:.9g}".format
-    xs = _format_distinct([cell.x for cell in cells], g9)
-    ys = _format_distinct([cell.y for cell in cells], g9)
+    xs = _format_distinct([cell.x for cell in cells], _g9)
+    ys = _format_distinct([cell.y for cell in cells], _g9)
     lines = ["x,y,type1,type2,classification"]
     lines += [
         f"{x},{y},{int(cell.type1)},{int(cell.type2)},{cell.classification}"

@@ -48,15 +48,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GridTooCoarse, ParameterMismatch, UnknownChoice, ZeroMass
-from .numerics import _format_distinct, grid_moments
+from .numerics import RadialDensity, _format_distinct, _g9, gaussian_radial, grid_moments
 from .params import CrystalParams, PumpParams, params_dict
-from .phasematch import (
-    PhaseMatchModel,
-    NonlinearityProfile,
-    RadialDensity,
-    momentum_radial_density,
-    position_radial_density,
-)
+from .phasematch import PhaseMatchModel, momentum_radial_density, position_radial_density
 from .pump import variance_q_plus, variance_rho_plus
 
 __all__ = [
@@ -131,9 +125,9 @@ class _Marginal1D:
         return float(out) if out.ndim == 0 else out
 
 
-def _gaussian_marginal(sigma: float) -> _Marginal1D:
-    """Closed-form marginal of a Gaussian factor, windowed at 5 sigma."""
-    return _Marginal1D(width_half=_SQRT2 * sigma, half_range_default=5.0 * sigma, sigma=sigma)
+def _gaussian_marginal(radial: RadialDensity) -> _Marginal1D:
+    """Closed-form marginal of a Gaussian factor, over the density's window."""
+    return _Marginal1D(_SQRT2 * radial.sigma, radial.half_range, sigma=radial.sigma)
 
 
 def _tabulated_marginal(radial: RadialDensity) -> _Marginal1D:
@@ -177,7 +171,7 @@ def _minus_marginal(c: CrystalParams, m: PhaseMatchModel, space: str) -> _Margin
     """The anti-diagonal marginal: phase matching only, so one build per
     (crystal, model, space) serves every pump."""
     radial = (momentum_radial_density if space == "momentum" else position_radial_density)(c, m)
-    return _tabulated_marginal(radial) if radial.sigma is None else _gaussian_marginal(radial.sigma)
+    return _tabulated_marginal(radial) if radial.sigma is None else _gaussian_marginal(radial)
 
 
 def _factor_pair(p: PumpParams, c: CrystalParams, m: PhaseMatchModel, space: str):
@@ -190,7 +184,7 @@ def _factor_pair(p: PumpParams, c: CrystalParams, m: PhaseMatchModel, space: str
         plus_var = variance_rho_plus(p)
     else:
         raise UnknownChoice(f"unknown space {space!r}, expected 'momentum' or 'position'")
-    return _gaussian_marginal(math.sqrt(plus_var)), _minus_marginal(c, m, space)
+    return _gaussian_marginal(gaussian_radial(plus_var)), _minus_marginal(c, m, space)
 
 
 def joint_momentum_density(
@@ -332,14 +326,7 @@ class JointGrid:
         if self.crystal is not None:
             doc["crystal"] = params_dict(self.crystal)
         if self.model is not None:
-            doc["model"] = {
-                "kind": self.model.kind,
-                "profile": (
-                    None
-                    if self.model.profile is None
-                    else [list(seg) for seg in self.model.profile.segments]
-                ),
-            }
+            doc["model"] = self.model.as_dict()
         # strings escape their newlines, so this line can only be the key
         head, tail = json.dumps(doc, indent=1).split('\n "values": []', 1)
         reprs = _format_distinct(self.values.ravel(), float.__repr__)
@@ -353,28 +340,15 @@ class JointGrid:
         ax1 = _axis_from_doc(doc["axis1"])
         ax2 = _axis_from_doc(doc["axis2"])
         values = np.array(doc["values"], dtype=float).reshape(ax1.count, ax2.count)
-        pump = crystal = model = None
-        if "pump" in doc:
-            pump = PumpParams(**doc["pump"])
-        if "crystal" in doc:
-            crystal = CrystalParams(**doc["crystal"])
-        if "model" in doc:
-            d = doc["model"]
-            prof = (
-                None
-                if d["profile"] is None
-                else NonlinearityProfile(tuple(tuple(seg) for seg in d["profile"]))
-            )
-            model = PhaseMatchModel(d["kind"], prof)
         return cls(
             space=doc["space"],
             coords=doc["coords"],
             axis1=ax1,
             axis2=ax2,
             values=values,
-            pump=pump,
-            crystal=crystal,
-            model=model,
+            pump=PumpParams(**doc["pump"]) if "pump" in doc else None,
+            crystal=CrystalParams(**doc["crystal"]) if "crystal" in doc else None,
+            model=PhaseMatchModel.from_dict(doc["model"]) if "model" in doc else None,
         )
 
     def to_csv(self) -> str:
@@ -395,9 +369,6 @@ class JointGrid:
         del rows  # free the cell strings before the text is joined
         lines.append("")  # the trailing newline, without a second copy of the text
         return "\n".join(lines)
-
-
-_g9 = "{:.9g}".format
 
 
 def _axis_doc(ax: Axis) -> dict:

@@ -1,6 +1,8 @@
 """Self-contained numerical kernels: special functions (Si, E1 on the
-imaginary axis, the Fresnel integral, J0), a radial (order-0 Hankel) transform, bisection,
-discrete moment extraction, and the text formatting of float arrays.
+imaginary axis, the Fresnel integral, J0), the radially symmetric density
+record and its one 2D Gaussian, a radial (order-0 Hankel) transform,
+bisection, discrete moment extraction, and the text formatting of float
+arrays.
 
 Si and E1 on the imaginary axis are power series up to |x| = 4, the
 complex Fresnel integral up to |x| = 2; beyond, each is one continued
@@ -35,6 +37,8 @@ __all__ = [
     "exp1_i",
     "fresnel",
     "bessel_j0",
+    "RadialDensity",
+    "gaussian_radial",
     "RadialGrid",
     "hankel0",
     "find_root",
@@ -293,6 +297,40 @@ def bessel_j0(x):
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
+class RadialDensity(NamedTuple):
+    """A normalized, radially symmetric 2D density.
+
+    pdf: vectorized radius -> density.  half_range: radius capturing all
+    but a few 1e-4 of the mass.  sigma: per-axis standard deviation when
+    the density is Gaussian, else None (heavy-tailed sinc family).
+    marginal: the exact 1D marginal of a non-Gaussian density, vectorized
+    offset t -> integral of pdf(sqrt(t^2 + y^2)) over every y, else None.
+    """
+
+    pdf: Callable[[np.ndarray], np.ndarray]
+    half_range: float
+    sigma: float | None
+    marginal: Callable[[np.ndarray], np.ndarray] | None = None
+
+
+def gaussian_radial(var: float) -> RadialDensity:
+    """The 2D Gaussian of per-axis variance var, peak 1/(2 pi var),
+    windowed at 5 sigma: every Gaussian factor's one vectorized density."""
+
+    def pdf(r):
+        r = np.asarray(r, dtype=float)
+        return np.exp(-r * r / (2.0 * var)) / (2.0 * math.pi * var)
+
+    sigma = math.sqrt(var)
+    return RadialDensity(pdf=pdf, half_range=5.0 * sigma, sigma=sigma)
+
+
+def _radius(v) -> float:
+    # |v| of a scalar radius or a 2-vector
+    v = np.asarray(v, dtype=float)
+    return math.sqrt(float(v @ v)) if v.ndim == 1 else abs(float(v))
+
+
 @dataclass(frozen=True, eq=False)
 class RadialGrid:
     """Uniform midpoint samples of a radial function on (0, r_max].
@@ -424,6 +462,9 @@ def grid_moments(values, centers1, centers2) -> Moments:
     var2 = float(np.sum(cols * dy * dy)) / mass
     covar = float(np.sum(dx * np.einsum("ij,j->i", w, dy))) / mass
     return Moments(mean1, mean2, var1, var2, covar)
+
+
+_g9 = "{:.9g}".format  # the 9-significant-digit text of every CSV export
 
 
 def _format_distinct(values, fmt: Callable[[float], str]) -> list:

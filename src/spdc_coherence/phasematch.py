@@ -37,12 +37,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
 from .errors import ParseError, UnknownChoice
-from .numerics import exp1_i, find_root, fresnel, sinc
+from .numerics import RadialDensity, _radius, exp1_i, find_root, fresnel, gaussian_radial, sinc
 from .params import CrystalParams
 
 __all__ = [
@@ -60,7 +60,6 @@ __all__ = [
     "variance_rho_minus",
     "p_chi_momentum",
     "p_chi_position",
-    "RadialDensity",
     "momentum_radial_density",
     "position_radial_density",
 ]
@@ -183,6 +182,17 @@ class PhaseMatchModel:
     def from_profile(cls, prof: NonlinearityProfile) -> "PhaseMatchModel":
         return cls("profile", prof)
 
+    def as_dict(self) -> dict:
+        """{"kind", "profile"}, the profile as [z_start, z_end, chi2] lists
+        or None: how grid JSON and manifests record the model."""
+        segs = None if self.profile is None else [list(seg) for seg in self.profile.segments]
+        return {"kind": self.kind, "profile": segs}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "PhaseMatchModel":
+        """Inverse of ``as_dict``."""
+        return cls(d["kind"], None if d["profile"] is None else NonlinearityProfile(d["profile"]))
+
 
 EXACT_SINC = PhaseMatchModel("sinc")
 GAUSSIAN_APPROX = PhaseMatchModel("gauss")
@@ -280,12 +290,6 @@ def _placed_profile(c: CrystalParams, m: PhaseMatchModel) -> NonlinearityProfile
     return m.profile if m.kind == "profile" else NonlinearityProfile.boxcar(c, 1.0 / c.L)
 
 
-def _radius(v) -> float:
-    # |v| of a scalar radius or a 2-vector
-    v = np.asarray(v, dtype=float)
-    return math.sqrt(float(v @ v)) if v.ndim == 1 else abs(float(v))
-
-
 def p_chi_momentum(q_minus, c: CrystalParams, m: PhaseMatchModel) -> float:
     """Normalized anti-diagonal momentum density |chi(q^2/k_p)|^2 / norm
     at |q_minus|, read from ``momentum_radial_density(c, m).pdf``.
@@ -314,31 +318,6 @@ def p_chi_position(rho_minus, c: CrystalParams, m: PhaseMatchModel) -> float:
 
 
 # -- radial density providers for the joint module ---------------------------
-
-class RadialDensity(NamedTuple):
-    """A normalized, radially symmetric 2D density.
-
-    pdf: vectorized radius -> density.  half_range: radius capturing all
-    but a few 1e-4 of the mass.  sigma: per-axis standard deviation when
-    the density is Gaussian, else None (heavy-tailed sinc family).
-    marginal: the exact 1D marginal of a non-Gaussian density, vectorized
-    offset t -> integral of pdf(sqrt(t^2 + y^2)) over every y, else None.
-    """
-
-    pdf: Callable[[np.ndarray], np.ndarray]
-    half_range: float
-    sigma: float | None
-    marginal: Callable[[np.ndarray], np.ndarray] | None = None
-
-
-def _gaussian_radial(var: float) -> RadialDensity:
-    def pdf(r):
-        r = np.asarray(r, dtype=float)
-        return np.exp(-r * r / (2.0 * var)) / (2.0 * math.pi * var)
-
-    sigma = math.sqrt(var)
-    return RadialDensity(pdf=pdf, half_range=5.0 * sigma, sigma=sigma)
-
 
 def _momentum_norm(k_p: float, key: NonlinearityProfile) -> float:
     # integral of |chi(q^2/k_p)|^2 over the q plane, exact by Parseval:
@@ -431,7 +410,7 @@ def momentum_radial_density(c: CrystalParams, m: PhaseMatchModel) -> RadialDensi
     stack of n equal segments), and the marginal costs that many kernel
     evaluations per point, with memory of a few arrays of the points."""
     if m.kind == "gauss":
-        return _gaussian_radial(variance_q_minus(c))
+        return gaussian_radial(variance_q_minus(c))
     key = _modulus_key(c, m)
     norm = _momentum_norm(c.k_p, key)
     k_p = c.k_p
@@ -516,7 +495,7 @@ def _position_marginal(nodes: np.ndarray, vals: np.ndarray) -> Callable[[np.ndar
 def position_radial_density(c: CrystalParams, m: PhaseMatchModel) -> RadialDensity:
     """The anti-diagonal position density as a radial profile."""
     if m.kind == "gauss":
-        return _gaussian_radial(variance_rho_minus(c))
+        return gaussian_radial(variance_rho_minus(c))
     nodes, vals = _position_table(c, m)
 
     def pdf(r):

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import _radius, gaussian_radial
 from .params import PumpParams
 
 __all__ = [
@@ -87,17 +88,13 @@ def variance_q_plus(p: PumpParams) -> float:
 def p_gamma_position(p: PumpParams, rho_plus) -> float:
     """Normalized diagonal position density, a 2D Gaussian with per-axis
     variance 2 w^2.  Peak value 1/(4 pi w^2); no ell_c or R dependence."""
-    var = variance_rho_plus(p)
-    s = _sq(np.asarray(rho_plus, dtype=float))
-    return math.exp(-s / (2.0 * var)) / (2.0 * math.pi * var)
+    return float(gaussian_radial(variance_rho_plus(p)).pdf(_radius(rho_plus)))
 
 
 def p_gamma_momentum(p: PumpParams, q_plus) -> float:
     """Normalized diagonal momentum density, a 2D Gaussian with per-axis
     variance ``variance_q_plus(p)``."""
-    var = variance_q_plus(p)
-    s = _sq(np.asarray(q_plus, dtype=float))
-    return math.exp(-s / (2.0 * var)) / (2.0 * math.pi * var)
+    return float(gaussian_radial(variance_q_plus(p)).pdf(_radius(q_plus)))
 
 
 @dataclass(frozen=True)

@@ -3,13 +3,18 @@ Everything runs in-process through cli.main."""
 
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spdc_coherence import joint, phasematch
+from spdc_coherence import joint, phasematch, validation
 from spdc_coherence.cli import main
 from spdc_coherence.joint import JointGrid
+from spdc_coherence.validation import CheckResult
+
+ROOT = Path(__file__).resolve().parent.parent
 
 CONFIG = "pump.w = 10\npump.k_p = 10\ncrystal.L = 1000\n"
 
@@ -64,7 +69,7 @@ class TestJoint:
         assert grid.values.shape == (64, 64)
         assert "mass" in capsys.readouterr().out
         man = _read_json(out / "joint_manifest.json")
-        assert man["parameters"]["model"] == "sinc"
+        assert man["parameters"]["model"] == {"kind": "sinc", "profile": None}
         assert man["parameters"]["grid"] == 64
         assert sorted(man["outputs"]) == [
             "joint_momentum_rotated.csv",
@@ -73,6 +78,19 @@ class TestJoint:
         assert list(man["parameters"]) == ["pump", "crystal", "space", "coords", "grid", "model"]
         assert list(man["parameters"]["pump"]) == ["w", "ell_c", "R", "k_p"]
         assert list(man["parameters"]["crystal"]) == ["L", "z0", "alpha", "beta", "k_p"]
+
+    @pytest.mark.parametrize("model", ["sinc", "profile"])
+    def test_manifest_model_matches_grid(self, cfg, tmp_path, capsys, model):
+        prof = tmp_path / "stack.csv"
+        prof.write_text("0,500,1\n500,1000,-1\n", encoding="utf-8")
+        out = tmp_path / "out"
+        extra = ["--profile", str(prof)] if model == "profile" else []
+        assert main(["joint", "--config", cfg, "--out", str(out), "--grid", "64",
+                     "--model", model, *extra]) == 0
+        man = _read_json(out / "joint_manifest.json")
+        grid = _read_json(out / "joint_momentum_rotated.json")
+        assert man["parameters"]["model"] == grid["model"]
+        assert grid["model"]["kind"] == model
 
     def test_deterministic_reruns(self, cfg, tmp_path, capsys):
         """A cold run (minus-factor caches cleared) and a warm rerun write
@@ -172,11 +190,47 @@ class TestPhasematch:
                      "--model", "profile", "--profile", str(prof), "--n", "64"])
         assert code == 0
         man = _read_json(out / "phasematch_manifest.json")
-        assert man["parameters"]["profile_segments"] == [[0.0, 50.0, 1.0], [50.0, 100.0, -1.0]]
+        assert man["parameters"]["model"] == {
+            "kind": "profile", "profile": [[0.0, 50.0, 1.0], [50.0, 100.0, -1.0]],
+        }
 
     def test_bad_n(self, cfg, tmp_path, capsys):
         assert main(["phasematch", "--config", cfg, "--out", str(tmp_path / "o"),
                      "--n", "1"]) == 2
+
+
+class TestValidate:
+    def test_report_carries_every_field(self, tmp_path, capsys, monkeypatch):
+        results = [
+            CheckResult("below", True, 1e-12, 1e-9),
+            CheckResult("above", True, 6.0, 0.01, comparison=">", detail="why"),
+            CheckResult("broken", False, 1.0, 1e-9),
+        ]
+        monkeypatch.setattr(validation, "run_all", lambda: results)
+        out = tmp_path / "out"
+        assert main(["validate", "--out", str(out)]) == 1
+        report = _read_json(out / "validate_report.json")
+        assert [list(entry) for entry in report] == [list(CheckResult._fields)] * len(results)
+        assert report == [r._asdict() for r in results]
+        assert "validation failed at: broken" in capsys.readouterr().err
+
+
+def _readme_commands():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("spdc ")]
+
+
+@pytest.mark.parametrize("line", _readme_commands())
+def test_readme_command_runs(line, tmp_path, capsys, monkeypatch):
+    """Every `spdc` line of the README's command-line block exits 0, run
+    from the repository root with its outputs sent to a scratch directory."""
+    argv = shlex.split(line)[1:]
+    if "--out" in argv:
+        i = argv.index("--out")
+        del argv[i:i + 2]
+    monkeypatch.chdir(ROOT)
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 0
 
 
 class TestErrorPaths:
@@ -251,6 +305,22 @@ class TestErrorPaths:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
         assert not out.exists()
+
+    @pytest.mark.parametrize("coords", ["rotated", "lab"])
+    @pytest.mark.parametrize("space", ["momentum", "position"])
+    def test_tiny_crystal_length(self, tmp_path, capsys, recwarn, space, coords):
+        """A crystal so short that the minus factor overflows exits 2 with
+        one line, and numpy warns of nothing on the way."""
+        cfgp = tmp_path / "tiny.cfg"
+        cfgp.write_text("pump.w = 10\npump.k_p = 10\ncrystal.L = 1e-300\n", encoding="utf-8")
+        out = tmp_path / "o"
+        code = main(["joint", "--config", str(cfgp), "--out", str(out), "--space", space,
+                     "--coords", coords, "--grid", "64"])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: out of floating-point range:")
+        assert not out.exists()
+        assert len(recwarn) == 0
 
     @pytest.mark.parametrize("value", ["nan", "inf", "0"])
     def test_phasematch_bad_dk_max(self, cfg, tmp_path, capsys, value):

@@ -12,6 +12,7 @@ from oracles import BOUNDARY_TYPE1, BOUNDARY_TYPE2
 from spdc_coherence.entanglement import (
     ANTI,
     CORRELATED,
+    NONE,
     classify,
     classify_xy,
     product_mp,
@@ -110,6 +111,22 @@ class TestClassify:
         assert coherent.correlation_momentum == ANTI
         incoherent = classify(PumpParams(w=100.0, k_p=K_P, ell_c=5.0), c)
         assert incoherent.correlation_momentum == CORRELATED
+
+    def test_equal_widths_have_no_sense(self):
+        # var_q_plus = (1 + 4 w^2/ell_c^2)/(8 w^2) and var_q_minus =
+        # k_p/(2 alpha L) are both exactly 1 here
+        p = PumpParams(w=0.5, k_p=8.0, ell_c=1.0)
+        c = CrystalParams(L=8.0, k_p=8.0, alpha=0.5)
+        assert classify(p, c).correlation_momentum == NONE
+
+    def test_report_is_a_named_tuple(self):
+        rep = classify(*_cfg(w=5.0, L=10000.0))
+        assert tuple(rep) == tuple(rep._asdict().values())
+        assert list(rep._asdict()) == [
+            "product_pm", "product_mp", "type1", "type2",
+            "correlation_position", "correlation_momentum",
+        ]
+        assert rep._replace(type1=not rep.type1) != rep
 
     def test_enums_match_grid_orderings(self):
         """classify's correlation senses agree with numerical width orderings

@@ -341,6 +341,17 @@ class TestSerialization:
         assert list(doc["pump"]) == ["w", "ell_c", "R", "k_p"]
         assert list(doc["crystal"]) == ["L", "z0", "alpha", "beta", "k_p"]
 
+    def test_json_round_trip_profile_model(self):
+        axes = default_axes(PUMP, CRYSTAL, POLED_PAIR, "momentum", "rotated", 64)
+        g = evaluate_grid(PUMP, CRYSTAL, POLED_PAIR, "momentum", "rotated", axes)
+        text = g.to_json()
+        back = JointGrid.from_json(text)
+        assert back.model == POLED_PAIR
+        assert json.loads(text)["model"] == {
+            "kind": "profile", "profile": [[0.0, 500.0, 1.0], [500.0, 1000.0, -1.0]],
+        }
+        assert back.to_json() == text
+
     def test_json_metadata_optional(self):
         ax = Axis(-1.0, 1.0, 8, "a")
         g = JointGrid(space="position", coords="lab", axis1=ax, axis2=ax,

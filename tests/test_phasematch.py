@@ -136,6 +136,12 @@ class TestProfiles:
         hi = chi_tilde_profile(edge * (1.0 + 1e-6), prof)
         assert abs(lo - hi) < 1e-8 * abs(lo)
 
+    def test_zero_amplitude_segment_adds_nothing(self):
+        dk = np.linspace(-0.3, 0.3, 41)
+        gapped = NonlinearityProfile(((0.0, 50.0, 1.0), (80.0, 100.0, -1.0)))
+        filled = NonlinearityProfile(((0.0, 50.0, 1.0), (50.0, 80.0, 0.0), (80.0, 100.0, -1.0)))
+        assert np.array_equal(chi_tilde_profile(dk, filled), chi_tilde_profile(dk, gapped))
+
     def test_dc_is_signed_area(self):
         assert chi_tilde_profile(0.0, NonlinearityProfile.alternating(4, 25.0)) == 0.0 + 0.0j
         assert chi_tilde_profile(0.0, NonlinearityProfile.boxcar(C_EXIT)).real == pytest.approx(L)
