@@ -9,14 +9,14 @@ marginals; in rotated coordinates the factorization is exact by
 construction (outer product), in lab coordinates the axes mix and the
 density develops the familiar tilted-ellipse correlations.
 
-Each factor is a frozen _Marginal1D: _gaussian_marginal builds the
-closed-form one of a Gaussian factor, _tabulated_marginal the
-interpolation table of a heavy-tailed radial density, on 4097 nodes
-across its window, from the exact marginal that the density carries
-(phasematch decides how each density projects).  Only the minus factor
-can need a table, and it does not depend on the pump: it is cached per
-(crystal, model, space), so a sweep over pump coherence builds it once.
-The plus factor is always Gaussian and never cached.
+Each factor is a _Factor (marginal, 1/e half-width, window) that _factor
+builds from a radial density's exact marginal (phasematch decides how
+each density projects): a Gaussian passes its closed form through, a
+heavy-tailed density is tabulated once on 4097 nodes across its window.
+Only the minus factor can need a table, and it does not depend on the
+pump: it is cached per (crystal, model, space), so a sweep over pump
+coherence builds it once.  The plus factor is always Gaussian and never
+cached.
 
 Grid values are raw samples of the normalized joint density at cell
 centres; nothing is renormalized after sampling, so cell sums are an
@@ -43,6 +43,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -100,45 +101,26 @@ def _ladder(mid: float, n: int, step: float) -> np.ndarray:
     return mid + (np.arange(n) - 0.5 * (n - 1)) * step
 
 
-@dataclass(frozen=True, eq=False)
-class _Marginal1D:
-    """1D marginal of a radially symmetric 2D factor: closed form when
-    sigma is set (Gaussian factors), else linear interpolation in the
-    (nodes, vals) table, zero beyond it.  width_half is the 1/e half-width
-    of the marginal, the resolution scale the grid guard works with;
-    half_range_default is the +/- window default axes use.
-    """
+class _Factor(NamedTuple):
+    """One factor of the joint density.  marginal: its 1D marginal,
+    vectorized offset t -> density.  width_half: the marginal's 1/e
+    half-width, the resolution scale the grid guard works with.  window:
+    the +/- half-range default axes span."""
 
+    marginal: Callable[[np.ndarray], np.ndarray]
     width_half: float
-    half_range_default: float
-    sigma: float | None = None
-    nodes: np.ndarray | None = None
-    vals: np.ndarray | None = None
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.sigma is not None:
-            s2 = self.sigma * self.sigma
-            out = np.exp(-t * t / (2.0 * s2)) / math.sqrt(2.0 * math.pi * s2)
-        else:
-            out = np.interp(np.abs(t), self.nodes, self.vals, right=0.0)
-        return float(out) if out.ndim == 0 else out
+    window: float
 
 
-def _gaussian_marginal(radial: RadialDensity) -> _Marginal1D:
-    """Closed-form marginal of a Gaussian factor, over the density's window."""
-    return _Marginal1D(_SQRT2 * radial.sigma, radial.half_range, sigma=radial.sigma)
-
-
-def _tabulated_marginal(radial: RadialDensity) -> _Marginal1D:
-    """Marginal of a non-Gaussian radial density, tabulated once from the
-    density's own exact marginal."""
+def _factor(radial: RadialDensity) -> _Factor:
+    """The factor of a radial density: a Gaussian's closed-form marginal, or
+    any other density's exact marginal tabulated once across its window and
+    read by linear interpolation, zero beyond the table."""
+    if radial.sigma is not None:
+        return _Factor(radial.marginal, _SQRT2 * radial.sigma, radial.half_range)
     span = radial.half_range
     nodes = np.linspace(0.0, span, _MARGINAL_NODES)
     vals = radial.marginal(nodes)
-    # shared by every pump through the minus-factor cache
-    nodes.setflags(write=False)
-    vals.setflags(write=False)
     width_half = _width_from_table(nodes, vals)
     # default window by mass quantile: the sinc-family tails decay like
     # 1/t^2 in captured mass, so a fixed multiple of the 1/e width would
@@ -146,8 +128,11 @@ def _tabulated_marginal(radial: RadialDensity) -> _Marginal1D:
     cum = np.concatenate(([0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * np.diff(nodes))))
     idx = int(np.searchsorted(cum, (1.0 - 1e-3) * cum[-1]))
     quantile = float(nodes[min(idx, nodes.size - 1)])
-    half_range_default = min(span, max(quantile, 5.0 * width_half))
-    return _Marginal1D(width_half, half_range_default, nodes=nodes, vals=vals)
+
+    def marginal(t):
+        return np.interp(np.abs(t), nodes, vals, right=0.0)
+
+    return _Factor(marginal, width_half, min(span, max(quantile, 5.0 * width_half)))
 
 
 def _width_from_table(nodes, vals) -> float:
@@ -167,15 +152,14 @@ def _width_from_table(nodes, vals) -> float:
 
 
 @lru_cache(maxsize=32)
-def _minus_marginal(c: CrystalParams, m: PhaseMatchModel, space: str) -> _Marginal1D:
-    """The anti-diagonal marginal: phase matching only, so one build per
+def _minus_marginal(c: CrystalParams, m: PhaseMatchModel, space: str) -> _Factor:
+    """The anti-diagonal factor: phase matching only, so one build per
     (crystal, model, space) serves every pump."""
-    radial = (momentum_radial_density if space == "momentum" else position_radial_density)(c, m)
-    return _tabulated_marginal(radial) if radial.sigma is None else _gaussian_marginal(radial)
+    return _factor((momentum_radial_density if space == "momentum" else position_radial_density)(c, m))
 
 
 def _factor_pair(p: PumpParams, c: CrystalParams, m: PhaseMatchModel, space: str):
-    """(plus marginal, minus marginal) for the requested space."""
+    """(plus factor, minus factor) for the requested space."""
     if p.k_p != c.k_p:
         raise ParameterMismatch("pump and crystal disagree on k_p")
     if space == "momentum":
@@ -184,7 +168,13 @@ def _factor_pair(p: PumpParams, c: CrystalParams, m: PhaseMatchModel, space: str
         plus_var = variance_rho_plus(p)
     else:
         raise UnknownChoice(f"unknown space {space!r}, expected 'momentum' or 'position'")
-    return _gaussian_marginal(gaussian_radial(plus_var)), _minus_marginal(c, m, space)
+    return _factor(gaussian_radial(plus_var)), _minus_marginal(c, m, space)
+
+
+def _product(plus: _Factor, minus: _Factor, s, i):
+    """The joint density at signal s and idler i: the plus marginal at
+    (s + i)/sqrt2 times the minus marginal at (s - i)/sqrt2."""
+    return plus.marginal((s + i) / _SQRT2) * minus.marginal((s - i) / _SQRT2)
 
 
 def joint_momentum_density(
@@ -193,16 +183,14 @@ def joint_momentum_density(
     """Joint density of one transverse momentum component per photon,
     evaluated pointwise: product of the diagonal and anti-diagonal
     marginals at (q_s + q_i)/sqrt2 and (q_s - q_i)/sqrt2."""
-    plus, minus = _factor_pair(p, c, m, "momentum")
-    return float(plus((q_s_x + q_i_x) / _SQRT2) * minus((q_s_x - q_i_x) / _SQRT2))
+    return float(_product(*_factor_pair(p, c, m, "momentum"), q_s_x, q_i_x))
 
 
 def joint_position_density(
     p: PumpParams, c: CrystalParams, m: PhaseMatchModel, rho_s_x: float, rho_i_x: float
 ) -> float:
     """Position-space counterpart of joint_momentum_density."""
-    plus, minus = _factor_pair(p, c, m, "position")
-    return float(plus((rho_s_x + rho_i_x) / _SQRT2) * minus((rho_s_x - rho_i_x) / _SQRT2))
+    return float(_product(*_factor_pair(p, c, m, "position"), rho_s_x, rho_i_x))
 
 
 _LABELS = {
@@ -228,9 +216,8 @@ def default_axes(
     plus, minus = _factor_pair(p, c, m, space)
     la, lb = _LABELS[(space, coords)]
     if coords == "rotated":
-        hp, hm = plus.half_range_default, minus.half_range_default
-        return Axis(-hp, hp, count, la), Axis(-hm, hm, count, lb)
-    h = (plus.half_range_default + minus.half_range_default) / _SQRT2
+        return Axis(-plus.window, plus.window, count, la), Axis(-minus.window, minus.window, count, lb)
+    h = (plus.window + minus.window) / _SQRT2
     return Axis(-h, h, count, la), Axis(-h, h, count, lb)
 
 
@@ -239,19 +226,15 @@ def _check_coords(coords: str):
         raise UnknownChoice(f"unknown coords {coords!r}, expected 'lab' or 'rotated'")
 
 
-def _check_resolution(plus: _Marginal1D, minus: _Marginal1D, coords: str, ax1: Axis, ax2: Axis):
+def _check_resolution(plus: _Factor, minus: _Factor, coords: str, ax1: Axis, ax2: Axis):
     # each factor's full 1/e width must span at least 4 cells; in lab
     # coordinates a rotated-frame feature of width W crosses an axis over
     # W*sqrt2, which relaxes the step requirement by sqrt2
-    checks = []
     if coords == "rotated":
-        checks.append((2.0 * plus.width_half, ax1))
-        checks.append((2.0 * minus.width_half, ax2))
+        widths = (2.0 * plus.width_half, 2.0 * minus.width_half)
     else:
-        w = 2.0 * min(plus.width_half, minus.width_half) * _SQRT2
-        checks.append((w, ax1))
-        checks.append((w, ax2))
-    for width, ax in checks:
+        widths = (2.0 * min(plus.width_half, minus.width_half) * _SQRT2,) * 2
+    for width, ax in zip(widths, (ax1, ax2)):
         if width < 4.0 * ax.step:
             need = math.ceil(4.0 * (ax.hi - ax.lo) / width)
             raise GridTooCoarse(
@@ -407,20 +390,20 @@ def evaluate_grid(
     _check_resolution(plus, minus, coords, ax1, ax2)
 
     if coords == "rotated":
-        values = np.outer(plus(ax1.centers), minus(ax2.centers))
+        values = np.outer(plus.marginal(ax1.centers), minus.marginal(ax2.centers))
     elif ax1.step == ax2.step:
         # s_k + i_j is sums[k + j], s_k - i_j is diffs[k - j + n2 - 1]
         n2 = ax2.count
         n = ax1.count + n2 - 1
         mid1, mid2 = 0.5 * (ax1.lo + ax1.hi), 0.5 * (ax2.lo + ax2.hi)
-        sums = plus(_ladder(mid1 + mid2, n, ax1.step) / _SQRT2)
-        diffs = minus(_ladder(mid1 - mid2, n, ax1.step) / _SQRT2)
+        sums = plus.marginal(_ladder(mid1 + mid2, n, ax1.step) / _SQRT2)
+        diffs = minus.marginal(_ladder(mid1 - mid2, n, ax1.step) / _SQRT2)
         values = sliding_window_view(sums, n2) * sliding_window_view(diffs, n2)[:, ::-1]
     else:
         i = ax2.centers
         values = np.empty((ax1.count, ax2.count))
         for k, s in enumerate(ax1.centers):
-            values[k] = plus((s + i) / _SQRT2) * minus((s - i) / _SQRT2)
+            values[k] = _product(plus, minus, s, i)
 
     values.setflags(write=False)  # the grid takes it over without a copy
     return JointGrid(

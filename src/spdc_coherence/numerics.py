@@ -303,26 +303,32 @@ class RadialDensity(NamedTuple):
     pdf: vectorized radius -> density.  half_range: radius capturing all
     but a few 1e-4 of the mass.  sigma: per-axis standard deviation when
     the density is Gaussian, else None (heavy-tailed sinc family).
-    marginal: the exact 1D marginal of a non-Gaussian density, vectorized
-    offset t -> integral of pdf(sqrt(t^2 + y^2)) over every y, else None.
+    marginal: the exact 1D marginal, always set, vectorized offset t ->
+    integral of pdf(sqrt(t^2 + y^2)) over every y.
     """
 
     pdf: Callable[[np.ndarray], np.ndarray]
     half_range: float
     sigma: float | None
-    marginal: Callable[[np.ndarray], np.ndarray] | None = None
+    marginal: Callable[[np.ndarray], np.ndarray]
 
 
 def gaussian_radial(var: float) -> RadialDensity:
-    """The 2D Gaussian of per-axis variance var, peak 1/(2 pi var),
-    windowed at 5 sigma: every Gaussian factor's one vectorized density."""
+    """The 2D Gaussian of per-axis variance var, peak 1/(2 pi var), windowed
+    at 5 sigma, and its 1D marginal: every Gaussian factor's one density."""
 
     def pdf(r):
         r = np.asarray(r, dtype=float)
         return np.exp(-r * r / (2.0 * var)) / (2.0 * math.pi * var)
 
     sigma = math.sqrt(var)
-    return RadialDensity(pdf=pdf, half_range=5.0 * sigma, sigma=sigma)
+    s2 = sigma * sigma  # may round apart from var; grid bits follow s2
+
+    def marginal(t):
+        t = np.asarray(t, dtype=float)
+        return np.exp(-t * t / (2.0 * s2)) / math.sqrt(2.0 * math.pi * s2)
+
+    return RadialDensity(pdf=pdf, half_range=5.0 * sigma, sigma=sigma, marginal=marginal)
 
 
 def _radius(v) -> float:

@@ -175,8 +175,8 @@ def read_config(text: str, source: str = "<config>") -> tuple[PumpParams, Crysta
 
 
 def load_params(path) -> tuple[PumpParams, CrystalParams]:
-    """``read_config`` on a file path."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """``read_config`` on a file path; a leading byte-order mark is skipped."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return read_config(fh.read(), source=str(path))
 
 

@@ -130,28 +130,38 @@ class NonlinearityProfile:
         return cls(segs)
 
 
+def _is_number(field: str) -> bool:
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return True
+
+
 def load_profile(path) -> NonlinearityProfile:
     """Read a profile from CSV rows of (z_start, z_end, chi2).
 
-    '#' comments and blank lines are skipped; a single non-numeric header
-    row is tolerated.  Malformed rows raise ParseError with the line number.
+    '#' comments, blank lines and a leading byte-order mark are skipped.
+    The first row may be a header, and is skipped, only when none of its
+    fields is a number.  Malformed rows raise ParseError with the line number.
     """
     segments: list[tuple[float, float, float]] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    rows = 0
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
+            rows += 1
             parts = [p.strip() for p in line.split(",")]
             if len(parts) != 3:
                 raise ParseError(str(path), lineno, f"expected 3 comma-separated values, got {len(parts)}")
             try:
-                seg = (float(parts[0]), float(parts[1]), float(parts[2]))
+                segments.append(tuple(map(float, parts)))
             except ValueError:
-                if lineno == 1 and not segments:
+                if rows == 1 and not any(map(_is_number, parts)):
                     continue  # header row
                 raise ParseError(str(path), lineno, f"cannot parse row {line!r}") from None
-            segments.append(seg)
     if not segments:
         raise ParseError(str(path), 0, "no profile segments found")
     try:

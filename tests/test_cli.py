@@ -272,6 +272,16 @@ class TestErrorPaths:
                      "--model", "profile", "--profile", str(prof)])
         assert code == 2
 
+    def test_profile_typo_on_first_row(self, cfg, tmp_path, capsys):
+        """A typo on line 1 is reported, not taken for a header and dropped."""
+        prof = tmp_path / "p.csv"
+        prof.write_text("0,5OO,1\n500,1000,-1\n", encoding="utf-8")
+        code = main(["joint", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--model", "profile", "--profile", str(prof), "--grid", "64"])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "p.csv:1:" in err[0]
+
     @pytest.mark.parametrize("flag, value", [
         ("--alpha", "0"), ("--alpha", "-0.5"), ("--alpha", "nan"), ("--alpha", "inf"),
         ("--x-max", "nan"), ("--x-max", "inf"), ("--y-max", "nan"), ("--y-max", "inf"),

@@ -54,6 +54,15 @@ POLED_PAIR = PhaseMatchModel.from_profile(NonlinearityProfile.alternating(2, 500
 SQRT2 = math.sqrt(2.0)
 
 
+def _minus_table(c, m, space):
+    """(nodes, values) of the minus factor's table: the nodes span the
+    radial density's window, and np.interp returns the table value exactly
+    at a node."""
+    radial = (momentum_radial_density if space == "momentum" else position_radial_density)(c, m)
+    nodes = np.linspace(0.0, radial.half_range, joint._MARGINAL_NODES)
+    return nodes, joint._minus_marginal(c, m, space).marginal(nodes)
+
+
 def _minus_factor(p, c, m, space, t):
     """Extract the anti-diagonal 1D marginal through the public pointwise
     densities: at (t/sqrt2, -t/sqrt2) the diagonal argument is zero."""
@@ -124,7 +133,7 @@ class TestPointwiseDensities:
             got = _minus_factor(PUMP, CRYSTAL, POLED_PAIR, "momentum", t)
             assert got == pytest.approx(want, rel=5e-4)
         for model, segments in ((EXACT_SINC, ((0.0, CRYSTAL.L, 1.0 / CRYSTAL.L),)), (POLED_PAIR, segments)):
-            nodes = joint._minus_marginal(CRYSTAL, model, "momentum").nodes
+            nodes, _ = _minus_table(CRYSTAL, model, "momentum")
             for k in (2048, 3072, 3686, 4055, 4096):  # 0.5 to 1 of the window
                 t = float(nodes[k])
                 want = profile_momentum_marginal(t, K_P, segments)
@@ -147,10 +156,10 @@ class TestPointwiseDensities:
         ):
             density = lambda y: float(e1_position_radial(y, K_P, segments))
             want = 2.0 * sum(quad_osc(density, a, b) for a, b in zip(cuts, cuts[1:]))
-            minus = joint._minus_marginal(CRYSTAL, model, "position")
+            _, vals = _minus_table(CRYSTAL, model, "position")
             got = _minus_factor(PUMP, CRYSTAL, model, "position", 0.0)
             # observed 1.6e-4 (sinc) and 2.3e-4 (poled pair) of the peak
-            assert abs(got - want) <= 3e-4 * float(np.max(minus.vals))
+            assert abs(got - want) <= 3e-4 * float(np.max(vals))
 
     def test_position_ignores_coherence(self):
         pts = [(12.0, -3.0), (0.0, 0.0), (-80.0, 40.0)]
@@ -503,7 +512,7 @@ def _per_cell(g):
     plus, minus = joint._factor_pair(g.pump, g.crystal, g.model, g.space)
     s = g.axis1.centers[:, None]
     i = g.axis2.centers[None, :]
-    return plus((s + i) / SQRT2) * minus((s - i) / SQRT2)
+    return plus.marginal((s + i) / SQRT2) * minus.marginal((s - i) / SQRT2)
 
 
 # default lab routes, each fine enough for its grid guard
@@ -581,6 +590,25 @@ class TestMinusFactorCache:
         assert info.misses == 0 and info.currsize == 0
 
 
+class TestFactor:
+    def test_gaussian_passes_its_marginal_through(self):
+        radial = momentum_radial_density(CRYSTAL, GAUSSIAN_APPROX)
+        factor = joint._factor(radial)
+        assert factor.marginal is radial.marginal
+        assert factor.width_half == SQRT2 * radial.sigma
+        assert factor.window == radial.half_range
+
+    @pytest.mark.parametrize("space", ["momentum", "position"])
+    def test_table_reads_zero_beyond_its_window(self, space):
+        radial = (momentum_radial_density if space == "momentum" else position_radial_density)(CRYSTAL, EXACT_SINC)
+        factor = joint._factor(radial)
+        span = radial.half_range
+        beyond = np.array([1.0 + 1e-9, 1.5, 10.0]) * span
+        assert factor.marginal(beyond).tolist() == [0.0] * 3
+        assert factor.marginal(-beyond).tolist() == [0.0] * 3
+        assert float(factor.marginal(0.5 * span)) > 0.0
+
+
 class TestClosedFormMarginal:
     def test_cold_marginal_reads_no_density(self):
         """Every non-Gaussian minus marginal comes from the density's closed
@@ -600,7 +628,7 @@ class TestClosedFormMarginal:
                 reads.append(np.size(r))
                 return pdf(r)
 
-            joint._tabulated_marginal(radial._replace(pdf=counted))
+            joint._factor(radial._replace(pdf=counted))
             assert reads == []
 
     @pytest.mark.parametrize(
@@ -627,7 +655,7 @@ class TestClosedFormMarginal:
             return kernel(x)
 
         monkeypatch.setattr(phasematch, "_ramp_kernel", counted)
-        joint._tabulated_marginal(momentum_radial_density(CRYSTAL, model))
+        joint._factor(momentum_radial_density(CRYSTAL, model))
         assert calls == [joint._MARGINAL_NODES] * lags
 
     def test_long_stack_lags_in_small_memory(self):
@@ -654,11 +682,11 @@ class TestClosedFormMarginal:
         1e-4 of the peak."""
         segments = ((0.0, 999.0, 1.0), (999.0, 1000.0, -1.0))
         model = PhaseMatchModel.from_profile(NonlinearityProfile(segments))
-        minus = joint._minus_marginal(CRYSTAL, model, "momentum")
-        peak = float(minus.vals[0])
+        nodes, vals = _minus_table(CRYSTAL, model, "momentum")
+        peak = float(vals[0])
         for k in (0, 1, 2, 3, 5, 16, 256, 4096):
-            want = profile_momentum_marginal(float(minus.nodes[k]), K_P, segments)
-            assert abs(float(minus.vals[k]) - want) <= 1e-4 * peak
+            want = profile_momentum_marginal(float(nodes[k]), K_P, segments)
+            assert abs(float(vals[k]) - want) <= 1e-4 * peak
 
 
     @pytest.mark.parametrize(
@@ -671,13 +699,13 @@ class TestClosedFormMarginal:
         matches a 2^21-node midpoint projection of the same pdf within 1e-9
         of the peak (observed below 1e-11)."""
         radial = position_radial_density(crystal, model)
-        minus = joint._minus_marginal(crystal, model, "position")
-        peak = float(np.max(minus.vals))
+        nodes, vals = _minus_table(crystal, model, "position")
+        peak = float(np.max(vals))
         n = 2**21
         for k in (16, 256, 2048, 4000):
-            t = float(minus.nodes[k])
+            t = float(nodes[k])
             # the pdf drops to zero at the table's last node
             h = math.sqrt(radial.half_range**2 - t * t) / n
             y = (np.arange(n) + 0.5) * h
             want = 2.0 * h * float(np.sum(radial.pdf(np.hypot(t, y))))
-            assert abs(float(minus.vals[k]) - want) <= 1e-9 * peak
+            assert abs(float(vals[k]) - want) <= 1e-9 * peak

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import SI_AT_1, SI_AT_PI, gaussian_2d
-from scipy import special
+from scipy import integrate, special
 
 from spdc_coherence import numerics
 from spdc_coherence.errors import (
@@ -27,6 +27,7 @@ from spdc_coherence.numerics import (
     exp1_i,
     find_root,
     fresnel,
+    gaussian_radial,
     grid_moments,
     hankel0,
     sine_integral,
@@ -327,11 +328,31 @@ class TestFindRoot:
         assert a == b
         assert abs(a - 2.0 ** (1.0 / 3.0)) < 1e-13
 
+    def test_stops_at_float_resolution(self):
+        """tol = 0 is never met: the loop ends once the bracket midpoint
+        falls on an endpoint, next to the root."""
+        got = find_root(lambda t: t * t - 2.0, 1.0, 2.0, tol=0.0)
+        assert abs(got - math.sqrt(2.0)) <= math.ulp(math.sqrt(2.0))
+
     @given(st.floats(min_value=-5.0, max_value=5.0, allow_nan=False))
     @settings(max_examples=50)
     def test_recovers_linear_root(self, r):
         got = find_root(lambda x: x - r, -6.0, 6.0, tol=1e-12)
         assert abs(got - r) < 1e-11
+
+
+class TestGaussianRadial:
+    @pytest.mark.parametrize("var", [0.04, 1.0, 37.5])
+    def test_marginal_projects_pdf(self, var):
+        """The closed-form 1D marginal integrates to one and is the
+        projection of the density's own pdf over the other axis."""
+        g = gaussian_radial(var)
+        mass, _ = integrate.quad(g.marginal, -math.inf, math.inf)
+        assert mass == pytest.approx(1.0, rel=1e-12)
+        for t in (0.0, 0.3, 1.0, 2.5):
+            x = t * g.sigma
+            want, _ = integrate.quad(lambda y: float(g.pdf(math.hypot(x, y))), -math.inf, math.inf)
+            assert float(g.marginal(x)) == pytest.approx(want, rel=1e-10)
 
 
 class TestRadialGrid:

@@ -169,6 +169,13 @@ def test_load_params(tmp_path):
         load_params(bad)
 
 
+def test_load_params_skips_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.cfg"
+    path.write_text("\ufeff" + MINIMAL, encoding="utf-8")
+    p, c = load_params(path)
+    assert p.w == 10.0 and c.L == 1000.0
+
+
 def test_example_config_parses():
     import pathlib
 

@@ -47,6 +47,7 @@ from spdc_coherence.phasematch import (
 K_P, L = 10.0, 1000.0
 C_EXIT = CrystalParams(L=L, k_p=K_P)  # z0 defaults to L
 C_MID = CrystalParams(L=L, k_p=K_P, z0=L / 2.0)
+POLED_PAIR = PhaseMatchModel.from_profile(NonlinearityProfile.alternating(2, 500.0))
 
 
 class TestCalibration:
@@ -192,6 +193,25 @@ class TestLoadProfile:
         path = tmp_path / "prof.csv"
         path.write_text("0,100,1\n", encoding="utf-8")
         assert load_profile(path).extent == (0.0, 100.0)
+
+    @pytest.mark.parametrize("first", ["0,500,1x", "0,5OO,1", "z_start,500,1"])
+    def test_first_row_with_a_number_is_not_a_header(self, tmp_path, first):
+        """A typo in the first row is an error, not a header to skip: only
+        a row none of whose fields is a number can be the header."""
+        path = tmp_path / "prof.csv"
+        path.write_text(f"{first}\n500,1000,-1\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=r":1: cannot parse row"):
+            load_profile(path)
+
+    def test_byte_order_mark_keeps_first_row(self, tmp_path):
+        path = tmp_path / "prof.csv"
+        path.write_text("\ufeff0,500,1\n500,1000,-1\n", encoding="utf-8")
+        assert load_profile(path).segments == ((0.0, 500.0, 1.0), (500.0, 1000.0, -1.0))
+
+    def test_header_after_comment(self, tmp_path):
+        path = tmp_path / "prof.csv"
+        path.write_text("# poled pair\nz_start,z_end,chi2\n0,50,1\n50,100,-1\n", encoding="utf-8")
+        assert load_profile(path).segments == ((0.0, 50.0, 1.0), (50.0, 100.0, -1.0))
 
     def test_bad_row_line_number(self, tmp_path):
         path = tmp_path / "prof.csv"
@@ -380,8 +400,8 @@ class TestRadialDensities:
     @pytest.mark.parametrize(
         "model",
         [EXACT_SINC, GAUSSIAN_APPROX,
-         PhaseMatchModel.from_profile(NonlinearityProfile.alternating(8, 125.0))],
-        ids=["sinc", "gauss", "profile"],
+         PhaseMatchModel.from_profile(NonlinearityProfile.alternating(8, 125.0)), POLED_PAIR],
+        ids=["sinc", "gauss", "profile", "poled_pair"],
     )
     @pytest.mark.parametrize(
         "radial,pointwise,scale",
@@ -390,7 +410,10 @@ class TestRadialDensities:
         ids=["momentum", "position"],
     )
     def test_pdf_matches_pointwise(self, radial, pointwise, scale, model, c):
+        """The pointwise densities read the radial pdf, and every radial
+        density carries its 1D marginal."""
         rd = radial(c, model)
+        assert callable(rd.marginal)
         radii = scale * np.array([0.0, 0.37, 1.0, 2.5, 7.0])
         got = np.array([pointwise(float(r), c, model) for r in radii])
         assert got.tolist() == [float(rd.pdf(r)) for r in radii]

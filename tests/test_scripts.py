@@ -1,4 +1,5 @@
-"""The two scripts in scripts/ run end to end, in-process, on small inputs."""
+"""The two scripts in scripts/ and the README's Python example run end to
+end, in-process, on small inputs."""
 
 import pathlib
 import runpy
@@ -6,7 +7,8 @@ import sys
 
 import pytest
 
-SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 @pytest.mark.parametrize(
@@ -46,3 +48,13 @@ def test_script_rejects_bad_input(name, argv, monkeypatch, capsys, tmp_path):
     err = capsys.readouterr().err.strip().splitlines()
     assert err[-1].startswith(f"{name}: error:")
     assert not csv_path.exists()
+
+
+def test_readme_python_example_runs(capsys):
+    """The README's one Python block runs as written, so a renamed library
+    name fails here rather than in a reader's session."""
+    blocks = (ROOT / "README.md").read_text(encoding="utf-8").split("```python\n")[1:]
+    assert len(blocks) == 1
+    exec(compile(blocks[0].split("```", 1)[0], "README.md", "exec"), {})
+    out = capsys.readouterr().out
+    assert out.startswith("WitnessReport(") and "# joint density, space=momentum, coords=rotated" in out
