@@ -11,6 +11,8 @@ neither.  A CSV of all cells can be kept for proper plotting.
 import argparse
 import sys
 
+import numpy as np
+
 from spdc_coherence import NonPositiveParameter, sweep_phase_diagram
 from spdc_coherence.entanglement import sweep_to_csv
 
@@ -25,19 +27,20 @@ def main() -> int:
     ap.add_argument("--csv", help="optional output CSV path")
     args = ap.parse_args()
     try:
-        cells = sweep_phase_diagram((0.0, args.x_max), (0.0, args.y_max), args.nx, args.ny, args.alpha)
+        diagram = sweep_phase_diagram((0.0, args.x_max), (0.0, args.y_max), args.nx, args.ny, args.alpha)
     except NonPositiveParameter as exc:
         ap.error(str(exc))
 
-    glyph = {"type1_antipos_corrmom": "#", "type2_pos_antimom": "o", "none": "."}
-    # cells are row-major in x then y; print the largest y first
-    for j in reversed(range(args.ny)):
-        print("".join(glyph[cells[i * args.ny + j].classification] for i in range(args.nx)))
+    # glyphs indexed by type1 + 2 type2; the masks are (nx, ny), so
+    # transpose and print the largest y first
+    rows = np.array([".", "#", "o"])[(diagram.type1 + 2 * diagram.type2).T[::-1]]
+    for row in rows.tolist():
+        print("".join(row))
     print(f"alpha={args.alpha}: '#' immune witness, 'o' coherence-fragile witness, '.' neither")
 
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(sweep_to_csv(cells))
+            fh.write(sweep_to_csv(diagram))
         print(f"wrote {args.csv}")
     return 0
 

@@ -14,6 +14,7 @@ from .entanglement import (
     ANTI,
     CORRELATED,
     NONE,
+    PhaseDiagram,
     PhaseDiagramCell,
     WitnessReport,
     classify,

@@ -89,11 +89,11 @@ def cmd_joint(args, write):
 
 
 def cmd_phase_diagram(args, write):
-    cells = sweep_phase_diagram((0.0, args.x_max), (0.0, args.y_max), args.nx, args.ny, args.alpha)
-    write("phase_diagram.csv", sweep_to_csv(cells))
-    total = len(cells)
-    frac1 = sum(cell.type1 for cell in cells) / total
-    frac2 = sum(cell.type2 for cell in cells) / total
+    diagram = sweep_phase_diagram((0.0, args.x_max), (0.0, args.y_max), args.nx, args.ny, args.alpha)
+    write("phase_diagram.csv", sweep_to_csv(diagram))
+    total = len(diagram)
+    frac1 = np.count_nonzero(diagram.type1) / total
+    frac2 = np.count_nonzero(diagram.type2) / total
     print(
         f"phase diagram {args.nx}x{args.ny}, alpha={args.alpha}: "
         f"type1 area fraction {frac1:.4f}, type2 area fraction {frac2:.4f}, "

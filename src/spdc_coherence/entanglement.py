@@ -20,18 +20,26 @@ the Gaussian phase-matching width alpha:
 In exact arithmetic the regions never touch, for any alpha > 0: the
 second bound gives y^2 < 4 / (alpha + 1/alpha), which is below the 4 / alpha
 of the first.  The sweep asserts this, to catch rounding.
+
+sweep_phase_diagram returns a PhaseDiagram: the x and y cell centres and
+the two verdict masks as read-only columns, one array pass for the whole
+grid.  It reads as a sequence of PhaseDiagramCell, each equal to
+classify_xy at its centre, and sweep_to_csv writes it from the columns.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
+from dataclasses import dataclass
 from itertools import product
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NonPositiveParameter
-from .numerics import _format_distinct, _g9
+from .numerics import _g9
 from .params import CrystalParams, PumpParams
 from .phasematch import variance_q_minus, variance_rho_minus
 from .pump import variance_q_plus, variance_rho_plus
@@ -42,6 +50,7 @@ __all__ = [
     "NONE",
     "WitnessReport",
     "PhaseDiagramCell",
+    "PhaseDiagram",
     "product_pm",
     "product_mp",
     "classify",
@@ -150,20 +159,70 @@ def classify_xy(x: float, y: float, alpha: float) -> PhaseDiagramCell:
     return PhaseDiagramCell(x=x, y=y, type1=type1, type2=type2, classification=_LABELS[type1, type2])
 
 
+@dataclass(frozen=True, eq=False)
+class PhaseDiagram(Sequence):
+    """An nx-by-ny phase diagram held as columns: the cell centres x (nx,)
+    and y (ny,), and the verdict masks type1 and type2 (nx, ny).  Every
+    column is a read-only private copy, and no cell may be in both
+    witness regions.  It reads as a sequence of PhaseDiagramCell,
+    row-major in x then y: cell k sits at (i, j) = divmod(k, ny)."""
+
+    x: np.ndarray
+    y: np.ndarray
+    type1: np.ndarray
+    type2: np.ndarray
+
+    def __post_init__(self):
+        for name, dtype in (("x", np.float64), ("y", np.float64), ("type1", bool), ("type2", bool)):
+            col = np.array(getattr(self, name), dtype=dtype)
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
+        shape = (self.x.size, self.y.size)
+        if self.x.ndim != 1 or self.y.ndim != 1 or self.type1.shape != shape or self.type2.shape != shape:
+            raise ValueError(f"need 1D x, y and {shape} masks; got {self.type1.shape} and {self.type2.shape}")
+        if (self.type1 & self.type2).any():
+            raise ValueError("a cell cannot hold both witnesses: the regions are disjoint")
+
+    def __len__(self) -> int:
+        return self.type1.size
+
+    def __getitem__(self, k) -> PhaseDiagramCell:
+        n = len(self)
+        k = operator.index(k)
+        if not -n <= k < n:
+            raise IndexError(f"cell {k} of a {n}-cell phase diagram")
+        i, j = divmod(k % n, self.y.size)
+        t1, t2 = bool(self.type1[i, j]), bool(self.type2[i, j])
+        return PhaseDiagramCell(float(self.x[i]), float(self.y[j]), t1, t2, _LABELS[t1, t2])
+
+    def __iter__(self):
+        return (
+            PhaseDiagramCell(x, y, t1, t2, _LABELS[t1, t2])
+            for (x, y), t1, t2 in zip(
+                product(self.x.tolist(), self.y.tolist()), self.type1.ravel().tolist(), self.type2.ravel().tolist()
+            )
+        )
+
+
 def sweep_phase_diagram(
     x_range: tuple[float, float],
     y_range: tuple[float, float],
     nx: int,
     ny: int,
     alpha: float,
-) -> list[PhaseDiagramCell]:
+) -> PhaseDiagram:
     """Classify an nx-by-ny grid of cell centres, row-major in x then y.
     Raises NonPositiveParameter for a range that is not finite with positive
-    width, a count below one, or a cell that classify_xy rejects."""
+    width, a count that is not an integer of at least one, or a cell that
+    classify_xy rejects."""
     x_lo, x_hi = x_range
     y_lo, y_hi = y_range
     if not (-math.inf < x_lo < x_hi < math.inf and -math.inf < y_lo < y_hi < math.inf):
         raise NonPositiveParameter("range", f"need finite ranges of positive width; got {x_range!r}, {y_range!r}")
+    try:
+        nx, ny = operator.index(nx), operator.index(ny)
+    except TypeError:
+        raise NonPositiveParameter("count", f"need integer cell counts, got {nx!r} x {ny!r}") from None
     if nx < 1 or ny < 1:
         raise NonPositiveParameter("count", f"need at least one cell per axis, got {nx!r} x {ny!r}")
     dx = (x_hi - x_lo) / nx
@@ -173,25 +232,23 @@ def sweep_phase_diagram(
     classify_xy(x_lo + 0.5 * dx, y_lo + 0.5 * dy, alpha)
     xs = x_lo + (np.arange(nx) + 0.5) * dx
     ys = y_lo + (np.arange(ny) + 0.5) * dy
-    type1, type2 = (v.ravel().tolist() for v in _verdicts(xs[:, None], ys[None, :], alpha))
-    return [
-        PhaseDiagramCell(x, y, t1, t2, _LABELS[t1, t2])
-        for (x, y), t1, t2 in zip(product(xs.tolist(), ys.tolist()), type1, type2)
-    ]
+    return PhaseDiagram(xs, ys, *_verdicts(xs[:, None], ys[None, :], alpha))
 
 
-def sweep_to_csv(cells: list[PhaseDiagramCell]) -> str:
-    """One row per cell, coordinates to 9 significant digits.  Each distinct
-    x and y is formatted once (a sweep has nx + ny of them against nx * ny
-    rows), so the cost scales with the number of distinct coordinates plus
-    a cheap per-row join."""
-    xs = _format_distinct([cell.x for cell in cells], _g9)
-    ys = _format_distinct([cell.y for cell in cells], _g9)
+def sweep_to_csv(diagram: PhaseDiagram) -> str:
+    """One row per cell, row-major in x then y, coordinates to 9
+    significant digits.  Each x and y centre is formatted once, and a row
+    is its x text joined to one of three "y,type1,type2,classification"
+    tails made per y, picked by the cell's verdicts."""
     lines = ["x,y,type1,type2,classification"]
-    lines += [
-        f"{x},{y},{int(cell.type1)},{int(cell.type2)},{cell.classification}"
-        for x, y, cell in zip(xs, ys, cells)
-    ]
-    del xs, ys  # the joined text is the peak; keep the columns out of it
+    if len(diagram):
+        ys = [_g9(y) for y in diagram.y.tolist()]
+        # tails[type1 + 2 type2, j]; the regions are disjoint, so no cell has code 3
+        tails = np.array([
+            [f"{y},{int(t1)},{int(t2)},{_LABELS[t1, t2]}" for y in ys]
+            for t1, t2 in ((False, False), (True, False), (False, True))
+        ], dtype=object)
+        rows = tails[diagram.type1 + 2 * diagram.type2, np.arange(len(ys))].tolist()
+        lines += [x + "," + ("\n" + x + ",").join(row) for x, row in zip(map(_g9, diagram.x.tolist()), rows)]
     lines.append("")  # the trailing newline, without a second copy of the text
     return "\n".join(lines)

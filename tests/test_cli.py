@@ -1,6 +1,7 @@
 """Command-line surface: outputs, manifests, determinism, exit codes.
 Everything runs in-process through cli.main."""
 
+import hashlib
 import json
 import math
 import shlex
@@ -154,6 +155,21 @@ class TestPhaseDiagram:
         man = _read_json(out / "phase_diagram_manifest.json")
         assert man["command"] == "phase-diagram"
         assert man["parameters"]["alpha"] == 0.455
+
+    @pytest.mark.parametrize("argv,line,sha256", [
+        ([], "phase diagram 60x80, alpha=0.455: type1 area fraction 0.2625, "
+             "type2 area fraction 0.1277, neither 0.6098",
+         "3c28bdd89605e524ab37ef2ed28ee1c89ee08f58877ead47ffeb55ee853a2bf7"),
+        (["--nx", "7", "--ny", "1"], "phase diagram 7x1, alpha=0.455: type1 area fraction 0.0000, "
+                                     "type2 area fraction 0.0000, neither 1.0000",
+         "2bf27f495f1ae1586112c90b414bc1d6eea8f0223456abf2cd5e838b82e2f6e7"),
+    ])
+    def test_pinned_output(self, argv, line, sha256, tmp_path, capsys):
+        # stdout and CSV bytes as the cell-by-cell sweep wrote them
+        out = tmp_path / "out"
+        assert main(["phase-diagram", "--out", str(out), *argv]) == 0
+        assert capsys.readouterr().out == line + "\n"
+        assert hashlib.sha256((out / "phase_diagram.csv").read_bytes()).hexdigest() == sha256
 
     def test_bad_range(self, tmp_path, capsys):
         code = main(["phase-diagram", "--out", str(tmp_path / "o"), "--x-max", "-1"])

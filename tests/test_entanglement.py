@@ -1,8 +1,10 @@
 """Witness products, the phase diagram, and their closed-form boundaries."""
 
+import dataclasses
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from spdc_coherence.entanglement import (
     ANTI,
     CORRELATED,
     NONE,
+    PhaseDiagram,
     classify,
     classify_xy,
     product_mp,
@@ -203,7 +206,7 @@ class TestSweep:
         # the array sweep equals the scalar route cell by cell, centres included
         for nx, ny in ((60, 80), (300, 400)):
             dx, dy = 3.0 / nx, 4.0 / ny
-            assert sweep_phase_diagram((0.0, 3.0), (0.0, 4.0), nx, ny, ALPHA) == [
+            assert list(sweep_phase_diagram((0.0, 3.0), (0.0, 4.0), nx, ny, ALPHA)) == [
                 classify_xy((i + 0.5) * dx, (j + 0.5) * dy, ALPHA) for i in range(nx) for j in range(ny)
             ]
 
@@ -237,8 +240,70 @@ class TestSweep:
         ):
             with pytest.raises(NonPositiveParameter, match=name):
                 sweep_phase_diagram(x_range, y_range, 4, 4, alpha)
-        with pytest.raises(NonPositiveParameter, match="count"):
-            sweep_phase_diagram((0.0, 3.0), (0.0, 4.0), 0, 10, ALPHA)
+        # a count must be an integer: 2.5 used to give 3 columns, the last
+        # centred on the range's upper end, and NaN blamed x, y and alpha
+        for nx, ny in (
+            (0, 10), (10, 0), (-1, 10), (2.5, 10), (10, 2.5), (4.0, 4), (nan, 10), (10, inf), ("4", 4), (None, 4),
+        ):
+            with pytest.raises(NonPositiveParameter, match="count"):
+                sweep_phase_diagram((0.0, 1.0), (0.0, 1.0), nx, ny, ALPHA)
+        assert len(sweep_phase_diagram((0.0, 1.0), (0.0, 1.0), np.int64(3), 2, ALPHA)) == 6
+
+
+class TestPhaseDiagram:
+    @staticmethod
+    def _sweep():
+        return sweep_phase_diagram((0.0, 3.0), (0.0, 4.0), 6, 8, ALPHA)
+
+    def test_sequence_protocol(self):
+        diagram = self._sweep()
+        expected = [classify_xy((i + 0.5) * 0.5, (j + 0.5) * 0.5, ALPHA) for i in range(6) for j in range(8)]
+        assert len(diagram) == 48
+        assert list(diagram) == expected
+        assert [diagram[k] for k in range(48)] == expected
+        assert [diagram[k - 48] for k in range(48)] == expected
+        assert diagram[np.int64(9)] == expected[9] and diagram[-1] == expected[-1]
+        assert expected[17] in diagram and diagram.index(expected[17]) == 17
+        for k in (48, -49):
+            with pytest.raises(IndexError):
+                diagram[k]
+        with pytest.raises(TypeError):
+            diagram[1.0]
+        # the masks are the verdicts, the cells only read them
+        assert np.count_nonzero(diagram.type1) == sum(cell.type1 for cell in expected)
+        assert np.count_nonzero(diagram.type2) == sum(cell.type2 for cell in expected)
+
+    def test_read_only_columns(self):
+        diagram = self._sweep()
+        shapes = [getattr(diagram, name).shape for name in ("x", "y", "type1", "type2")]
+        assert shapes == [(6,), (8,), (6, 8), (6, 8)]
+        for name in ("x", "y", "type1", "type2"):
+            col = getattr(diagram, name)
+            assert not col.flags.writeable
+            with pytest.raises(ValueError):
+                col[0] = col[0]
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(diagram, name, col)
+        # built from caller arrays, it keeps its own copies
+        x, y = np.array([0.5, 1.5]), np.array([1.0])
+        mask = np.zeros((2, 1), bool)
+        made = PhaseDiagram(x, y, mask, mask)
+        x[0], mask[0, 0] = 9.0, True
+        assert made[0] == classify_xy(0.5, 1.0, ALPHA)
+        assert x.flags.writeable and mask.flags.writeable
+
+    def test_shape_and_overlap_checked(self):
+        x, y = np.array([0.5, 1.5]), np.array([1.0, 2.0, 3.0])
+        mask = np.zeros((2, 3), bool)
+        PhaseDiagram(x, y, mask, mask)
+        both = mask.copy()
+        both[1, 2] = True
+        for bad in (
+            (y, x, mask, mask), (x, y, mask.T, mask), (x, y, mask, mask[:, :2]), (x[:, None], y, mask, mask),
+            (x, y, both, both),
+        ):
+            with pytest.raises(ValueError):
+                PhaseDiagram(*bad)
 
 
 class TestSweepCsv:
@@ -256,13 +321,20 @@ class TestSweepCsv:
         cells = sweep_phase_diagram((0.0, 3.0), (0.0, 4.0), 300, 400, ALPHA)
         assert sweep_to_csv(cells) == self._reference_csv(cells)
         y1 = 2.0 / math.sqrt(ALPHA)
-        hand = [classify_xy(x, y, ALPHA) for x, y in (
-            (0.0, 0.5), (-0.0, 0.5), (0.0, 5e-324), (-0.0, y1 + 1.0), (1.0 / 3.0, 0.5), (0.0, 0.5), (1e16, 1.0),
-        )]
+        xs, ys = [0.0, -0.0, 1.0 / 3.0, 1e16], [0.5, 5e-324, y1 + 1.0, 1.0]
+        verdicts = [[classify_xy(x, y, ALPHA) for y in ys] for x in xs]
+        hand = PhaseDiagram(
+            np.array(xs), np.array(ys),
+            [[c.type1 for c in row] for row in verdicts], [[c.type2 for c in row] for row in verdicts],
+        )
+        assert list(hand) == [cell for row in verdicts for cell in row]
         text = sweep_to_csv(hand)
         assert text == self._reference_csv(hand)
-        assert text.splitlines()[1:3] == ["0,0.5,0,1,type2_pos_antimom", "-0,0.5,0,1,type2_pos_antimom"]
-        assert sweep_to_csv([]) == "x,y,type1,type2,classification\n"
+        lines = text.splitlines()
+        assert [lines[1], lines[5]] == ["0,0.5,0,1,type2_pos_antimom", "-0,0.5,0,1,type2_pos_antimom"]
+        for shape in ((0, 0), (0, 3), (3, 0)):
+            empty = PhaseDiagram(np.zeros(shape[0]), np.zeros(shape[1]), np.zeros(shape, bool), np.zeros(shape, bool))
+            assert sweep_to_csv(empty) == "x,y,type1,type2,classification\n"
 
     def test_format(self):
         cells = sweep_phase_diagram((0.0, 1.0), (0.0, 1.0), 3, 2, ALPHA)
