@@ -136,7 +136,7 @@ def cmd_phasematch(args, write):
 def cmd_validate(args, write):
     from .validation import run_all
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     results = run_all()
     for r in results:
         print(r.line())
@@ -145,7 +145,7 @@ def cmd_validate(args, write):
     if failures:
         print(f"validation failed at: {failures[0]}", file=sys.stderr)
         return {}, 1
-    print(f"all {len(results)} checks passed in {time.time() - t0:.1f} s")
+    print(f"all {len(results)} checks passed in {time.perf_counter() - t0:.1f} s")
     return {}, 0
 
 
@@ -213,7 +213,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    t0 = time.time()
+    t0 = time.perf_counter()
     out = Path(args.out)
     outputs = []
 
@@ -232,7 +232,7 @@ def main(argv=None) -> int:
             "version": __version__,
             "parameters": parameters,
             "outputs": list(outputs),
-            "duration_s": round(time.time() - t0, 3),
+            "duration_s": round(time.perf_counter() - t0, 3),
         }
         name = args.command.replace("-", "_") + "_manifest.json"
         write(name, json.dumps(manifest, indent=1) + "\n")

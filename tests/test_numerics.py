@@ -259,7 +259,8 @@ def _hankel_modulus_phase(degree=13):
 
 class TestBesselJ0:
     def test_against_scipy(self):
-        # the whole range check_si_vs_hankel feeds it: q rho up to ~2000
+        # check_si_vs_hankel reaches q rho ~ 224; [0, 2000] covers that
+        # with margin and runs the large-x form far past its split at 12
         xs = np.linspace(0.0, 2000.0, 400001)
         assert np.max(np.abs(bessel_j0(xs) - special.j0(xs))) < 1e-11  # observed 5.3e-12
 
