@@ -38,8 +38,6 @@ from .joint import (
     JointGrid,
     default_axes,
     evaluate_grid,
-    joint_momentum_density,
-    joint_position_density,
     widths_from_grid,
 )
 from .numerics import (
@@ -59,7 +57,6 @@ from .params import (
     PumpParams,
     load_params,
     read_config,
-    serialize_params,
 )
 from .phasematch import (
     EXACT_SINC,
@@ -68,22 +65,13 @@ from .phasematch import (
     PhaseMatchModel,
     calibrate_alpha,
     chi_tilde,
-    chi_tilde_gauss,
     chi_tilde_profile,
     chi_tilde_sinc,
     load_profile,
-    p_chi_momentum,
-    p_chi_position,
     variance_q_minus,
     variance_rho_minus,
 )
 from .pump import (
-    RotatedPoint,
-    mutual_coherence,
-    p_gamma_momentum,
-    p_gamma_position,
-    rotate_from_pm,
-    rotate_to_pm,
     variance_q_plus,
     variance_rho_plus,
 )

@@ -48,7 +48,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import GridTooCoarse, ParameterMismatch, UnknownChoice, ZeroMass
+from .errors import GridTooCoarse, ParameterMismatch, UnknownChoice
 from .numerics import RadialDensity, _format_distinct, _g9, gaussian_radial, grid_moments
 from .params import CrystalParams, PumpParams, params_dict
 from .phasematch import PhaseMatchModel, momentum_radial_density, position_radial_density
@@ -57,8 +57,6 @@ from .pump import variance_q_plus, variance_rho_plus
 __all__ = [
     "Axis",
     "JointGrid",
-    "joint_momentum_density",
-    "joint_position_density",
     "default_axes",
     "evaluate_grid",
     "widths_from_grid",
@@ -175,22 +173,6 @@ def _product(plus: _Factor, minus: _Factor, s, i):
     """The joint density at signal s and idler i: the plus marginal at
     (s + i)/sqrt2 times the minus marginal at (s - i)/sqrt2."""
     return plus.marginal((s + i) / _SQRT2) * minus.marginal((s - i) / _SQRT2)
-
-
-def joint_momentum_density(
-    p: PumpParams, c: CrystalParams, m: PhaseMatchModel, q_s_x: float, q_i_x: float
-) -> float:
-    """Joint density of one transverse momentum component per photon,
-    evaluated pointwise: product of the diagonal and anti-diagonal
-    marginals at (q_s + q_i)/sqrt2 and (q_s - q_i)/sqrt2."""
-    return float(_product(*_factor_pair(p, c, m, "momentum"), q_s_x, q_i_x))
-
-
-def joint_position_density(
-    p: PumpParams, c: CrystalParams, m: PhaseMatchModel, rho_s_x: float, rho_i_x: float
-) -> float:
-    """Position-space counterpart of joint_momentum_density."""
-    return float(_product(*_factor_pair(p, c, m, "position"), rho_s_x, rho_i_x))
 
 
 _LABELS = {

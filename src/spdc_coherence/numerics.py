@@ -300,9 +300,14 @@ def bessel_j0(x):
 class RadialDensity(NamedTuple):
     """A normalized, radially symmetric 2D density.
 
-    pdf: vectorized radius -> density.  half_range: radius capturing all
-    but a few 1e-4 of the mass.  sigma: per-axis standard deviation when
-    the density is Gaussian, else None (heavy-tailed sinc family).
+    pdf: vectorized radius -> density.  half_range: the window radius; 5
+    sigma for a Gaussian, all but a few 1e-4 of the mass for a
+    non-Gaussian momentum density.  A non-Gaussian position density is
+    zero beyond it (the table radius), so its rho^-4 tail is missing:
+    at L = 1000 um and k_p = 10 it integrates to 0.999381 (exit-face
+    sinc), 0.999692 (centred sinc) and 0.998737 (poled pair).  sigma:
+    per-axis standard deviation when the density is Gaussian, else None
+    (heavy-tailed sinc family).
     marginal: the exact 1D marginal, always set, vectorized offset t ->
     integral of pdf(sqrt(t^2 + y^2)) over every y.
     """
@@ -329,12 +334,6 @@ def gaussian_radial(var: float) -> RadialDensity:
         return np.exp(-t * t / (2.0 * s2)) / math.sqrt(2.0 * math.pi * s2)
 
     return RadialDensity(pdf=pdf, half_range=5.0 * sigma, sigma=sigma, marginal=marginal)
-
-
-def _radius(v) -> float:
-    # |v| of a scalar radius or a 2-vector
-    v = np.asarray(v, dtype=float)
-    return math.sqrt(float(v @ v)) if v.ndim == 1 else abs(float(v))
 
 
 @dataclass(frozen=True, eq=False)

@@ -26,9 +26,9 @@ __all__ = [
     "CrystalParams",
     "read_config",
     "load_params",
-    "serialize_params",
     "params_dict",
     "CONFIG_KEYS",
+    "DEFAULT_ALPHA",
 ]
 
 #: default Gaussian-approximation width parameter; the common rounded value.
@@ -180,25 +180,9 @@ def load_params(path) -> tuple[PumpParams, CrystalParams]:
         return read_config(fh.read(), source=str(path))
 
 
-def _fmt_value(v: float) -> str:
-    return "inf" if math.isinf(v) else repr(float(v))
-
-
 def params_dict(x: PumpParams | CrystalParams) -> dict[str, float]:
     """The fields of a parameter bundle as a dict, in CONFIG_KEYS order;
     a crystal's k_p, which is not a config key, comes last."""
     section = "pump." if isinstance(x, PumpParams) else "crystal."
     names = [key[len(section):] for key in CONFIG_KEYS if key.startswith(section)]
     return {name: getattr(x, name) for name in dict.fromkeys(names + ["k_p"])}
-
-
-def serialize_params(p: PumpParams, c: CrystalParams) -> str:
-    """Write parameters back in config syntax; parse(serialize(...)) is the
-    identity on every bundle."""
-    lines = [
-        f"{section}.{name} = {_fmt_value(value)}\n"
-        for section, x in (("pump", p), ("crystal", c))
-        for name, value in params_dict(x).items()
-        if f"{section}.{name}" in CONFIG_KEYS
-    ]
-    return "".join(lines)

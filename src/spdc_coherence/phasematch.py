@@ -42,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParseError, UnknownChoice
-from .numerics import RadialDensity, _radius, exp1_i, find_root, fresnel, gaussian_radial, sinc
+from .numerics import RadialDensity, exp1_i, find_root, fresnel, gaussian_radial, sinc
 from .params import CrystalParams
 
 __all__ = [
@@ -53,13 +53,10 @@ __all__ = [
     "GAUSSIAN_APPROX",
     "chi_tilde_sinc",
     "chi_tilde_profile",
-    "chi_tilde_gauss",
     "chi_tilde",
     "calibrate_alpha",
     "variance_q_minus",
     "variance_rho_minus",
-    "p_chi_momentum",
-    "p_chi_position",
     "momentum_radial_density",
     "position_radial_density",
 ]
@@ -244,14 +241,6 @@ def chi_tilde_profile(dk, prof: NonlinearityProfile):
     return complex(total) if total.ndim == 0 else total
 
 
-def chi_tilde_gauss(q_minus, c: CrystalParams):
-    """Gaussian stand-in with matched 1/e width and the exit-face
-    (z0 = L) quadratic phase: exp[(i - alpha) q_minus^2 L / (2 k_p)]."""
-    q = np.asarray(q_minus, dtype=float)
-    q2 = q @ q if q.ndim == 1 else np.sum(q * q, axis=-1)
-    return chi_tilde(q2 / c.k_p, c, GAUSSIAN_APPROX)
-
-
 def chi_tilde(dk, c: CrystalParams, m: PhaseMatchModel):
     """The chosen model's spectrum as a function of the mismatch dk.
     Note the two closed-form models drop the overall length factor while
@@ -298,33 +287,6 @@ def _placed_profile(c: CrystalParams, m: PhaseMatchModel) -> NonlinearityProfile
     # the profile where it sits along z: for sinc the one segment [z0 - L, z0]
     # with chi2 = 1/L, matching chi_tilde_sinc's dropped length factor
     return m.profile if m.kind == "profile" else NonlinearityProfile.boxcar(c, 1.0 / c.L)
-
-
-def p_chi_momentum(q_minus, c: CrystalParams, m: PhaseMatchModel) -> float:
-    """Normalized anti-diagonal momentum density |chi(q^2/k_p)|^2 / norm
-    at |q_minus|, read from ``momentum_radial_density(c, m).pdf``.
-
-    Gaussian model: analytic, (alpha L / (pi k_p)) exp[-alpha q^2 L/k_p].
-    Other models: the spectrum itself, evaluated exactly at any radius.
-    Independent of z0: only the modulus of the spectrum enters.
-    """
-    return float(momentum_radial_density(c, m).pdf(_radius(q_minus)))
-
-
-def p_chi_position(rho_minus, c: CrystalParams, m: PhaseMatchModel) -> float:
-    """Normalized anti-diagonal position density at |rho_minus|, read from
-    ``position_radial_density(c, m).pdf``.
-
-    Gaussian model: Gaussian with per-axis variance L(alpha + 1/alpha)/(2 k_p).
-    Every other model: the closed form (k_p/2)^2 |sum_seg chi2 [E1(i kappa/z_b)
-    - E1(i kappa/z_a)]|^2 / norm_q with kappa = k_p rho^2/4, tabulated once
-    per (crystal, model).  Unlike the momentum density this depends on z0
-    through the spectrum's phase: a crystal centred on the origin (z0 = L/2)
-    gives [pi/2 - Si(k_p rho^2 / (2L))]^2, while a face at z = 0 (the
-    default z0 = L) develops an integrable log-squared peak at rho = 0
-    (pairs born at that face have had no distance to spread).
-    """
-    return float(position_radial_density(c, m).pdf(_radius(rho_minus)))
 
 
 # -- radial density providers for the joint module ---------------------------
@@ -503,7 +465,13 @@ def _position_marginal(nodes: np.ndarray, vals: np.ndarray) -> Callable[[np.ndar
 
 
 def position_radial_density(c: CrystalParams, m: PhaseMatchModel) -> RadialDensity:
-    """The anti-diagonal position density as a radial profile."""
+    """The anti-diagonal position density as a radial profile.  Non-Gaussian
+    models read the closed form (k_p/2)^2 |sum_seg chi2 [E1(i kappa/z_b) -
+    E1(i kappa/z_a)]|^2 / norm_q, kappa = k_p rho^2/4, from a table built
+    once per (crystal, model).  Unlike the momentum density this depends on
+    z0: a crystal centred on the origin (z0 = L/2) gives
+    [pi/2 - Si(k_p rho^2 / (2L))]^2, while a face at z = 0 (the default
+    z0 = L) develops an integrable log-squared peak at rho = 0."""
     if m.kind == "gauss":
         return gaussian_radial(variance_rho_minus(c))
     nodes, vals = _position_table(c, m)

@@ -133,6 +133,47 @@ def profile_momentum_marginal(t, k_p, segments, y_cap=20.0):
     return 2.0 * (body + rest)
 
 
+def schell_gamma(p, r1, r2):
+    """Mutual coherence Gamma(r1, r2) of the Gaussian Schell-model pump,
+    rebuilt from its definition:
+
+        exp[-(r1^2 + r2^2)/(4 w^2) - (r1 - r2)^2/(2 ell_c^2)
+            - i k_p (r1^2 - r2^2)/(2 R)]
+
+    r1, r2: broadcastable arrays whose last axis holds the transverse
+    components (one or two).  Every term is a sum over components, so the
+    2D function is the product of its one-axis factors."""
+    r1 = np.asarray(r1, dtype=float)
+    r2 = np.asarray(r2, dtype=float)
+    s1 = np.sum(r1 * r1, axis=-1)
+    s2 = np.sum(r2 * r2, axis=-1)
+    d = r1 - r2
+    amp = -(s1 + s2) / (4.0 * p.w**2) - np.sum(d * d, axis=-1) / (2.0 * p.ell_c**2)
+    phase = -(s1 - s2) * p.k_p / (2.0 * p.R)
+    return np.exp(amp + 1j * phase)
+
+
+def schell_variances(p, n_x=801, n_q=1201):
+    """(variance of the 1D intensity Gamma(x, x), variance of the 1D
+    angular spectrum S(q) = int int Gamma(x1, x2) e^{-iq(x1 - x2)} dx1 dx2),
+    both by plain sums on uniform grids: x over +-8 w, q over +-10
+    standard deviations of S.  Gamma is Gaussian in every direction and
+    negligible at the grid ends, so the sums converge to rounding."""
+    x = np.linspace(-8.0 * p.w, 8.0 * p.w, n_x)
+    gamma = schell_gamma(p, x[:, None, None], x[None, :, None])
+    intensity = np.real(np.diagonal(gamma))
+    var_x = float(np.sum(x * x * intensity) / np.sum(intensity))
+    # the spectrum's width, for sizing its grid only: coherent spread
+    # 1/(4 w^2), plus 1/ell_c^2 from the coherence and (w k_p/R)^2 from the
+    # curvature phase
+    sigma_q = math.sqrt(1.0 / (4.0 * p.w**2) + 1.0 / p.ell_c**2 + (p.w * p.k_p / p.R) ** 2)
+    q = np.linspace(-10.0 * sigma_q, 10.0 * sigma_q, n_q)
+    phases = np.exp(-1j * np.outer(q, x))
+    spectrum = np.real(np.sum((phases @ gamma) * phases.conj(), axis=1))
+    var_q = float(np.sum(q * q * spectrum) / np.sum(spectrum))
+    return var_x, var_q
+
+
 def gaussian_2d(x, y, var1, var2, covar=0.0):
     """Normalized correlated 2D Gaussian, for injecting synthetic grids."""
     det = var1 * var2 - covar * covar

@@ -140,20 +140,14 @@ def test_criterion_6_position_density_oracle_and_geometry():
     norm = 2.0 * math.pi * float(np.trapezoid(r_full * dens_at(r_full), r_full))
     rhos = np.linspace(0.0, 5.0 * math.sqrt(L / K_P), 200)
     dens = dens_at(rhos) / norm
-    ref = np.array(
-        [phasematch.p_chi_position(float(r), c_mid, phasematch.EXACT_SINC) for r in rhos]
-    )
+    ref = phasematch.position_radial_density(c_mid, phasematch.EXACT_SINC).pdf(rhos)
     l2 = math.sqrt(float(np.sum((dens - ref) ** 2)) / float(np.sum(ref**2)))
 
     # rho = 0 is left out: the exit-face density's log-squared peak there
     # would swamp the change in shape
     probe = np.linspace(0.0, 4.0 * math.sqrt(L / K_P), 160)[1:]
-    pos_exit = np.array(
-        [phasematch.p_chi_position(float(r), c_exit, phasematch.EXACT_SINC) for r in probe]
-    )
-    pos_mid = np.array(
-        [phasematch.p_chi_position(float(r), c_mid, phasematch.EXACT_SINC) for r in probe]
-    )
+    pos_exit = phasematch.position_radial_density(c_exit, phasematch.EXACT_SINC).pdf(probe)
+    pos_mid = phasematch.position_radial_density(c_mid, phasematch.EXACT_SINC).pdf(probe)
     pos_dev = float(np.max(np.abs(pos_exit - pos_mid) / np.max(pos_mid)))
     # the momentum density reads |chi| alone, so the modulus is compared on
     # the spectra, which carry z0 in their phase

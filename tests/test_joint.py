@@ -26,8 +26,6 @@ from spdc_coherence.joint import (
     JointGrid,
     default_axes,
     evaluate_grid,
-    joint_momentum_density,
-    joint_position_density,
     widths_from_grid,
 )
 from spdc_coherence.numerics import grid_moments
@@ -63,13 +61,9 @@ def _minus_table(c, m, space):
     return nodes, joint._minus_marginal(c, m, space).marginal(nodes)
 
 
-def _minus_factor(p, c, m, space, t):
-    """Extract the anti-diagonal 1D marginal through the public pointwise
-    densities: at (t/sqrt2, -t/sqrt2) the diagonal argument is zero."""
-    fn = joint_momentum_density if space == "momentum" else joint_position_density
-    var_plus = variance_q_plus(p) if space == "momentum" else variance_rho_plus(p)
-    peak_plus = 1.0 / math.sqrt(2.0 * math.pi * var_plus)
-    return fn(p, c, m, t / SQRT2, -t / SQRT2) / peak_plus
+def _minus_factor(c, m, space, t):
+    """The anti-diagonal 1D marginal that every grid fill samples."""
+    return float(joint._minus_marginal(c, m, space).marginal(t))
 
 
 class TestAxis:
@@ -103,17 +97,20 @@ class TestAxis:
 
 class TestPointwiseDensities:
     def test_gaussian_product(self):
+        # a small lab grid around (q_s, q_i) = (0.004, -0.001), every cell
+        # against the product of the two closed-form Gaussians
         p, c = PUMP, CRYSTAL
-        q_s, q_i = 0.004, -0.001
+        axes = (Axis(0.0, 0.008, 8, "q_s_x"), Axis(-0.004, 0.002, 8, "q_i_x"))
+        g = evaluate_grid(p, c, GAUSSIAN_APPROX, "momentum", "lab", axes)
         vp = variance_q_plus(p)
         vm = variance_q_minus(c)
+        q_s, q_i = g.axis1.centers[:, None], g.axis2.centers[None, :]
         a, b = (q_s + q_i) / SQRT2, (q_s - q_i) / SQRT2
         want = (
-            math.exp(-a * a / (2.0 * vp)) / math.sqrt(2.0 * math.pi * vp)
-            * math.exp(-b * b / (2.0 * vm)) / math.sqrt(2.0 * math.pi * vm)
+            np.exp(-a * a / (2.0 * vp)) / math.sqrt(2.0 * math.pi * vp)
+            * np.exp(-b * b / (2.0 * vm)) / math.sqrt(2.0 * math.pi * vm)
         )
-        got = joint_momentum_density(p, c, GAUSSIAN_APPROX, q_s, q_i)
-        assert got == pytest.approx(want, rel=1e-12)
+        np.testing.assert_allclose(g.values, want, rtol=1e-12, atol=0.0)
 
     def test_momentum_marginal_against_scipy(self):
         """The tabulated minus marginal vs adaptive quadrature across the
@@ -125,19 +122,19 @@ class TestPointwiseDensities:
             want = marginal_of_radial(
                 lambda r: sinc_momentum_radial(r, CRYSTAL.L, K_P), t, 200.0
             )
-            got = _minus_factor(PUMP, CRYSTAL, EXACT_SINC, "momentum", t)
+            got = _minus_factor(CRYSTAL, EXACT_SINC, "momentum", t)
             assert got == pytest.approx(want, rel=tol)
         segments = ((0.0, 500.0, 1.0), (500.0, 1000.0, -1.0))
         for t in (0.0, 0.1, 0.2, 0.4):
             want = marginal_of_radial(lambda r: profile_momentum_radial(r, K_P, segments), t, 200.0)
-            got = _minus_factor(PUMP, CRYSTAL, POLED_PAIR, "momentum", t)
+            got = _minus_factor(CRYSTAL, POLED_PAIR, "momentum", t)
             assert got == pytest.approx(want, rel=5e-4)
         for model, segments in ((EXACT_SINC, ((0.0, CRYSTAL.L, 1.0 / CRYSTAL.L),)), (POLED_PAIR, segments)):
             nodes, _ = _minus_table(CRYSTAL, model, "momentum")
             for k in (2048, 3072, 3686, 4055, 4096):  # 0.5 to 1 of the window
                 t = float(nodes[k])
                 want = profile_momentum_marginal(t, K_P, segments)
-                got = _minus_factor(PUMP, CRYSTAL, model, "momentum", t)
+                got = _minus_factor(CRYSTAL, model, "momentum", t)
                 assert got == pytest.approx(want, rel=5e-4)
 
     def test_position_marginal_against_scipy(self):
@@ -145,7 +142,7 @@ class TestPointwiseDensities:
             want = marginal_of_radial(
                 lambda r: si_position_radial(r, CRYSTAL.L, K_P), t, 500.0
             )
-            got = _minus_factor(PUMP, CRYSTAL_MID, EXACT_SINC, "position", t)
+            got = _minus_factor(CRYSTAL_MID, EXACT_SINC, "position", t)
             assert got == pytest.approx(want, rel=5e-4)
         # a face at z = 0 (exit-face sinc, poled pair) puts a log^2 spike
         # at the origin; quad gets breakpoints down to 1e-6 um to resolve it
@@ -157,38 +154,40 @@ class TestPointwiseDensities:
             density = lambda y: float(e1_position_radial(y, K_P, segments))
             want = 2.0 * sum(quad_osc(density, a, b) for a, b in zip(cuts, cuts[1:]))
             _, vals = _minus_table(CRYSTAL, model, "position")
-            got = _minus_factor(PUMP, CRYSTAL, model, "position", 0.0)
+            got = _minus_factor(CRYSTAL, model, "position", 0.0)
             # observed 1.6e-4 (sinc) and 2.3e-4 (poled pair) of the peak
             assert abs(got - want) <= 3e-4 * float(np.max(vals))
 
     def test_position_ignores_coherence(self):
-        pts = [(12.0, -3.0), (0.0, 0.0), (-80.0, 40.0)]
+        # one lab window (-80 .. 80 um) for every pump
+        axes = (Axis(-80.0, 80.0, 64, "rho_s_x"), Axis(-80.0, 80.0, 64, "rho_i_x"))
+        want = evaluate_grid(PUMP, CRYSTAL, EXACT_SINC, "position", "lab", axes).values
         for ell_c in (1.0, 100.0):
             p_partial = PumpParams(w=100.0, k_p=K_P, ell_c=ell_c)
-            for r_s, r_i in pts:
-                assert joint_position_density(
-                    p_partial, CRYSTAL, EXACT_SINC, r_s, r_i
-                ) == joint_position_density(PUMP, CRYSTAL, EXACT_SINC, r_s, r_i)
+            got = evaluate_grid(p_partial, CRYSTAL, EXACT_SINC, "position", "lab", axes).values
+            assert np.array_equal(got, want)
 
     def test_k_p_mismatch(self):
         other = CrystalParams(L=1000.0, k_p=9.0)
         with pytest.raises(ParameterMismatch, match="k_p"):
-            joint_momentum_density(PUMP, other, EXACT_SINC, 0.0, 0.0)
+            evaluate_grid(PUMP, other, EXACT_SINC, "momentum", "lab")
         # still a ValueError to callers that catch that
         assert issubclass(ParameterMismatch, ValueError)
 
     def test_correlation_ridge(self):
-        # equal positions: diagonal factor at sqrt2 rho times the minus peak
-        rho = 30.0
-        got = joint_position_density(PUMP, CRYSTAL, EXACT_SINC, rho, rho)
-        plus_part = _minus_factor(PUMP, CRYSTAL, EXACT_SINC, "position", 0.0)
+        # equal positions, the diagonal of a lab grid with equal axes: the
+        # diagonal factor at sqrt2 rho times the minus peak
+        ax = Axis(-40.0, 40.0, 64, "rho_s_x")
+        g = evaluate_grid(PUMP, CRYSTAL, EXACT_SINC, "position", "lab", (ax, ax))
+        rho = ax.centers
+        minus_peak = _minus_factor(CRYSTAL, EXACT_SINC, "position", 0.0)
         var_plus = variance_rho_plus(PUMP)
         want = (
-            math.exp(-2.0 * rho * rho / (2.0 * var_plus))
+            np.exp(-2.0 * rho * rho / (2.0 * var_plus))
             / math.sqrt(2.0 * math.pi * var_plus)
-            * plus_part
+            * minus_peak
         )
-        assert got == pytest.approx(want, rel=1e-12)
+        np.testing.assert_allclose(np.diagonal(g.values), want, rtol=1e-12, atol=0.0)
 
 
 class TestDefaultAxes:

@@ -1,6 +1,7 @@
 """Longitudinal spectra, the calibrated Gaussian stand-in, and the
 anti-diagonal densities, checked against scipy routes and frozen values."""
 
+import cmath
 import math
 import os
 import random
@@ -32,13 +33,10 @@ from spdc_coherence.phasematch import (
     PhaseMatchModel,
     calibrate_alpha,
     chi_tilde,
-    chi_tilde_gauss,
     chi_tilde_profile,
     chi_tilde_sinc,
     load_profile,
     momentum_radial_density,
-    p_chi_momentum,
-    p_chi_position,
     position_radial_density,
     variance_q_minus,
     variance_rho_minus,
@@ -48,6 +46,14 @@ K_P, L = 10.0, 1000.0
 C_EXIT = CrystalParams(L=L, k_p=K_P)  # z0 defaults to L
 C_MID = CrystalParams(L=L, k_p=K_P, z0=L / 2.0)
 POLED_PAIR = PhaseMatchModel.from_profile(NonlinearityProfile.alternating(2, 500.0))
+
+
+def _pdf_q(q, c, m):
+    return momentum_radial_density(c, m).pdf(q)
+
+
+def _pdf_rho(rho, c, m):
+    return position_radial_density(c, m).pdf(rho)
 
 
 class TestCalibration:
@@ -99,9 +105,10 @@ class TestGaussianModel:
         assert abs(abs(chi_tilde(dk, c, GAUSSIAN_APPROX)) - abs(chi_tilde(dk, c, EXACT_SINC))) < 1e-6
 
     def test_q_parametrization(self):
+        # at dk = q^2/k_p the Gaussian model is exp[(i - alpha) q^2 L / (2 k_p)]
         q = 0.07
-        got = chi_tilde_gauss(np.array([q, 0.0]), C_EXIT)
-        want = chi_tilde(q * q / K_P, C_EXIT, GAUSSIAN_APPROX)
+        got = chi_tilde(q * q / K_P, C_EXIT, GAUSSIAN_APPROX)
+        want = cmath.exp((1j - C_EXIT.alpha) * q * q * L / (2.0 * K_P))
         assert got == pytest.approx(want, rel=1e-14)
 
     def test_variance_product_identity(self):
@@ -241,36 +248,38 @@ class TestLoadProfile:
 class TestMomentumDensity:
     def test_gauss_closed_form(self):
         a = 0.455 * L / K_P
-        for q in (0.0, 0.05, 0.2):
-            want = a / math.pi * math.exp(-a * q * q)
-            assert p_chi_momentum(q, C_EXIT, GAUSSIAN_APPROX) == pytest.approx(want, rel=1e-14)
+        q = np.array([0.0, 0.05, 0.2])
+        want = a / math.pi * np.exp(-a * q * q)
+        np.testing.assert_allclose(_pdf_q(q, C_EXIT, GAUSSIAN_APPROX), want, rtol=1e-14, atol=0.0)
 
     def test_sinc_against_scipy(self):
-        for q in (0.0, 0.05, 0.1, 0.3):
-            want = float(sinc_momentum_radial(q, L, K_P))
-            got = p_chi_momentum(q, C_EXIT, EXACT_SINC)
-            # both normalize by the exact pi^2 k_p / L
-            assert got == pytest.approx(want, rel=1e-12)
+        q = np.array([0.0, 0.05, 0.1, 0.3])
+        # both normalize by the exact pi^2 k_p / L
+        np.testing.assert_allclose(
+            _pdf_q(q, C_EXIT, EXACT_SINC), sinc_momentum_radial(q, L, K_P), rtol=1e-12, atol=0.0
+        )
 
     def test_peak_value(self):
         want = L / (math.pi**2 * K_P)
-        assert p_chi_momentum(0.0, C_EXIT, EXACT_SINC) == pytest.approx(want, rel=1e-12)
+        assert float(_pdf_q(0.0, C_EXIT, EXACT_SINC)) == pytest.approx(want, rel=1e-12)
 
     def test_peak_ratio_gauss_over_sinc(self):
-        ratio = p_chi_momentum(0.0, C_EXIT, GAUSSIAN_APPROX) / p_chi_momentum(
-            0.0, C_EXIT, EXACT_SINC
-        )
+        ratio = float(_pdf_q(0.0, C_EXIT, GAUSSIAN_APPROX) / _pdf_q(0.0, C_EXIT, EXACT_SINC))
         assert ratio == pytest.approx(math.pi * 0.455, rel=1e-12)
 
     def test_geometry_free(self):
-        for q in (0.0, 0.08, 0.2):
-            assert p_chi_momentum(q, C_EXIT, EXACT_SINC) == p_chi_momentum(q, C_MID, EXACT_SINC)
+        q = np.array([0.0, 0.08, 0.2])
+        assert np.array_equal(_pdf_q(q, C_EXIT, EXACT_SINC), _pdf_q(q, C_MID, EXACT_SINC))
 
     def test_vector_argument(self):
+        # an array of radii of any shape reads the pdf elementwise, as a
+        # 2D radius sqrt(q_x^2 + q_y^2) of a grid does
         q = 0.1 / math.sqrt(2.0)
-        assert p_chi_momentum(np.array([q, q]), C_EXIT, EXACT_SINC) == pytest.approx(
-            p_chi_momentum(0.1, C_EXIT, EXACT_SINC), rel=1e-12
-        )
+        radii = np.hypot.outer([q, 0.0], [q, 0.1])
+        got = _pdf_q(radii, C_EXIT, EXACT_SINC)
+        assert got.shape == (2, 2)
+        assert got[0, 0] == pytest.approx(float(_pdf_q(0.1, C_EXIT, EXACT_SINC)), rel=1e-12)
+        assert got[1, 1] == float(_pdf_q(0.1, C_EXIT, EXACT_SINC))
 
     # The density is |chi(q^2/k_p)|^2 / norm_q evaluated exactly at every
     # radius, beyond the window too.  Both sides normalize by the exact
@@ -286,9 +295,6 @@ class TestMomentumDensity:
         got = rd.pdf(q)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)  # observed 9e-16
         assert np.max(got[q > math.sqrt(2.0) * rd.half_range]) > 0.0
-        # the pointwise density is the same function
-        picks = q[::20000]
-        assert [p_chi_momentum(float(r), C_EXIT, model) for r in picks] == rd.pdf(picks).tolist()
 
     @pytest.mark.parametrize(
         "model,segments",
@@ -313,19 +319,17 @@ class TestMomentumDensity:
 
 class TestPositionDensity:
     def test_centred_against_scipy(self):
-        for rho in (0.0, 3.0, 10.0, 25.0):
-            want = float(si_position_radial(rho, L, K_P))
-            got = p_chi_position(rho, C_MID, EXACT_SINC)
-            assert got == pytest.approx(want, rel=3e-4)
+        rho = np.array([0.0, 3.0, 10.0, 25.0])
+        np.testing.assert_allclose(
+            _pdf_rho(rho, C_MID, EXACT_SINC), si_position_radial(rho, L, K_P), rtol=3e-4, atol=0.0
+        )
 
     def test_centred_peak(self):
-        assert p_chi_position(0.0, C_MID, EXACT_SINC) == pytest.approx(
-            K_P / (4.0 * L), rel=2e-4
-        )
+        assert float(_pdf_rho(0.0, C_MID, EXACT_SINC)) == pytest.approx(K_P / (4.0 * L), rel=2e-4)
 
     def test_gauss_closed_form(self):
         var = variance_rho_minus(C_EXIT)
-        got = p_chi_position(0.0, C_EXIT, GAUSSIAN_APPROX)
+        got = float(_pdf_rho(0.0, C_EXIT, GAUSSIAN_APPROX))
         assert got == pytest.approx(1.0 / (2.0 * math.pi * var), rel=1e-14)
 
     def test_table_route_agrees_with_closed_form(self):
@@ -335,18 +339,18 @@ class TestPositionDensity:
         error means nothing)."""
         prof = PhaseMatchModel.from_profile(NonlinearityProfile.boxcar(C_MID))
         rhos = np.linspace(0.0, 3.0 * math.sqrt(L / K_P), 97)
-        table = np.array([p_chi_position(float(r), C_MID, prof) for r in rhos])
-        closed = np.array([p_chi_position(float(r), C_MID, EXACT_SINC) for r in rhos])
+        table = _pdf_rho(rhos, C_MID, prof)
+        closed = _pdf_rho(rhos, C_MID, EXACT_SINC)
         assert np.max(np.abs(table - closed)) / closed[0] < 2e-3  # observed 2e-7
 
     def test_exit_face_differs_from_centred(self):
         rhos = np.linspace(0.0, 4.0 * math.sqrt(L / K_P), 80)
-        exit_vals = np.array([p_chi_position(float(r), C_EXIT, EXACT_SINC) for r in rhos])
-        mid_vals = np.array([p_chi_position(float(r), C_MID, EXACT_SINC) for r in rhos])
+        exit_vals = _pdf_rho(rhos, C_EXIT, EXACT_SINC)
+        mid_vals = _pdf_rho(rhos, C_MID, EXACT_SINC)
         assert np.max(np.abs(exit_vals - mid_vals)) / np.max(mid_vals) > 0.01
 
     def test_beyond_table_is_zero(self):
-        assert p_chi_position(1e6, C_EXIT, EXACT_SINC) == 0.0
+        assert float(_pdf_rho(1e6, C_EXIT, EXACT_SINC)) == 0.0
 
     # Both sides normalize by the exact Parseval norm, so the tolerance is
     # the interpolation bound alone, relative to the largest oracle value
@@ -404,19 +408,20 @@ class TestRadialDensities:
         ids=["sinc", "gauss", "profile", "poled_pair"],
     )
     @pytest.mark.parametrize(
-        "radial,pointwise,scale",
-        [(momentum_radial_density, p_chi_momentum, math.sqrt(K_P / L)),
-         (position_radial_density, p_chi_position, math.sqrt(L / K_P))],
+        "radial,scale",
+        [(momentum_radial_density, math.sqrt(K_P / L)),
+         (position_radial_density, math.sqrt(L / K_P))],
         ids=["momentum", "position"],
     )
-    def test_pdf_matches_pointwise(self, radial, pointwise, scale, model, c):
-        """The pointwise densities read the radial pdf, and every radial
-        density carries its 1D marginal."""
+    def test_pdf_matches_pointwise(self, radial, scale, model, c):
+        """The pdf gives the same bits on an array as one radius at a time,
+        and so does, up to summation order (relative to its peak), the 1D
+        marginal that every radial density carries."""
         rd = radial(c, model)
-        assert callable(rd.marginal)
         radii = scale * np.array([0.0, 0.37, 1.0, 2.5, 7.0])
-        got = np.array([pointwise(float(r), c, model) for r in radii])
-        assert got.tolist() == [float(rd.pdf(r)) for r in radii]
+        assert rd.pdf(radii).tolist() == [float(rd.pdf(r)) for r in radii]
+        one_by_one = np.array([float(rd.marginal(r)) for r in radii])
+        assert np.max(np.abs(rd.marginal(radii) - one_by_one)) <= 1e-14 * np.max(one_by_one)
 
 
 def test_position_grids_need_no_scipy():
