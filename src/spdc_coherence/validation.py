@@ -144,15 +144,17 @@ def check_phase_diagram_boundaries() -> CheckResult:
     b2 = 2.0 / math.sqrt(alpha + 1.0 / alpha)
     const_err = max(abs(b1 - 2.965), abs(b2 - 1.228))
     cells = entanglement.sweep_phase_diagram((0.0, 3.0), (0.0, 4.0), 60, 80, alpha)
+    # independent route: realize each x as a pump and each y as a crystal,
+    # then ask the witnesses of every pairing
+    w, k_p = 1.0, 10.0
+    pumps = [PumpParams(w=w, k_p=k_p, ell_c=math.inf if x == 0 else w / x) for x in cells.x.tolist()]
+    crystals = [CrystalParams(L=y * y * k_p * w * w, k_p=k_p, alpha=alpha) for y in cells.y.tolist()]
     bad = 0
-    for cell in cells:
-        # independent route: realize (x, y) physically and ask the witnesses
-        w, k_p = 1.0, 10.0
-        p = PumpParams(w=w, k_p=k_p, ell_c=math.inf if cell.x == 0 else w / cell.x)
-        c = CrystalParams(L=cell.y * cell.y * k_p * w * w, k_p=k_p, alpha=alpha)
-        rep = entanglement.classify(p, c)
-        if rep.type1 != cell.type1 or rep.type2 != cell.type2 or (cell.type1 and cell.type2):
-            bad += 1
+    for p, type1_row, type2_row in zip(pumps, cells.type1.tolist(), cells.type2.tolist()):
+        for c, type1, type2 in zip(crystals, type1_row, type2_row):
+            rep = entanglement.classify(p, c)
+            if rep.type1 != type1 or rep.type2 != type2 or (type1 and type2):
+                bad += 1
     return CheckResult(
         name="phase_diagram_boundaries",
         passed=bad == 0 and const_err < 1e-3,

@@ -133,6 +133,28 @@ def profile_momentum_marginal(t, k_p, segments, y_cap=20.0):
     return 2.0 * (body + rest)
 
 
+def table_position_marginal(nodes, vals, t):
+    """1D marginal of a radial table's linear interpolant (vals[0] below the
+    first node, zero past the last node R) at offsets t, summing every node
+    for every offset: 2 p(R) sqrt(R^2 - t^2) plus, over the nodes,
+    d_j (r_j s_j - t^2 ln((r_j + s_j)/t)) with r_j = max(node_j, t),
+    s_j = sqrt(r_j^2 - t^2) and d_j the jump of the slope at node j.  Each
+    offset's terms are added by np.sum on their own row, so no value
+    depends on the other offsets."""
+    nodes = np.asarray(nodes, dtype=float)
+    vals = np.asarray(vals, dtype=float)
+    jumps = np.diff(np.diff(vals) / np.diff(nodes), prepend=0.0, append=0.0)
+    t = np.abs(np.asarray(t, dtype=float)).ravel()
+    out = 2.0 * vals[-1] * np.sqrt(np.maximum(nodes[-1] ** 2 - t * t, 0.0))
+    for start in range(0, t.size, 128):
+        tb = t[start : start + 128, None]
+        r = np.maximum(nodes, tb)
+        s = np.sqrt(r * r - tb * tb)
+        log = np.log((r + s) / np.where(tb > 0.0, tb, 1.0))
+        out[start : start + 128] += np.sum((r * s - tb * tb * log) * jumps, axis=1)
+    return out
+
+
 def schell_gamma(p, r1, r2):
     """Mutual coherence Gamma(r1, r2) of the Gaussian Schell-model pump,
     rebuilt from its definition:

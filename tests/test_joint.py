@@ -12,10 +12,8 @@ from oracles import (
     e1_position_radial,
     marginal_of_radial,
     profile_momentum_marginal,
-    profile_momentum_radial,
     quad_osc,
     si_position_radial,
-    sinc_momentum_radial,
 )
 
 from spdc_coherence import joint, phasematch
@@ -113,23 +111,22 @@ class TestPointwiseDensities:
         np.testing.assert_allclose(g.values, want, rtol=1e-12, atol=0.0)
 
     def test_momentum_marginal_against_scipy(self):
-        """The tabulated minus marginal vs adaptive quadrature across the
-        scipy-built radial density, and out to the window edge vs a
-        brute-force projection, at marginal nodes there: the marginal
-        oscillates in t with a period of about 7 node spacings near the
-        edge, so between nodes linear interpolation would be tested too."""
+        """The tabulated minus marginal vs a brute-force projection of the
+        plain-numpy radial density, near the peak and out to the window
+        edge, there at marginal nodes: the marginal oscillates in t with a
+        period of about 7 node spacings near the edge, so between nodes
+        linear interpolation would be tested too."""
+        sinc_segments = ((0.0, CRYSTAL.L, 1.0 / CRYSTAL.L),)
         for t, tol in ((0.0, 5e-4), (0.05, 5e-4), (0.1, 5e-4), (0.2, 5e-4), (0.4, 1e-3)):
-            want = marginal_of_radial(
-                lambda r: sinc_momentum_radial(r, CRYSTAL.L, K_P), t, 200.0
-            )
+            want = profile_momentum_marginal(t, K_P, sinc_segments)
             got = _minus_factor(CRYSTAL, EXACT_SINC, "momentum", t)
             assert got == pytest.approx(want, rel=tol)
         segments = ((0.0, 500.0, 1.0), (500.0, 1000.0, -1.0))
         for t in (0.0, 0.1, 0.2, 0.4):
-            want = marginal_of_radial(lambda r: profile_momentum_radial(r, K_P, segments), t, 200.0)
+            want = profile_momentum_marginal(t, K_P, segments)
             got = _minus_factor(CRYSTAL, POLED_PAIR, "momentum", t)
             assert got == pytest.approx(want, rel=5e-4)
-        for model, segments in ((EXACT_SINC, ((0.0, CRYSTAL.L, 1.0 / CRYSTAL.L),)), (POLED_PAIR, segments)):
+        for model, segments in ((EXACT_SINC, sinc_segments), (POLED_PAIR, segments)):
             nodes, _ = _minus_table(CRYSTAL, model, "momentum")
             for k in (2048, 3072, 3686, 4055, 4096):  # 0.5 to 1 of the window
                 t = float(nodes[k])

@@ -21,6 +21,7 @@ from oracles import (
     si,
     sinc_momentum_radial,
     si_position_radial,
+    table_position_marginal,
 )
 
 import spdc_coherence
@@ -35,6 +36,9 @@ from spdc_coherence.phasematch import (
     chi_tilde,
     chi_tilde_profile,
     chi_tilde_sinc,
+    _FAR_COEFFS,
+    _NEAR,
+    _position_table,
     load_profile,
     momentum_radial_density,
     position_radial_density,
@@ -375,6 +379,49 @@ class TestPositionDensity:
         assert np.max(np.abs(got - want)) / np.max(want) < tol
 
 
+class TestPositionMarginalKernel:
+    """The position marginal sums near nodes in closed form and far nodes
+    through a series; both together must reproduce the plain sum over
+    every node to 1e-14 of the marginal's peak."""
+
+    @pytest.mark.parametrize(
+        "c,model",
+        [
+            (C_EXIT, EXACT_SINC),
+            (C_MID, EXACT_SINC),
+            (CrystalParams(L=L, k_p=K_P, z0=1.5 * L), EXACT_SINC),
+            (C_EXIT, POLED_PAIR),
+            (C_EXIT, PhaseMatchModel.from_profile(NonlinearityProfile.alternating(8, 125.0))),
+            (CrystalParams(L=0.01, k_p=K_P), EXACT_SINC),
+            (CrystalParams(L=3e5, k_p=K_P), EXACT_SINC),
+        ],
+        ids=["exit", "centred", "z0_1.5L", "poled_pair", "alternating8", "L_0.01um", "L_3e5um"],
+    )
+    def test_matches_plain_sum(self, c, model):
+        nodes, vals = _position_table(c, model)
+        big_r = float(nodes[-1])
+        marginal = position_radial_density(c, model).marginal
+        table = np.linspace(0.0, big_r, 4097)
+        peak = np.max(table_position_marginal(nodes, vals, table))
+        beyond = np.random.default_rng(19).uniform(0.0, 1.25 * big_r, 3000)
+        for t in (table, beyond, np.array([0.0, 1e-300, 1e-9 * big_r])):
+            err = np.max(np.abs(marginal(t) - table_position_marginal(nodes, vals, t)))
+            assert err <= 1e-14 * peak
+        # offsets that share a node group with many others read the same bits alone
+        assert marginal(table)[::64].tolist() == [float(marginal(t)) for t in table[::64]]
+
+    def test_series_reaches_the_near_edge(self):
+        """phi(u) = sqrt(1 - u^2) - u^2 arccosh(1/u) by its series at the
+        largest u a far node sees, u = 1/_NEAR, to 1e-15 relative: this is
+        what fixes the number of series terms."""
+        u = 1.0 / _NEAR
+        x = u * u
+        tail = math.fsum(a * x**k for k, a in enumerate(_FAR_COEFFS.tolist(), start=2))
+        series = 1.0 - x * (0.5 + math.log(2.0) - math.log(u)) + tail
+        exact = math.sqrt(1.0 - x) - x * math.acosh(1.0 / u)
+        assert abs(series - exact) <= 1e-15 * exact
+
+
 class TestRadialDensities:
     @pytest.mark.parametrize(
         "maker,c,model",
@@ -415,13 +462,12 @@ class TestRadialDensities:
     )
     def test_pdf_matches_pointwise(self, radial, scale, model, c):
         """The pdf gives the same bits on an array as one radius at a time,
-        and so does, up to summation order (relative to its peak), the 1D
-        marginal that every radial density carries."""
+        and so does the 1D marginal that every radial density carries: a
+        value never depends on the other points of the call."""
         rd = radial(c, model)
         radii = scale * np.array([0.0, 0.37, 1.0, 2.5, 7.0])
         assert rd.pdf(radii).tolist() == [float(rd.pdf(r)) for r in radii]
-        one_by_one = np.array([float(rd.marginal(r)) for r in radii])
-        assert np.max(np.abs(rd.marginal(radii) - one_by_one)) <= 1e-14 * np.max(one_by_one)
+        assert rd.marginal(radii).tolist() == [float(rd.marginal(r)) for r in radii]
 
 
 def test_position_grids_need_no_scipy():
