@@ -359,10 +359,10 @@ def evaluate_grid(
     minus((s_k - i_j)/sqrt2).  On axes of one step, s + i and s - i each
     take n1 + n2 - 1 values: each factor is sampled once on them and the
     grid is the product of a Hankel and a Toeplitz view of the samples.
-    Other lab axes are filled row by row.  Raises UnknownChoice for an
-    unknown space or coords before any build, and GridTooCoarse, with a
-    suggested count, when the narrower factor's 1/e width would span
-    fewer than 4 cells.
+    Other lab axes take one broadcast product over every cell.  Raises
+    UnknownChoice for an unknown space or coords before any build, and
+    GridTooCoarse, with a suggested count, when the narrower factor's 1/e
+    width would span fewer than 4 cells.
     """
     _check_coords(coords)
     plus, minus = _factor_pair(p, c, m, space)
@@ -382,10 +382,7 @@ def evaluate_grid(
         diffs = minus.marginal(_ladder(mid1 - mid2, n, ax1.step) / _SQRT2)
         values = sliding_window_view(sums, n2) * sliding_window_view(diffs, n2)[:, ::-1]
     else:
-        i = ax2.centers
-        values = np.empty((ax1.count, ax2.count))
-        for k, s in enumerate(ax1.centers):
-            values[k] = _product(plus, minus, s, i)
+        values = _product(plus, minus, ax1.centers[:, None], ax2.centers[None, :])
 
     values.setflags(write=False)  # the grid takes it over without a copy
     return JointGrid(

@@ -5,7 +5,8 @@ bisection, discrete moment extraction, and the text formatting of float
 arrays.
 
 Si and E1 on the imaginary axis are power series up to |x| = 4, the
-complex Fresnel integral up to |x| = 2; beyond, each is one continued
+complex Fresnel integral up to |x| = 2, each one Horner polynomial in x^2 on
+its exact coefficients rounded once; beyond, each is one continued
 fraction of the upper incomplete gamma function Gamma(a, z), a = 0 for E1
 and Si and a = 1/2 for the Fresnel tail, run in numpy complex arithmetic.
 The error bounds in their docstrings were measured against 40-digit mpmath
@@ -65,15 +66,25 @@ def sinc(x):
     return float(out) if out.ndim == 0 else out
 
 
-def _si_series(x: np.ndarray) -> np.ndarray:
-    # Si(x) = sum over k of (-1)^k x^(2k+1) / ((2k+1) (2k+1)!); 20 terms
-    # past the first take the remainder below 1e-20 at x = 4
-    xx = x * x
-    a = total = x
-    for k in range(1, 21):
-        a = a * (-xx / ((2 * k) * (2 * k + 1)))
-        total = total + a / (2 * k + 1)
-    return total
+# Each power series here is one Horner polynomial in w = x^2 on its exact
+# coefficients rounded once (the tests re-derive them); a complex one is
+# built as 1j**n * (1 / den), since 1j**n / den rounds den to a float first.
+# Si(x) = x sum_k (-1)^k w^k / ((2k+1) (2k+1)!), 21 terms: the remainder
+# is below 1e-20 at x = 4
+_SI_SERIES = tuple((-1) ** k / ((2 * k + 1) * math.factorial(2 * k + 1)) for k in range(21))
+# Ci(x) = gamma + ln x + sum_{k>=1} (-1)^k w^k / (2k (2k)!), 20 terms past
+# the constant 0: the remainder is below 1e-19 at x = 4
+_CI_SERIES = (0.0,) + tuple((-1) ** k / (2 * k * math.factorial(2 * k)) for k in range(1, 21))
+
+
+def _horner(coeffs, w: np.ndarray) -> np.ndarray:
+    # sum over k of coeffs[k] w^k, in place on one fresh buffer
+    acc = coeffs[-1] * w
+    for a in coeffs[-2:0:-1]:
+        acc += a
+        acc *= w
+    acc += coeffs[0]
+    return acc
 
 
 def _gamma_cf(a: float, z: np.ndarray) -> np.ndarray:
@@ -114,24 +125,12 @@ def _e1_large(x: np.ndarray) -> np.ndarray:
     return np.exp(-1j * x) * _gamma_cf(0.0, 1j * x)
 
 
-def _ci_series(x: np.ndarray) -> np.ndarray:
-    # Ci(x) = gamma + ln x + sum over k of (-1)^k x^(2k) / (2k (2k)!);
-    # 20 terms take the remainder below 1e-19 at x = 4
-    xx = x * x
-    a = np.ones_like(x)
-    total = np.zeros_like(x)
-    for k in range(1, 21):
-        a = a * (-xx / ((2 * k - 1) * (2 * k)))
-        total = total + a / (2 * k)
-    return _EULER_GAMMA + np.log(x) + total
-
-
 def sine_integral(x):
     """Si(x), the integral of sin(t)/t from 0 to x, for x >= 0.
 
     Power series up to x = 4, above it pi/2 + Im E1(ix) by the continued
-    fraction of ``exp1_i``.  Absolute error below 1.1e-15 on [0, 1e4]
-    (largest 1.08e-15, in the series near x = 3.7); Si(inf) = pi/2.
+    fraction of ``exp1_i``.  Absolute error below 1e-15 on [0, 1e4]
+    (largest 8.9e-16, in the series near x = 3.9); Si(inf) = pi/2.
     Accepts scalars or arrays; a scalar or 0-d input returns a float.
     Negative arguments raise NegativeArgument: all callers here pass
     quadratic phases, so the odd extension is intentionally not provided.
@@ -146,7 +145,8 @@ def sine_integral(x):
     small = flat <= _SI_SPLIT
     large = ~(small | (flat == math.inf))
     if small.any():
-        out[small] = _si_series(flat[small])
+        xs = flat[small]
+        out[small] = xs * _horner(_SI_SERIES, xs * xs)
     if large.any():
         out[large] = math.pi / 2 + _e1_large(flat[large]).imag
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
@@ -158,8 +158,9 @@ def exp1_i(x):
 
     Power series up to |x| = 4, above it e^{-ix} times the continued
     fraction of e^z Gamma(0, z) at z = ix; negative x gives the complex
-    conjugate.  Relative error below 5e-15 for 1e-9 <= |x| <= 1e4 (largest
-    4.8e-15, in the series near x = 3.85; E1 diverges like -ln|x| at 0);
+    conjugate.  Relative error below 5.7e-15 for 1e-9 <= |x| <= 1e4
+    (largest 5.6e-15, in the series near x = 3.97, where its terms cancel
+    most; E1 diverges like -ln|x| at 0);
     E1(+-i inf) = 0.  Accepts scalars or arrays; a scalar or 0-d input
     returns a complex.
     """
@@ -171,7 +172,9 @@ def exp1_i(x):
     large = ~(small | (ax == math.inf))
     if small.any():
         xs = ax[small]
-        out[small] = -_ci_series(xs) + 1j * (_si_series(xs) - math.pi / 2)
+        w = xs * xs
+        ci = _EULER_GAMMA + np.log(xs) + _horner(_CI_SERIES, w)
+        out[small] = -ci + 1j * (xs * _horner(_SI_SERIES, w) - math.pi / 2)
     if large.any():
         out[large] = _e1_large(ax[large])
     out.imag[flat < 0.0] *= -1.0
@@ -182,18 +185,9 @@ def exp1_i(x):
 _FRESNEL_SPLIT = 2.0
 _FRESNEL_LIMIT = 0.5 * math.sqrt(math.pi) * complex(math.sqrt(0.5), math.sqrt(0.5))
 _FRESNEL_HUGE = 2.0**512  # x^2 overflows; the tail, ~1/(2x), vanished long before
-
-
-def _fresnel_series(x: np.ndarray) -> np.ndarray:
-    # sum over n of i^n x^(2n+1) / (n! (2n+1)); at x = 2 the terms peak
-    # near 2.4 and 40 of them take the remainder below 1e-25
-    xx = 1j * x * x
-    term = x.astype(complex)
-    total = term.copy()
-    for n in range(1, 41):
-        term *= xx / n
-        total += term / (2 * n + 1)
-    return total
+# F(x) = x sum_n i^n w^n / (n! (2n+1)); at x = 2 the terms peak near 2.4
+# and 41 of them take the remainder below 1e-25
+_FRESNEL_SERIES = tuple(1j**n * (1 / (math.factorial(n) * (2 * n + 1))) for n in range(41))
 
 
 def fresnel(x):
@@ -203,12 +197,12 @@ def fresnel(x):
 
     Power series up to |x| = 2, above it the limit minus the tail, the
     continued fraction of e^z z^(-1/2) Gamma(1/2, z) at z = -ix^2.  Absolute
-    error below 1e-15 for |x| <= 10 (largest 6.9e-16); above, the rounding
-    of x^2 in the phase dominates, at most |x| eps / 4 < 5.6e-17 |x|
-    (largest 5.04e-15 on [0, 100], at x = 91.0).  From |x| = 2^512, where
-    x^2 overflows, up to F(+-inf) it returns the limit
-    +-(sqrt(pi)/2) e^{i pi/4}.  Accepts scalars or arrays; a scalar or 0-d
-    input returns a complex.
+    error below 1e-15 for |x| <= 10 (largest 8.4e-16 in the series, 8.5e-16
+    just above the split); above, the rounding of x^2 in the phase
+    dominates, at most |x| eps / 4 < 5.6e-17 |x| (largest 5.04e-15 on
+    [0, 100], at x = 91.0).  From |x| = 2^512, where x^2 overflows, up to
+    F(+-inf) it returns the limit +-(sqrt(pi)/2) e^{i pi/4}.  Accepts
+    scalars or arrays; a scalar or 0-d input returns a complex.
     """
     arr = np.asarray(x, dtype=float)
     flat = arr.ravel()
@@ -217,7 +211,8 @@ def fresnel(x):
     small = ax <= _FRESNEL_SPLIT
     tail = ~(small | (ax >= _FRESNEL_HUGE))
     if small.any():
-        out[small] = _fresnel_series(ax[small])
+        xs = ax[small]
+        out[small] = xs * _horner(_FRESNEL_SERIES, xs * xs)
     if tail.any():
         # int_x^inf e^{iv^2} dv = (x/2) e^{ix^2} e^z z^(-1/2) Gamma(1/2, z), z = -ix^2
         xl = ax[tail]
@@ -229,7 +224,7 @@ def fresnel(x):
 
 _J0_SPLIT = 12.0
 # 1/(k!)^2, the power series of J0 in -x^2/4, 41 terms past the constant
-_J0_SERIES = tuple(1.0 / math.factorial(k) ** 2 for k in range(42))
+_J0_SERIES = tuple(1 / math.factorial(k) ** 2 for k in range(42))
 # Beyond the split, Hankel's expansion sqrt(2/(pi x)) (P cos chi - Q sin chi)
 # with chi = x - pi/4 in modulus-phase form: M = P^2 + Q^2 and
 # Phi = atan(Q/P), both series in y = 1/x built from the Hankel symbols
@@ -243,22 +238,6 @@ _J0_PHASE = (
     -0.125, 0.06510416666666667, -0.2095703125, 1.6380658830915178, -23.475127749972874,
     535.640519510616, -17837.279688947478,
 )
-
-
-def _horner(coeffs, w: np.ndarray) -> np.ndarray:
-    # sum over k of coeffs[k] w^k, in place on one fresh buffer
-    acc = coeffs[-1] * w
-    for a in coeffs[-2:0:-1]:
-        acc += a
-        acc *= w
-    acc += coeffs[0]
-    return acc
-
-
-def _j0_series(x: np.ndarray) -> np.ndarray:
-    w = x * x
-    w *= -0.25
-    return _horner(_J0_SERIES, w)
 
 
 def _j0_asymptotic(x: np.ndarray) -> np.ndarray:
@@ -292,7 +271,8 @@ def bessel_j0(x):
     ax = np.abs(arr.ravel())
     small = ax <= _J0_SPLIT
     out = np.empty_like(ax)
-    out[small] = _j0_series(ax[small])
+    xs = ax[small]
+    out[small] = _horner(_J0_SERIES, -0.25 * (xs * xs))
     out[~small] = _j0_asymptotic(ax[~small])
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 

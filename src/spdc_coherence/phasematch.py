@@ -42,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParseError, UnknownChoice
-from .numerics import RadialDensity, exp1_i, find_root, fresnel, gaussian_radial, sinc
+from .numerics import RadialDensity, _horner, exp1_i, find_root, fresnel, gaussian_radial, sinc
 from .params import CrystalParams
 
 __all__ = [
@@ -323,9 +323,10 @@ def _autocorrelation_lags(key: NonlinearityProfile) -> tuple[np.ndarray, np.ndar
     return lags[keep], weights[keep]
 
 
-# (i x^2)^n / (n! (n + 1/2)(n + 3/2)): below x^2 = 1, 20 terms take the
-# remainder under 1e-20
-_RAMP_SERIES = 20
+# The ramp kernel's series, sum over n of 4 i^n w^n / (n! (2n+1) (2n+3)) in
+# w = x^2, rounded once as numerics' tables are: below w = 1, 20 terms take
+# the remainder under 1e-20, and the sum is within 2.3e-16 of 40-digit mpmath
+_RAMP_SERIES = tuple(1j**n * (4 / (math.factorial(n) * (2 * n + 1) * (2 * n + 3))) for n in range(20))
 
 
 def _ramp_kernel(x: np.ndarray) -> np.ndarray:
@@ -334,15 +335,9 @@ def _ramp_kernel(x: np.ndarray) -> np.ndarray:
     # Its 1/x^2 terms cancel as x -> 0, losing digits like 1/x^2, so
     # x^2 <= 1 (and x = 0 exactly, where k = 4/3) takes the power series.
     out = np.empty(x.shape, dtype=complex)
-    small = x * x <= 1.0
-    xs = x[small]
-    ixx = 1j * xs * xs
-    term = np.ones(xs.shape, dtype=complex)
-    total = term / 0.75
-    for n in range(1, _RAMP_SERIES):
-        term *= ixx / n
-        total += term / ((n + 0.5) * (n + 1.5))
-    out[small] = total
+    w = x * x
+    small = w <= 1.0
+    out[small] = _horner(_RAMP_SERIES, w[small])
     xl = x[~small]
     inv = 1.0 / xl
     out[~small] = fresnel(xl) * (2.0 - 1j * inv * inv) * inv + 1j * np.exp(1j * xl * xl) * inv * inv

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from oracles import SI_AT_1, SI_AT_PI, gaussian_2d
 from scipy import integrate, special
 
-from spdc_coherence import numerics
+from spdc_coherence import numerics, phasematch
 from spdc_coherence.errors import (
     GridTooCoarse,
     NegativeArgument,
@@ -56,8 +56,8 @@ class TestSinc:
         assert abs(sinc(x)) <= 1.0
 
 
-# Si(x) as float.hex() pairs, the values of an earlier scalar series and
-# continued-fraction route kept as reference data; both sides of the x = 4
+# Si(x) as float.hex() pairs, y = float(mpmath.si(mpmath.mpf(x))) at
+# mpmath.mp.dps = 40, the correctly rounded values; both sides of the x = 4
 # split
 SI_GOLDEN = [
     ('0x0.0p+0', '0x0.0p+0'),
@@ -65,23 +65,23 @@ SI_GOLDEN = [
     ('0x1.12e0be826d695p-30', '0x1.12e0be826d695p-30'),
     ('0x1.0624dd2f1a9fcp-10', '0x1.0624dc3ac4a19p-10'),
     ('0x1.999999999999ap-4', '0x1.995f5cfe05b52p-4'),
-    ('0x1.0000000000000p-1', '0x1.f8f126a7a3cfbp-2'),
+    ('0x1.0000000000000p-1', '0x1.f8f126a7a3cfap-2'),
     ('0x1.0000000000000p+0', '0x1.e465000d0d798p-1'),
     ('0x1.8000000000000p+0', '0x1.531e75bbef1dfp+0'),
-    ('0x1.0000000000000p+1', '0x1.9afc5847f10b6p+0'),
-    ('0x1.921fb54442d18p+1', '0x1.da188bf083edbp+0'),
-    ('0x1.c000000000000p+1', '0x1.d547b4c4bcc7ap+0'),
-    ('0x1.f333333333333p+1', '0x1.c6c8cb0c6c3edp+0'),
+    ('0x1.0000000000000p+1', '0x1.9afc5847f10b7p+0'),
+    ('0x1.921fb54442d18p+1', '0x1.da188bf083edap+0'),
+    ('0x1.c000000000000p+1', '0x1.d547b4c4bcc78p+0'),
+    ('0x1.f333333333333p+1', '0x1.c6c8cb0c6c3ecp+0'),
     ('0x1.fffff79c842fap+1', '0x1.c2199d021ef7dp+0'),
     ('0x1.0000000000000p+2', '0x1.c21999d582bf0p+0'),
-    ('0x1.0000000000001p+2', '0x1.c21999d582bedp+0'),
+    ('0x1.0000000000001p+2', '0x1.c21999d582befp+0'),
     ('0x1.00000431bde83p+2', '0x1.c21996a8e6657p+0'),
-    ('0x1.0666666666666p+2', '0x1.bd1e4d63e91c3p+0'),
+    ('0x1.0666666666666p+2', '0x1.bd1e4d63e91c4p+0'),
     ('0x1.2000000000000p+2', '0x1.a775bf06c0309p+0'),
-    ('0x1.4000000000000p+2', '0x1.8cc84b4816004p+0'),
-    ('0x1.9000000000000p+2', '0x1.6b11bea9469acp+0'),
-    ('0x1.0000000000000p+3', '0x1.92fde85506871p+0'),
-    ('0x1.4000000000000p+3', '0x1.a88977ca9201fp+0'),
+    ('0x1.4000000000000p+2', '0x1.8cc84b4816003p+0'),
+    ('0x1.9000000000000p+2', '0x1.6b11bea9469abp+0'),
+    ('0x1.0000000000000p+3', '0x1.92fde85506872p+0'),
+    ('0x1.4000000000000p+3', '0x1.a88977ca92020p+0'),
     ('0x1.14ccccccccccdp+4', '0x1.92a68fd76828cp+0'),
     ('0x1.f000000000000p+4', '0x1.8ab13e9b3a468p+0'),
     ('0x1.0200000000000p+6', '0x1.9272c35486da4p+0'),
@@ -91,7 +91,54 @@ SI_GOLDEN = [
     ('0x1.34a0000000000p+10', '0x1.925439865a769p+0'),
     ('0x1.7700000000000p+11', '0x1.92350544654f3p+0'),
     ('0x1.f400000000000p+11', '0x1.922bab9a382a0p+0'),
-    ('0x1.f3fc000000000p+12', '0x1.921d29e26d648p+0'),
+    ('0x1.f3fc000000000p+12', '0x1.921d29e26d649p+0'),
+]
+
+# E1(ix) as float.hex() triples (x, Re, Im), from
+# complex(mpmath.e1(1j * mpmath.mpf(x))) at mpmath.mp.dps = 40: across the
+# series branch, densest just below the split at 4 where its terms cancel
+# most, and out to 1e4 on the continued fraction
+E1_REFERENCE = [
+    ('0x1.12e0be826d695p-30', '0x1.425638b488207p+4', '-0x1.921fb53ff74e9p+0'),
+    ('0x1.0c6f7a0b5ed8dp-20', '0x1.a7a01c9c904cbp+3', '-0x1.921fa47d4b30dp+0'),
+    ('0x1.0624dd2f1a9fcp-10', '0x1.952790ac90072p+2', '-0x1.91de2c0d34206p+0'),
+    ('0x1.999999999999ap-4', '0x1.ba5595247c415p+0', '-0x1.7889bf7462763p+0'),
+    ('0x1.0000000000000p-1', '0x1.6c1a0f21ca866p-3', '-0x1.13e36b9a59ddap+0'),
+    ('0x1.0000000000000p+0', '-0x1.598069f99b67fp-2', '-0x1.3fda6a7b78298p-1'),
+    ('0x1.0000000000000p+1', '-0x1.b121e2e9b12c6p-2', '0x1.1b946075c73dfp-5'),
+    ('0x1.8000000000000p+1', '-0x1.ea00ec28826a7p-4', '0x1.1c865604a860ap-2'),
+    ('0x1.b126e978d4fdfp+1', '-0x1.b227089a29f4cp-15', '0x1.16d244484a782p-2'),
+    ('0x1.c000000000000p+1', '0x1.073273242139bp-5', '0x1.0c9ffe01e7d80p-2'),
+    ('0x1.e3851eb851eb8p+1', '0x1.95ab552f5e1d9p-4', '0x1.cf348b1d0d4bep-3'),
+    ('0x1.e67e0ac4b89c0p+1', '0x1.a9b0b188cea22p-4', '0x1.c7a2728bd97d5p-3'),
+    ('0x1.ecccccccccccdp+1', '0x1.d297750281cc5p-4', '0x1.b6f8879252751p-3'),
+    ('0x1.f333333333333p+1', '0x1.f9da741ecc2efp-4', '0x1.a548ae414b69dp-3'),
+    ('0x1.fc595388eaf0cp+1', '0x1.16fe45ddea351p-3', '0x1.8ac35472a054ep-3'),
+    ('0x1.fe571bcd53660p+1', '0x1.1c59f8cd7023ap-3', '0x1.84d036a61b576p-3'),
+    ('0x1.0000000000000p+2', '0x1.20bb032e1243dp-3', '0x1.7fcf2489ff6bcp-3'),
+    ('0x1.2000000000000p+2', '0x1.8c4512cbf24cep-3', '0x1.55609c27d5f0cp-4'),
+    ('0x1.4000000000000p+3', '0x1.74610ca4b3d24p-5', '0x1.669c2864f3076p-4'),
+    ('0x1.9000000000000p+6', '0x1.516ef399af874p-8', '-0x1.18d9957f4159cp-7'),
+    ('0x1.3880000000000p+13', '0x1.0049bdd83ec4bp-15', '0x1.8f602f03a1a6dp-14'),
+]
+
+# F(x) = int_0^x e^{iv^2} dv as float.hex() triples (x, Re, Im), from
+# sqrt(pi/2) (fresnelc(x s) + i fresnels(x s)), s = sqrt(2/pi), in mpmath
+# at mpmath.mp.dps = 40: densest near the split at 2
+FRESNEL_REFERENCE = [
+    ('0x1.12e0be826d695p-30', '0x1.12e0be826d695p-30', '0x1.a68cd9e985016p-92'),
+    ('0x1.0000000000000p-2', '0x1.ffcccf2b8f63dp-3', '0x1.553cf495d1889p-8'),
+    ('0x1.6666666666666p-1', '0x1.5de3d327f9546p-1', '0x1.cc56c409276a6p-4'),
+    ('0x1.0000000000000p+0', '0x1.cf1dcd087125ep-1', '0x1.3db6f9438cadfp-2'),
+    ('0x1.8000000000000p+0', '0x1.cc61f5006bab6p-1', '0x1.8e752f7c04660p-1'),
+    ('0x1.e666666666666p+0', '0x1.1467e18347b7fp-1', '0x1.bb4eeda97c46bp-1'),
+    ('0x1.f8d4618c2232cp+0', '0x1.ec744c5dc47b2p-2', '0x1.a65aa81fef50ep-1'),
+    ('0x1.fc57e633a1eeap+0', '0x1.e268461d89ea2p-2', '0x1.a170ead09380fp-1'),
+    ('0x1.fe1f3e1e9b3e1p+0', '0x1.dd87796a60917p-2', '0x1.9eda0713324efp-1'),
+    ('0x1.0000000000000p+1', '0x1.d8895a860f5b6p-2', '0x1.9c0ba9fca46a8p-1'),
+    ('0x1.0fa6d2354b934p+1', '0x1.a137cab4f16d1p-2', '0x1.649e2015ffd10p-1'),
+    ('0x1.4000000000000p+2', '0x1.39122c088700ep-1', '0x1.0e4b2c833253fp-1'),
+    ('0x1.4000000000000p+3', '0x1.33c6ae2326c21p-1', '0x1.2ad6e985a634bp-1'),
 ]
 
 
@@ -152,6 +199,14 @@ class TestExp1I:
             want = special.exp1(1j * x)
             assert np.max(np.abs(exp1_i(x) - want) / np.abs(want)) < 1e-12  # observed 7e-15
 
+    def test_mpmath_reference_points(self):
+        # 5e-15 at every point here, the worst of them just below the split;
+        # the docstring's 5.7e-15 is the largest of a dense scan of (3.7, 4]
+        x = np.array([float.fromhex(v) for v, _, _ in E1_REFERENCE])
+        want = np.array([complex(float.fromhex(re), float.fromhex(im)) for _, re, im in E1_REFERENCE])
+        for sign, ref in ((1.0, want), (-1.0, want.conj())):
+            assert np.max(np.abs(exp1_i(sign * x) - ref) / np.abs(ref)) <= 5e-15
+
     def test_split_point_continuity(self):
         # Ci series below 4, continued fraction above
         assert abs(exp1_i(4.0 - 1e-9) - exp1_i(4.0 + 1e-9)) < 1e-8
@@ -189,6 +244,13 @@ class TestFresnel:
             assert np.max(np.abs(fresnel(x) - _scipy_fresnel(x))) < 3e-12  # observed 1.7e-12
         small = xs[xs <= 10.0]
         assert np.max(np.abs(fresnel(small) - _scipy_fresnel(small))) < 5e-15  # observed 1.2e-15
+
+    def test_mpmath_reference_points(self):
+        # the documented 1e-15, on both sides of the split at 2
+        x = np.array([float.fromhex(v) for v, _, _ in FRESNEL_REFERENCE])
+        want = np.array([complex(float.fromhex(re), float.fromhex(im)) for _, re, im in FRESNEL_REFERENCE])
+        for sign in (1.0, -1.0):  # odd
+            assert np.max(np.abs(fresnel(sign * x) - sign * want)) <= 1e-15
 
     def test_zero_and_limit(self):
         assert fresnel(0.0) == 0.0
@@ -255,6 +317,30 @@ def _hankel_modulus_phase(degree=13):
         power, j = mul(power, t2), j + 1
     modulus = [a + b for a, b in zip(mul(P, P), mul(Q, Q))]
     return modulus[0:n:2], phi[1:n:2]
+
+
+def _exact(n, num, den):
+    # i^n num/den as its exact (real, imaginary) parts
+    r = Fraction(num, den)
+    return [(r, 0), (0, r), (-r, 0), (0, -r)][n % 4]
+
+
+_F = math.factorial
+# every power-series table and its exact coefficients
+SERIES_TABLES = [
+    (numerics, "_SI_SERIES", [_exact(2 * k, 1, (2 * k + 1) * _F(2 * k + 1)) for k in range(21)]),
+    (numerics, "_CI_SERIES", [(0, 0)] + [_exact(2 * k, 1, 2 * k * _F(2 * k)) for k in range(1, 21)]),
+    (numerics, "_FRESNEL_SERIES", [_exact(n, 1, _F(n) * (2 * n + 1)) for n in range(41)]),
+    (phasematch, "_RAMP_SERIES", [_exact(n, 4, _F(n) * (2 * n + 1) * (2 * n + 3)) for n in range(20)]),
+    (numerics, "_J0_SERIES", [_exact(0, 1, _F(k) ** 2) for k in range(42)]),
+]
+
+
+@pytest.mark.parametrize("module,name,exact", SERIES_TABLES, ids=[name for _, name, _ in SERIES_TABLES])
+def test_series_coefficients_rounded_once(module, name, exact):
+    # each real and imaginary part is its exact fraction rounded once
+    table = getattr(module, name)
+    assert [(complex(c).real, complex(c).imag) for c in table] == [(float(a), float(b)) for a, b in exact]
 
 
 class TestBesselJ0:
