@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .entanglement import classify, sweep_phase_diagram, sweep_to_csv
-from .errors import GridTooCoarse, NegativeArgument, NonPositiveParameter, ParseError, ZeroMass
+from .errors import GridTooCoarse, ParseError
 from .joint import DEFAULT_COUNT, default_axes, evaluate_grid, widths_from_grid
 from .numerics import _g9
 from .params import load_params, params_dict
@@ -237,10 +237,9 @@ def main(argv=None) -> int:
         name = args.command.replace("-", "_") + "_manifest.json"
         write(name, json.dumps(manifest, indent=1) + "\n")
         return code
-    except (
-        ParseError, GridTooCoarse, NonPositiveParameter, NegativeArgument, ZeroMass, OSError, ArithmeticError
-    ) as exc:
-        # ArithmeticError: a finite parameter so extreme that float arithmetic fails
+    except (ValueError, OSError, ArithmeticError) as exc:
+        # every package error is a ValueError; ArithmeticError: a finite
+        # parameter so extreme that float arithmetic fails
         kind = ("grid too coarse: " if isinstance(exc, GridTooCoarse)
                 else "out of floating-point range: " if isinstance(exc, ArithmeticError) else "")
         print(f"error: {kind}{exc}", file=sys.stderr)

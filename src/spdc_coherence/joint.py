@@ -14,9 +14,9 @@ builds from a radial density's exact marginal (phasematch decides how
 each density projects): a Gaussian passes its closed form through, a
 heavy-tailed density is tabulated once on 4097 nodes across its window.
 Only the minus factor can need a table, and it does not depend on the
-pump: it is cached per (crystal, model, space), so a sweep over pump
-coherence builds it once.  The plus factor is always Gaussian and never
-cached.
+pump: a non-Gaussian one is cached on exactly what it reads
+(phasematch._minus_key), so a sweep over the pump or alpha, or over z0
+in momentum space, builds it once.  Gaussian factors are never cached.
 
 Grid values are raw samples of the normalized joint density at cell
 centres; nothing is renormalized after sampling, so cell sums are an
@@ -51,7 +51,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import GridTooCoarse, ParameterMismatch, UnknownChoice
 from .numerics import RadialDensity, _format_distinct, _g9, gaussian_radial, grid_moments
 from .params import CrystalParams, PumpParams, params_dict
-from .phasematch import PhaseMatchModel, momentum_radial_density, position_radial_density
+from .phasematch import PhaseMatchModel, _minus_key, _momentum_density, _position_density
+from .phasematch import variance_q_minus, variance_rho_minus
 from .pump import variance_q_plus, variance_rho_plus
 
 __all__ = [
@@ -150,10 +151,11 @@ def _width_from_table(nodes, vals) -> float:
 
 
 @lru_cache(maxsize=32)
-def _minus_marginal(c: CrystalParams, m: PhaseMatchModel, space: str) -> _Factor:
-    """The anti-diagonal factor: phase matching only, so one build per
-    (crystal, model, space) serves every pump."""
-    return _factor((momentum_radial_density if space == "momentum" else position_radial_density)(c, m))
+def _minus_marginal(space: str, key: tuple) -> _Factor:
+    """A non-Gaussian anti-diagonal factor from what it reads,
+    phasematch._minus_key: phase matching only, so one build serves every
+    pump and every alpha, and in momentum space every z0."""
+    return _factor((_momentum_density if space == "momentum" else _position_density)(*key))
 
 
 def _factor_pair(p: PumpParams, c: CrystalParams, m: PhaseMatchModel, space: str):
@@ -161,18 +163,15 @@ def _factor_pair(p: PumpParams, c: CrystalParams, m: PhaseMatchModel, space: str
     if p.k_p != c.k_p:
         raise ParameterMismatch("pump and crystal disagree on k_p")
     if space == "momentum":
-        plus_var = variance_q_plus(p)
+        plus_var, minus_var = variance_q_plus, variance_q_minus
     elif space == "position":
-        plus_var = variance_rho_plus(p)
+        plus_var, minus_var = variance_rho_plus, variance_rho_minus
     else:
         raise UnknownChoice(f"unknown space {space!r}, expected 'momentum' or 'position'")
-    return _factor(gaussian_radial(plus_var)), _minus_marginal(c, m, space)
-
-
-def _product(plus: _Factor, minus: _Factor, s, i):
-    """The joint density at signal s and idler i: the plus marginal at
-    (s + i)/sqrt2 times the minus marginal at (s - i)/sqrt2."""
-    return plus.marginal((s + i) / _SQRT2) * minus.marginal((s - i) / _SQRT2)
+    plus = _factor(gaussian_radial(plus_var(p)))
+    if m.kind == "gauss":
+        return plus, _factor(gaussian_radial(minus_var(c)))
+    return plus, _minus_marginal(space, _minus_key(c, m, space))
 
 
 _LABELS = {
@@ -195,7 +194,10 @@ def default_axes(
     per axis.  Lab: each axis must contain the rotated box, so the two
     half-ranges combine as (h_plus + h_minus)/sqrt2."""
     _check_coords(coords)
-    plus, minus = _factor_pair(p, c, m, space)
+    return _axes(*_factor_pair(p, c, m, space), space, coords, count)
+
+
+def _axes(plus: _Factor, minus: _Factor, space: str, coords: str, count: int) -> tuple[Axis, Axis]:
     la, lb = _LABELS[(space, coords)]
     if coords == "rotated":
         return Axis(-plus.window, plus.window, count, la), Axis(-minus.window, minus.window, count, lb)
@@ -366,9 +368,7 @@ def evaluate_grid(
     """
     _check_coords(coords)
     plus, minus = _factor_pair(p, c, m, space)
-    if axes is None:
-        axes = default_axes(p, c, m, space, coords)
-    ax1, ax2 = axes
+    ax1, ax2 = _axes(plus, minus, space, coords, DEFAULT_COUNT) if axes is None else axes
     _check_resolution(plus, minus, coords, ax1, ax2)
 
     if coords == "rotated":
@@ -382,7 +382,8 @@ def evaluate_grid(
         diffs = minus.marginal(_ladder(mid1 - mid2, n, ax1.step) / _SQRT2)
         values = sliding_window_view(sums, n2) * sliding_window_view(diffs, n2)[:, ::-1]
     else:
-        values = _product(plus, minus, ax1.centers[:, None], ax2.centers[None, :])
+        s, i = ax1.centers[:, None], ax2.centers[None, :]
+        values = plus.marginal((s + i) / _SQRT2) * minus.marginal((s - i) / _SQRT2)
 
     values.setflags(write=False)  # the grid takes it over without a copy
     return JointGrid(

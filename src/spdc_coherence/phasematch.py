@@ -28,15 +28,15 @@ of each piecewise-constant segment (z_a, z_b, chi2) is
 chi2 [E1(i kappa/z_b) - E1(i kappa/z_a)] with kappa = k_p rho^2 / 4, and
 Parseval's theorem turns the momentum norm into the position scale, so
 no position-space normalization integral or Hankel transform is needed.
-It is tabulated once, and the 1D marginal of the table's linear
+It is tabulated on each build, and the 1D marginal of the table's linear
 interpolant is a closed form too, so no density is projected by quadrature.
+The builders take _minus_key's inputs, never a crystal or a model.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -275,18 +275,20 @@ def variance_rho_minus(c: CrystalParams) -> float:
     return c.L * (c.alpha + 1.0 / c.alpha) / (2.0 * c.k_p)
 
 
-def _modulus_key(c: CrystalParams, m: PhaseMatchModel) -> NonlinearityProfile:
-    # what |chi(dk)|^2 of a non-Gaussian model depends on besides k_p: its
-    # profile, for sinc the one segment [0, L] with chi2 = 1/L (a shift in
-    # z changes only the phase, so z0 never enters; alpha belongs to the
-    # Gaussian model)
-    return m.profile if m.kind == "profile" else NonlinearityProfile(((0.0, c.L, 1.0 / c.L),))
-
-
-def _placed_profile(c: CrystalParams, m: PhaseMatchModel) -> NonlinearityProfile:
-    # the profile where it sits along z: for sinc the one segment [z0 - L, z0]
-    # with chi2 = 1/L, matching chi_tilde_sinc's dropped length factor
-    return m.profile if m.kind == "profile" else NonlinearityProfile.boxcar(c, 1.0 / c.L)
+def _minus_key(c: CrystalParams, m: PhaseMatchModel, space: str) -> tuple:
+    # What the non-Gaussian density of (c, m) in space reads, and no more.
+    # Momentum: k_p and the modulus key, the profile that fixes |chi(dk)|^2
+    # and the norm; for sinc the one segment [0, L] with chi2 = 1/L (a shift
+    # in z changes only the phase).  Position adds the placed profile, for
+    # sinc [z0 - L, z0] with chi2 = 1/L to match chi_tilde_sinc's dropped
+    # length factor.  So sinc reads (k_p, L) and (k_p, L, z0), a profile
+    # (k_p, profile), and alpha belongs to the Gaussian model.  The position
+    # norm stays with the modulus key: z0 - (z0 - L) can round apart from L
+    # (L = 0.1, z0 = 0.7).
+    if m.kind == "profile":
+        return (c.k_p, m.profile) if space == "momentum" else (c.k_p, m.profile, m.profile)
+    key = (c.k_p, NonlinearityProfile(((0.0, c.L, 1.0 / c.L),)))
+    return key if space == "momentum" else (*key, NonlinearityProfile.boxcar(c, 1.0 / c.L))
 
 
 # -- radial density providers for the joint module ---------------------------
@@ -378,9 +380,11 @@ def momentum_radial_density(c: CrystalParams, m: PhaseMatchModel) -> RadialDensi
     evaluations per point, with memory of a few arrays of the points."""
     if m.kind == "gauss":
         return gaussian_radial(variance_q_minus(c))
-    key = _modulus_key(c, m)
-    norm = _momentum_norm(c.k_p, key)
-    k_p = c.k_p
+    return _momentum_density(*_minus_key(c, m, "momentum"))
+
+
+def _momentum_density(k_p: float, key: NonlinearityProfile) -> RadialDensity:
+    norm = _momentum_norm(k_p, key)
 
     def pdf(q):
         q = np.asarray(q, dtype=float)
@@ -390,7 +394,7 @@ def momentum_radial_density(c: CrystalParams, m: PhaseMatchModel) -> RadialDensi
     return RadialDensity(pdf=pdf, half_range=half, sigma=None, marginal=_momentum_marginal(k_p, key))
 
 
-def _position_kernel(rho: np.ndarray, c: CrystalParams, m: PhaseMatchModel) -> np.ndarray:
+def _position_kernel(rho: np.ndarray, k_p: float, key: NonlinearityProfile, placed: NonlinearityProfile) -> np.ndarray:
     # Closed-form position density at radii rho > 0.  The 2D Fourier
     # transform of e^{i q^2 z / k_p} is (i pi k_p / z) e^{-i kappa / z},
     # kappa = k_p rho^2 / 4, so each segment's amplitude integrates to
@@ -398,16 +402,14 @@ def _position_kernel(rho: np.ndarray, c: CrystalParams, m: PhaseMatchModel) -> n
     # E1(i inf) = 0, and a segment that straddles 0 splits there into the
     # same two end terms.  Parseval fixes the scale from the momentum
     # norm: density = (k_p/2)^2 |sum|^2 / norm_q.
-    segments = _placed_profile(c, m).segments
-    kappa = 0.25 * c.k_p * rho * rho
+    kappa = 0.25 * k_p * rho * rho
     total = np.zeros(rho.shape, dtype=complex)
-    for za, zb, amp in segments:
+    for za, zb, amp in placed.segments:
         if zb != 0.0:
             total += amp * exp1_i(kappa / zb)
         if za != 0.0:
             total -= amp * exp1_i(kappa / za)
-    norm_q = _momentum_norm(c.k_p, _modulus_key(c, m))
-    return (0.5 * c.k_p) ** 2 * (total.real**2 + total.imag**2) / norm_q
+    return (0.5 * k_p) ** 2 * (total.real**2 + total.imag**2) / _momentum_norm(k_p, key)
 
 
 # linear interpolation between these nodes errs by h^2/8 max|f''|: at most
@@ -416,22 +418,19 @@ def _position_kernel(rho: np.ndarray, c: CrystalParams, m: PhaseMatchModel) -> n
 _TABLE_NODES = 2048
 
 
-@lru_cache(maxsize=8)
-def _position_table(c: CrystalParams, m: PhaseMatchModel) -> tuple[np.ndarray, np.ndarray]:
-    """The closed-form position density of a non-Gaussian model on a
-    radial table, cached per (crystal, model).  Quadratic midpoint nodes
-    rho_max ((k + 1/2)/n)^2 crowd towards the origin, where a face at
-    z = 0 puts a log-squared peak, and never touch its divergence.
-    rho_max^2 k_p / (2 _U_HALF) is the placed profile's extent E, or the
-    sinc tail's scale (z_lo^2 + z_hi^2)/E if it lies off z = 0."""
-    zlo, zhi = _placed_profile(c, m).extent
-    rho_max = math.sqrt(2.0 * _U_HALF * (zhi - zlo + 2.0 * max(zlo * zhi, 0.0) / (zhi - zlo)) / c.k_p)
+def _position_table(k_p: float, key: NonlinearityProfile, placed: NonlinearityProfile) -> tuple[np.ndarray, np.ndarray]:
+    """The closed-form position density of the placed profile on a radial
+    table, built afresh on each call (joint caches the factor made from
+    it).  Quadratic midpoint nodes rho_max ((k + 1/2)/n)^2 crowd towards
+    the origin, where a face at z = 0 puts a log-squared peak, and never
+    touch its divergence.  rho_max^2 k_p / (2 _U_HALF) is the placed
+    profile's extent E, or the sinc tail's scale (z_lo^2 + z_hi^2)/E if
+    it lies off z = 0."""
+    zlo, zhi = placed.extent
+    rho_max = math.sqrt(2.0 * _U_HALF * (zhi - zlo + 2.0 * max(zlo * zhi, 0.0) / (zhi - zlo)) / k_p)
     t = (np.arange(_TABLE_NODES) + 0.5) / _TABLE_NODES
     nodes = rho_max * t * t
-    dens = _position_kernel(nodes, c, m)
-    nodes.setflags(write=False)
-    dens.setflags(write=False)
-    return nodes, dens
+    return nodes, _position_kernel(nodes, k_p, key, placed)
 
 
 # Each node r of the table's marginal adds r^2 phi(t/r) at offset t, with
@@ -547,13 +546,17 @@ def position_radial_density(c: CrystalParams, m: PhaseMatchModel) -> RadialDensi
     """The anti-diagonal position density as a radial profile.  Non-Gaussian
     models read the closed form (k_p/2)^2 |sum_seg chi2 [E1(i kappa/z_b) -
     E1(i kappa/z_a)]|^2 / norm_q, kappa = k_p rho^2/4, from a table built
-    once per (crystal, model).  Unlike the momentum density this depends on
-    z0: a crystal centred on the origin (z0 = L/2) gives
+    on each call.  Unlike the momentum density this depends on z0: a
+    crystal centred on the origin (z0 = L/2) gives
     [pi/2 - Si(k_p rho^2 / (2L))]^2, while a face at z = 0 (the default
     z0 = L) develops an integrable log-squared peak at rho = 0."""
     if m.kind == "gauss":
         return gaussian_radial(variance_rho_minus(c))
-    nodes, vals = _position_table(c, m)
+    return _position_density(*_minus_key(c, m, "position"))
+
+
+def _position_density(k_p: float, key: NonlinearityProfile, placed: NonlinearityProfile) -> RadialDensity:
+    nodes, vals = _position_table(k_p, key, placed)
 
     def pdf(r):
         return np.interp(np.abs(np.asarray(r, dtype=float)), nodes, vals, right=0.0)

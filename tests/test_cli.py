@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spdc_coherence import joint, phasematch, validation
+from spdc_coherence import joint, validation
 from spdc_coherence.cli import main
 from spdc_coherence.joint import JointGrid
 from spdc_coherence.validation import CheckResult
@@ -94,7 +94,7 @@ class TestJoint:
         assert grid["model"]["kind"] == model
 
     def test_deterministic_reruns(self, cfg, tmp_path, capsys):
-        """A cold run (minus-factor caches cleared) and a warm rerun write
+        """A cold run (the minus-factor cache cleared) and a warm rerun write
         the same data bytes, and manifests that differ only in duration_s."""
         for model, space, coords, grid in (
             ("gauss", "position", "lab", "64"),
@@ -102,14 +102,16 @@ class TestJoint:
             ("sinc", "position", "rotated", "256"),
             ("sinc", "position", "lab", "256"),
         ):
+            # the package's one cache (tests/test_exports.py guards that)
             joint._minus_marginal.cache_clear()
-            phasematch._position_table.cache_clear()
             outs = []
             for name in ("cold", "warm"):
                 out = tmp_path / f"{model}_{space}_{coords}" / name
                 assert main(["joint", "--config", cfg, "--out", str(out), "--grid", grid,
                              "--space", space, "--coords", coords, "--model", model]) == 0
                 outs.append(out)
+                # the cold run built its non-Gaussian factor, the warm one reused it
+                assert joint._minus_marginal.cache_info().misses == (model != "gauss")
             for fname in (f"joint_{space}_{coords}.csv", f"joint_{space}_{coords}.json"):
                 assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
             cold, warm = (_read_json(out / "joint_manifest.json") for out in outs)
@@ -311,22 +313,29 @@ class TestErrorPaths:
         assert len(err) == 1 and err[0].startswith("error:")
         assert not (out / "phase_diagram.csv").exists()
 
-    @pytest.mark.parametrize("line, space", [
-        ("crystal.z0 = 1e300", "position"),  # L vanishes next to z0
-        ("pump.w = 1e-300", "momentum"),
-        ("pump.ell_c = 1e-300", "momentum"),
-        ("crystal.L = 1e300", "momentum"),
-        ("pump.w = 1e300", "momentum"),
-        ("pump.R = 1e-300", "momentum"),
+    EXTREME = [
+        ("crystal.z0 = 1e300", "position", "sinc"),  # L vanishes next to z0
+        ("pump.w = 1e-300", "momentum", "sinc"),
+        ("pump.w = 1e-300", "position", "sinc"),  # the plus axis has zero width
+        ("pump.ell_c = 1e-300", "momentum", "sinc"),
+        ("crystal.L = 1e300", "momentum", "sinc"),
+        ("crystal.L = 5e-324", "momentum", "sinc"),  # chi2 = 1/L overflows
+        ("pump.w = 1e300", "momentum", "sinc"),
+        ("pump.w = 1e-160", "momentum", "gauss"),  # grid values overflow
+        ("pump.R = 1e-300", "momentum", "sinc"),
+    ]
+
+    @pytest.mark.parametrize("line, space, model", EXTREME, ids=[
+        f"{line}-{space}" + ("" if model == "sinc" else f"-{model}") for line, space, model in EXTREME
     ])
-    def test_extreme_finite_config(self, tmp_path, capsys, line, space):
+    def test_extreme_finite_config(self, tmp_path, capsys, line, space, model):
         key = line.split(" =")[0]
         kept = [ln for ln in CONFIG.splitlines() if not ln.startswith(key)]
         cfgp = tmp_path / "extreme.cfg"
         cfgp.write_text("\n".join(kept + [line]) + "\n", encoding="utf-8")
         out = tmp_path / "o"
         code = main(["joint", "--config", str(cfgp), "--out", str(out), "--space", space,
-                     "--grid", "64"])
+                     "--model", model, "--grid", "64"])
         assert code == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:")

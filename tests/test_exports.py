@@ -1,7 +1,9 @@
 """The export surface: each module's __all__ names what it defines, and the
-package namespace re-exports only names its modules declare."""
+package namespace re-exports only names its modules declare.  Also the
+package's caches: there is one."""
 
 import ast
+import functools
 import importlib
 import pkgutil
 from pathlib import Path
@@ -46,3 +48,19 @@ def test_package_imports_only_declared_names():
         if name not in importlib.import_module(f"spdc_coherence.{modname}").__all__
     ]
     assert undeclared == []
+
+
+def test_one_lru_cache():
+    """The non-Gaussian minus factor is the package's only cache; it is
+    keyed on what it reads, so nothing under it needs a cache of its own."""
+    found = set()
+    for modname in MODULES:
+        mod = importlib.import_module(f"spdc_coherence.{modname}")
+        classes = [v for v in vars(mod).values() if isinstance(v, type) and v.__module__ == mod.__name__]
+        scopes = [vars(mod)] + [vars(cls) for cls in classes]
+        for scope in scopes:
+            for val in scope.values():
+                fn = getattr(val, "__func__", val)  # staticmethod / classmethod
+                if isinstance(fn, functools._lru_cache_wrapper):
+                    found.add(f"{fn.__module__}.{fn.__qualname__}")
+    assert found == {"spdc_coherence.joint._minus_marginal"}

@@ -56,12 +56,17 @@ def _minus_table(c, m, space):
     at a node."""
     radial = (momentum_radial_density if space == "momentum" else position_radial_density)(c, m)
     nodes = np.linspace(0.0, radial.half_range, joint._MARGINAL_NODES)
-    return nodes, joint._minus_marginal(c, m, space).marginal(nodes)
+    return nodes, _cached_minus(c, m, space).marginal(nodes)
+
+
+def _cached_minus(c, m, space):
+    """The non-Gaussian minus factor from joint's cache, under its key."""
+    return joint._minus_marginal(space, phasematch._minus_key(c, m, space))
 
 
 def _minus_factor(c, m, space, t):
     """The anti-diagonal 1D marginal that every grid fill samples."""
-    return float(joint._minus_marginal(c, m, space).marginal(t))
+    return float(_cached_minus(c, m, space).marginal(t))
 
 
 class TestAxis:
@@ -565,6 +570,53 @@ class TestMinusFactorCache:
             if space == "position":
                 # blind to the pump's coherence and curvature
                 assert len({g.values.tobytes() for g in grids}) == 1
+
+    # the factor sweep: crystals that differ in z0, alpha and L, two models
+    SWEEP_CRYSTALS = [
+        CRYSTAL,
+        CrystalParams(L=1000.0, k_p=K_P, z0=500.0),
+        CrystalParams(L=1000.0, k_p=K_P, alpha=0.5),
+        CrystalParams(L=2000.0, k_p=K_P),
+    ]
+    SWEEP_MODELS = [EXACT_SINC, PhaseMatchModel.from_profile(NonlinearityProfile.alternating(32, 31.25))]
+
+    def test_one_build_per_distinct_factor(self):
+        """16 lookups over z0, alpha and L: sinc momentum reads (k_p, L), sinc
+        position (k_p, L, z0), and the profile none of them, so 2 + 3 + 1 + 1
+        factors exist and each is built once."""
+        joint._minus_marginal.cache_clear()
+        for c in self.SWEEP_CRYSTALS:
+            for m in self.SWEEP_MODELS:
+                for space in ("momentum", "position"):
+                    joint._factor_pair(PUMP, c, m, space)
+                    key = phasematch._minus_key(c, m, space)
+                    assert all(isinstance(part, (float, NonlinearityProfile)) for part in key)
+        info = joint._minus_marginal.cache_info()
+        assert (info.hits + info.misses, info.misses) == (16, 7)
+
+    @pytest.mark.parametrize("space", ["momentum", "position"])
+    def test_cached_factor_matches_a_fresh_build(self, space):
+        # at L = 0.1, z0 = 0.7 (not at z0 = 0.3) z0 - (z0 - L) rounds apart
+        # from L, so the position norm must come from L itself: the position
+        # key holds the momentum key, whose profile is [0, L]
+        radial = momentum_radial_density if space == "momentum" else position_radial_density
+        small = [CrystalParams(L=0.1, k_p=K_P, z0=z0) for z0 in (0.3, 0.7)]
+        for c in self.SWEEP_CRYSTALS + small:
+            for m in self.SWEEP_MODELS:
+                assert phasematch._minus_key(c, m, space)[:2] == phasematch._minus_key(c, m, "momentum")
+                cached = joint._factor_pair(PUMP, c, m, space)[1]
+                fresh = joint._factor(radial(c, m))
+                t = np.linspace(0.0, 1.2 * fresh.window, 2001)
+                assert (cached.width_half, cached.window) == (fresh.width_half, fresh.window)
+                assert cached.marginal(t).tobytes() == fresh.marginal(t).tobytes()
+
+    def test_gaussian_factor_is_not_cached(self):
+        joint._factor_pair(PUMP, CRYSTAL, EXACT_SINC, "momentum")  # a cache with an entry
+        before = joint._minus_marginal.cache_info()
+        for c in self.SWEEP_CRYSTALS:
+            for space in ("momentum", "position"):
+                evaluate_grid(PUMP, c, GAUSSIAN_APPROX, space, "rotated")
+        assert joint._minus_marginal.cache_info() == before
 
     def test_k_p_mismatch_raises_before_any_build(self):
         joint._minus_marginal.cache_clear()

@@ -38,6 +38,7 @@ from spdc_coherence.phasematch import (
     chi_tilde_sinc,
     _FAR_COEFFS,
     _NEAR,
+    _minus_key,
     _position_table,
     load_profile,
     momentum_radial_density,
@@ -398,7 +399,7 @@ class TestPositionMarginalKernel:
         ids=["exit", "centred", "z0_1.5L", "poled_pair", "alternating8", "L_0.01um", "L_3e5um"],
     )
     def test_matches_plain_sum(self, c, model):
-        nodes, vals = _position_table(c, model)
+        nodes, vals = _position_table(*_minus_key(c, model, "position"))
         big_r = float(nodes[-1])
         marginal = position_radial_density(c, model).marginal
         table = np.linspace(0.0, big_r, 4097)
