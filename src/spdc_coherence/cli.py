@@ -237,11 +237,13 @@ def main(argv=None) -> int:
         name = args.command.replace("-", "_") + "_manifest.json"
         write(name, json.dumps(manifest, indent=1) + "\n")
         return code
-    except (ValueError, OSError, ArithmeticError) as exc:
+    except (ValueError, OSError, ArithmeticError, MemoryError) as exc:
         # every package error is a ValueError; ArithmeticError: a finite
-        # parameter so extreme that float arithmetic fails
+        # parameter so extreme that float arithmetic fails; MemoryError: a
+        # grid too large to allocate
         kind = ("grid too coarse: " if isinstance(exc, GridTooCoarse)
-                else "out of floating-point range: " if isinstance(exc, ArithmeticError) else "")
+                else "out of floating-point range: " if isinstance(exc, ArithmeticError)
+                else "out of memory: " if isinstance(exc, MemoryError) else "")
         print(f"error: {kind}{exc}", file=sys.stderr)
         return 2
 

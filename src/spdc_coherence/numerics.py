@@ -4,17 +4,19 @@ record and its one 2D Gaussian, a radial (order-0 Hankel) transform,
 bisection, discrete moment extraction, and the text formatting of float
 arrays.
 
-Si and E1 on the imaginary axis are power series up to |x| = 4, the
-complex Fresnel integral up to |x| = 2, each one Horner polynomial in x^2 on
-its exact coefficients rounded once; beyond, each is one continued
-fraction of the upper incomplete gamma function Gamma(a, z), a = 0 for E1
-and Si and a = 1/2 for the Fresnel tail, run in numpy complex arithmetic.
-The error bounds in their docstrings were measured against 40-digit mpmath
-values; mpmath is not a dependency.
-
-J0 is a power series up to |x| = 12 and beyond it the modulus-phase form of
-Hankel's expansion, one cosine per point, within 5.4e-12 of scipy's j0 on
-[0, 3000]; the Hankel transform takes an array of radii in one call.
+Every special function (and phasematch's ramp kernel) splits its domain
+in one place, ``_split_domain``: a power series up to the split, |x| = 4
+for Si and E1 on the imaginary axis, 2 for the complex Fresnel integral and
+12 for J0, each one Horner polynomial in x^2 on its exact coefficients
+rounded once; a tail beyond it; and the function's limit from where the
+tail ends on (infinity, or 2^512 for the Fresnel integral).  The tails of
+Si, E1 and the Fresnel integral are one continued fraction of the upper
+incomplete gamma function Gamma(a, z), a = 0 for E1 and Si and a = 1/2 for
+the Fresnel integral, run in numpy complex arithmetic; J0's is the
+modulus-phase form of Hankel's expansion, one cosine per point, within
+5.4e-12 of scipy's j0 on [0, 3000].  The error bounds in the docstrings
+were measured against 40-digit mpmath values; mpmath is not a dependency.
+The Hankel transform takes an array of radii in one call.
 
 Nothing in here knows about pumps or crystals.  The physics modules quote
 closed-form results; the Hankel transform is the independent numerical
@@ -87,6 +89,21 @@ def _horner(coeffs, w: np.ndarray) -> np.ndarray:
     return acc
 
 
+def _split_domain(x: np.ndarray, split: float, top: float, limit: complex, near: Callable, far: Callable) -> np.ndarray:
+    # near(x) where x <= split, far(x) where split < x < top (NaN too) and
+    # the limit from top on, for x >= 0: the one series-or-tail dispatch of
+    # every special function here.  Each piece runs only on a nonempty set
+    # (on nothing, _gamma_cf would make all its steps).
+    out = np.full(x.shape, limit)
+    small = x <= split
+    large = ~(small | (x >= top))
+    if small.any():
+        out[small] = near(x[small])
+    if large.any():
+        out[large] = far(x[large])
+    return out
+
+
 def _gamma_cf(a: float, z: np.ndarray) -> np.ndarray:
     # e^z z^(-a) Gamma(a, z) by the modified Lentz recursion of its continued
     # fraction, b_i = z + 2i - 1 - a and a_i = -(i-1)(i-1-a).  On the
@@ -141,15 +158,18 @@ def sine_integral(x):
     if negative.any():
         bad = float(flat[np.argmax(negative)])
         raise NegativeArgument(f"sine_integral needs x >= 0, got {bad!r}")
-    out = np.full_like(flat, math.pi / 2)  # the limit, kept at +inf
-    small = flat <= _SI_SPLIT
-    large = ~(small | (flat == math.inf))
-    if small.any():
-        xs = flat[small]
-        out[small] = xs * _horner(_SI_SERIES, xs * xs)
-    if large.any():
-        out[large] = math.pi / 2 + _e1_large(flat[large]).imag
+    # x itself, not |x|: Si(-0.0) = -0.0
+    out = _split_domain(flat, _SI_SPLIT, math.inf, math.pi / 2,
+                        lambda xs: xs * _horner(_SI_SERIES, xs * xs),
+                        lambda xl: math.pi / 2 + _e1_large(xl).imag)
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+
+
+def _e1_series(x: np.ndarray) -> np.ndarray:
+    # -Ci(x) + i (Si(x) - pi/2) from the two power series
+    w = x * x
+    ci = _EULER_GAMMA + np.log(x) + _horner(_CI_SERIES, w)
+    return -ci + 1j * (x * _horner(_SI_SERIES, w) - math.pi / 2)
 
 
 def exp1_i(x):
@@ -166,20 +186,9 @@ def exp1_i(x):
     """
     arr = np.asarray(x, dtype=float)
     flat = arr.ravel()
-    ax = np.abs(flat)
-    out = np.zeros(ax.shape, dtype=complex)  # the limit, kept at +-inf
-    small = ax <= _SI_SPLIT
-    large = ~(small | (ax == math.inf))
-    if small.any():
-        xs = ax[small]
-        w = xs * xs
-        ci = _EULER_GAMMA + np.log(xs) + _horner(_CI_SERIES, w)
-        out[small] = -ci + 1j * (xs * _horner(_SI_SERIES, w) - math.pi / 2)
-    if large.any():
-        out[large] = _e1_large(ax[large])
+    out = _split_domain(np.abs(flat), _SI_SPLIT, math.inf, 0j, _e1_series, _e1_large)
     out.imag[flat < 0.0] *= -1.0
-    out = out.reshape(arr.shape)
-    return complex(out) if arr.ndim == 0 else out
+    return complex(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 _FRESNEL_SPLIT = 2.0
@@ -206,20 +215,12 @@ def fresnel(x):
     """
     arr = np.asarray(x, dtype=float)
     flat = arr.ravel()
-    ax = np.abs(flat)
-    out = np.full(ax.shape, _FRESNEL_LIMIT)  # kept where x^2 overflows
-    small = ax <= _FRESNEL_SPLIT
-    tail = ~(small | (ax >= _FRESNEL_HUGE))
-    if small.any():
-        xs = ax[small]
-        out[small] = xs * _horner(_FRESNEL_SERIES, xs * xs)
-    if tail.any():
-        # int_x^inf e^{iv^2} dv = (x/2) e^{ix^2} e^z z^(-1/2) Gamma(1/2, z), z = -ix^2
-        xl = ax[tail]
-        out[tail] = _FRESNEL_LIMIT - 0.5 * xl * np.exp(1j * xl * xl) * _gamma_cf(0.5, -1j * xl * xl)
+    # the tail int_x^inf e^{iv^2} dv = (x/2) e^{ix^2} e^z z^(-1/2) Gamma(1/2, z), z = -ix^2
+    out = _split_domain(np.abs(flat), _FRESNEL_SPLIT, _FRESNEL_HUGE, _FRESNEL_LIMIT,
+                        lambda xs: xs * _horner(_FRESNEL_SERIES, xs * xs),
+                        lambda xl: _FRESNEL_LIMIT - 0.5 * xl * np.exp(1j * xl * xl) * _gamma_cf(0.5, -1j * xl * xl))
     out[flat < 0.0] *= -1.0
-    out = out.reshape(arr.shape)
-    return complex(out) if arr.ndim == 0 else out
+    return complex(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 _J0_SPLIT = 12.0
@@ -252,10 +253,8 @@ def _j0_asymptotic(x: np.ndarray) -> np.ndarray:
     phase *= y
     phase -= math.pi / 4.0
     phase += x
-    with np.errstate(invalid="ignore"):  # cos(inf); its limit is set below
-        np.cos(phase, out=phase)
+    np.cos(phase, out=phase)
     amp *= phase
-    amp[x == math.inf] = 0.0
     return amp
 
 
@@ -268,12 +267,8 @@ def bessel_j0(x):
     or arrays; a scalar or 0-d input returns a float.
     """
     arr = np.asarray(x, dtype=float)
-    ax = np.abs(arr.ravel())
-    small = ax <= _J0_SPLIT
-    out = np.empty_like(ax)
-    xs = ax[small]
-    out[small] = _horner(_J0_SERIES, -0.25 * (xs * xs))
-    out[~small] = _j0_asymptotic(ax[~small])
+    out = _split_domain(np.abs(arr.ravel()), _J0_SPLIT, math.inf, 0.0,
+                        lambda xs: _horner(_J0_SERIES, -0.25 * (xs * xs)), _j0_asymptotic)
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 

@@ -42,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParseError, UnknownChoice
-from .numerics import RadialDensity, _horner, exp1_i, find_root, fresnel, gaussian_radial, sinc
+from .numerics import RadialDensity, _horner, _split_domain, exp1_i, find_root, fresnel, gaussian_radial, sinc
 from .params import CrystalParams
 
 __all__ = [
@@ -332,18 +332,19 @@ _RAMP_SERIES = tuple(1j**n * (4 / (math.factorial(n) * (2 * n + 1) * (2 * n + 3)
 
 
 def _ramp_kernel(x: np.ndarray) -> np.ndarray:
-    # k(x) = int_0^1 (1 - s) s^{-1/2} e^{i x^2 s} ds for x >= 0, in closed
-    # form F(x) (2/x - i/x^3) + i e^{ix^2}/x^2 with F the Fresnel integral.
-    # Its 1/x^2 terms cancel as x -> 0, losing digits like 1/x^2, so
-    # x^2 <= 1 (and x = 0 exactly, where k = 4/3) takes the power series.
-    out = np.empty(x.shape, dtype=complex)
-    w = x * x
-    small = w <= 1.0
-    out[small] = _horner(_RAMP_SERIES, w[small])
-    xl = x[~small]
-    inv = 1.0 / xl
-    out[~small] = fresnel(xl) * (2.0 - 1j * inv * inv) * inv + 1j * np.exp(1j * xl * xl) * inv * inv
-    return out
+    # k(x) = int_0^1 (1 - s) s^{-1/2} e^{i x^2 s} ds for finite x >= 0, in
+    # closed form F(x) (2/x - i/x^3) + i e^{ix^2}/x^2 with F the Fresnel
+    # integral.  Its 1/x^2 terms cancel as x -> 0, losing digits like 1/x^2,
+    # so x <= 1 (and x = 0 exactly, where k = 4/3) takes the power series.
+    return _split_domain(x, 1.0, math.inf, 0j, lambda xs: _horner(_RAMP_SERIES, xs * xs), _ramp_closed_form)
+
+
+def _ramp_closed_form(x: np.ndarray) -> np.ndarray:
+    # fresnel returns a view, so from 16384 points on numpy computes the
+    # first product in its right operand's buffer with the operands swapped,
+    # which can round differently: these bits depend on both
+    inv = 1.0 / x
+    return fresnel(x) * (2.0 - 1j * inv * inv) * inv + 1j * np.exp(1j * x * x) * inv * inv
 
 
 def _momentum_marginal(k_p: float, key: NonlinearityProfile) -> Callable[[np.ndarray], np.ndarray]:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spdc_coherence import joint, validation
+from spdc_coherence import cli, joint, validation
 from spdc_coherence.cli import main
 from spdc_coherence.joint import JointGrid
 from spdc_coherence.validation import CheckResult
@@ -356,6 +356,21 @@ class TestErrorPaths:
         assert len(err) == 1 and err[0].startswith("error: out of floating-point range:")
         assert not out.exists()
         assert len(recwarn) == 0
+
+    def test_out_of_memory(self, cfg, tmp_path, capsys, monkeypatch):
+        """A grid too large to allocate exits 2 with one line.  The fill is
+        stubbed: on a host that overcommits memory a real allocation of the
+        grid can succeed, and filling it would touch every page."""
+        def too_large(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000)")
+
+        monkeypatch.setattr(cli, "evaluate_grid", too_large)
+        out = tmp_path / "o"
+        code = main(["joint", "--config", cfg, "--out", str(out), "--model", "gauss", "--grid", "1000000"])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: out of memory: Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000)"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "0"])
     def test_phasematch_bad_dk_max(self, cfg, tmp_path, capsys, value):

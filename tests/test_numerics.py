@@ -290,6 +290,165 @@ def test_limits_at_infinity():
         ]
 
 
+# Each kernel's bits as float.hex() pairs (x, y) or triples (x, Re, Im)
+# on both sides of every split (1 for the ramp kernel, 2 for F, 4 for Si
+# and E1, 12 for J0), at +-0, +-inf, NaN and F's 2^512 wherever the kernel
+# accepts them: the values of the one-split-per-kernel code when the
+# domain split moved into numerics._split_domain
+BOUNDARY_BITS = {
+    "sine_integral": [
+        ('0x1.fffffffffffffp-1', '0x1.e465000d0d797p-1'),
+        ('0x1.0000000000000p+0', '0x1.e465000d0d798p-1'),
+        ('0x1.0000000000001p+0', '0x1.e465000d0d79ap-1'),
+        ('0x1.fffffffffffffp+0', '0x1.9afc5847f10b7p+0'),
+        ('0x1.0000000000000p+1', '0x1.9afc5847f10b8p+0'),
+        ('0x1.0000000000001p+1', '0x1.9afc5847f10b9p+0'),
+        ('0x1.fffffffffffffp+1', '0x1.c21999d582bf1p+0'),
+        ('0x1.0000000000000p+2', '0x1.c21999d582bf0p+0'),
+        ('0x1.0000000000001p+2', '0x1.c21999d582beep+0'),
+        ('0x1.7ffffffffffffp+3', '0x1.8145cb97c6bb0p+0'),
+        ('0x1.8000000000000p+3', '0x1.8145cb97c6bb0p+0'),
+        ('0x1.8000000000001p+3', '0x1.8145cb97c6bafp+0'),
+        ('0x0.0p+0', '0x0.0p+0'),
+        ('-0x0.0p+0', '-0x0.0p+0'),
+        ('inf', '0x1.921fb54442d18p+0'),
+        ('nan', 'nan'),
+    ],
+    "exp1_i": [
+        ('0x1.fffffffffffffp-1', '-0x1.598069f99b67ep-2', '-0x1.3fda6a7b78299p-1'),
+        ('0x1.0000000000000p+0', '-0x1.598069f99b67ep-2', '-0x1.3fda6a7b78298p-1'),
+        ('0x1.0000000000001p+0', '-0x1.598069f99b681p-2', '-0x1.3fda6a7b78296p-1'),
+        ('0x1.fffffffffffffp+0', '-0x1.b121e2e9b12cap-2', '0x1.1b946075c73e0p-5'),
+        ('0x1.0000000000000p+1', '-0x1.b121e2e9b12c6p-2', '0x1.1b946075c7400p-5'),
+        ('0x1.0000000000001p+1', '-0x1.b121e2e9b12c4p-2', '0x1.1b946075c7420p-5'),
+        ('0x1.fffffffffffffp+1', '0x1.20bb032e12430p-3', '0x1.7fcf2489ff6c8p-3'),
+        ('0x1.0000000000000p+2', '0x1.20bb032e12440p-3', '0x1.7fcf2489ff6c0p-3'),
+        ('0x1.0000000000001p+2', '0x1.20bb032e1243cp-3', '0x1.7fcf2489ff6b0p-3'),
+        ('0x1.7ffffffffffffp+3', '0x1.97cc3db1fb46bp-5', '-0x1.0d9e9ac7c167ep-4'),
+        ('0x1.8000000000000p+3', '0x1.97cc3db1fb466p-5', '-0x1.0d9e9ac7c1686p-4'),
+        ('0x1.8000000000001p+3', '0x1.97cc3db1fb450p-5', '-0x1.0d9e9ac7c168bp-4'),
+        ('-0x1.fffffffffffffp-1', '-0x1.598069f99b67ep-2', '0x1.3fda6a7b78299p-1'),
+        ('-0x1.0000000000000p+0', '-0x1.598069f99b67ep-2', '0x1.3fda6a7b78298p-1'),
+        ('-0x1.0000000000001p+0', '-0x1.598069f99b681p-2', '0x1.3fda6a7b78296p-1'),
+        ('-0x1.fffffffffffffp+0', '-0x1.b121e2e9b12cap-2', '-0x1.1b946075c73e0p-5'),
+        ('-0x1.0000000000000p+1', '-0x1.b121e2e9b12c6p-2', '-0x1.1b946075c7400p-5'),
+        ('-0x1.0000000000001p+1', '-0x1.b121e2e9b12c4p-2', '-0x1.1b946075c7420p-5'),
+        ('-0x1.fffffffffffffp+1', '0x1.20bb032e12430p-3', '-0x1.7fcf2489ff6c8p-3'),
+        ('-0x1.0000000000000p+2', '0x1.20bb032e12440p-3', '-0x1.7fcf2489ff6c0p-3'),
+        ('-0x1.0000000000001p+2', '0x1.20bb032e1243cp-3', '-0x1.7fcf2489ff6b0p-3'),
+        ('-0x1.7ffffffffffffp+3', '0x1.97cc3db1fb46bp-5', '0x1.0d9e9ac7c167ep-4'),
+        ('-0x1.8000000000000p+3', '0x1.97cc3db1fb466p-5', '0x1.0d9e9ac7c1686p-4'),
+        ('-0x1.8000000000001p+3', '0x1.97cc3db1fb450p-5', '0x1.0d9e9ac7c168bp-4'),
+        ('inf', '0x0.0p+0', '0x0.0p+0'),
+        ('-inf', '0x0.0p+0', '-0x0.0p+0'),
+        ('nan', 'nan', 'nan'),
+    ],
+    "fresnel": [
+        ('0x1.fffffffffffffp-1', '0x1.cf1dcd087125ep-1', '0x1.3db6f9438caddp-2'),
+        ('0x1.0000000000000p+0', '0x1.cf1dcd087125ep-1', '0x1.3db6f9438cadfp-2'),
+        ('0x1.0000000000001p+0', '0x1.cf1dcd0871260p-1', '0x1.3db6f9438cae1p-2'),
+        ('0x1.fffffffffffffp+0', '0x1.d8895a860f5b3p-2', '0x1.9c0ba9fca46a9p-1'),
+        ('0x1.0000000000000p+1', '0x1.d8895a860f5b0p-2', '0x1.9c0ba9fca46a8p-1'),
+        ('0x1.0000000000001p+1', '0x1.d8895a860f5aap-2', '0x1.9c0ba9fca46a4p-1'),
+        ('0x1.fffffffffffffp+1', '0x1.305d1aa2bec59p-1', '0x1.7e8853c8ff2dfp-1'),
+        ('0x1.0000000000000p+2', '0x1.305d1aa2bec55p-1', '0x1.7e8853c8ff2dfp-1'),
+        ('0x1.0000000000001p+2', '0x1.305d1aa2bec4ep-1', '0x1.7e8853c8ff2dcp-1'),
+        ('0x1.7ffffffffffffp+3', '0x1.364f24a28cbddp-1', '0x1.2e4d0cee4e6a4p-1'),
+        ('0x1.8000000000000p+3', '0x1.364f24a28cbe6p-1', '0x1.2e4d0cee4e69fp-1'),
+        ('0x1.8000000000001p+3', '0x1.364f24a28cbf9p-1', '0x1.2e4d0cee4e695p-1'),
+        ('-0x1.fffffffffffffp-1', '-0x1.cf1dcd087125ep-1', '-0x1.3db6f9438caddp-2'),
+        ('-0x1.0000000000000p+0', '-0x1.cf1dcd087125ep-1', '-0x1.3db6f9438cadfp-2'),
+        ('-0x1.0000000000001p+0', '-0x1.cf1dcd0871260p-1', '-0x1.3db6f9438cae1p-2'),
+        ('-0x1.fffffffffffffp+0', '-0x1.d8895a860f5b3p-2', '-0x1.9c0ba9fca46a9p-1'),
+        ('-0x1.0000000000000p+1', '-0x1.d8895a860f5b0p-2', '-0x1.9c0ba9fca46a8p-1'),
+        ('-0x1.0000000000001p+1', '-0x1.d8895a860f5aap-2', '-0x1.9c0ba9fca46a4p-1'),
+        ('-0x1.fffffffffffffp+1', '-0x1.305d1aa2bec59p-1', '-0x1.7e8853c8ff2dfp-1'),
+        ('-0x1.0000000000000p+2', '-0x1.305d1aa2bec55p-1', '-0x1.7e8853c8ff2dfp-1'),
+        ('-0x1.0000000000001p+2', '-0x1.305d1aa2bec4ep-1', '-0x1.7e8853c8ff2dcp-1'),
+        ('-0x1.7ffffffffffffp+3', '-0x1.364f24a28cbddp-1', '-0x1.2e4d0cee4e6a4p-1'),
+        ('-0x1.8000000000000p+3', '-0x1.364f24a28cbe6p-1', '-0x1.2e4d0cee4e69fp-1'),
+        ('-0x1.8000000000001p+3', '-0x1.364f24a28cbf9p-1', '-0x1.2e4d0cee4e695p-1'),
+        ('0x0.0p+0', '0x0.0p+0', '0x0.0p+0'),
+        ('-0x0.0p+0', '0x0.0p+0', '0x0.0p+0'),
+        ('inf', '0x1.40d931ff62706p-1', '0x1.40d931ff62706p-1'),
+        ('-inf', '-0x1.40d931ff62706p-1', '-0x1.40d931ff62706p-1'),
+        ('nan', 'nan', 'nan'),
+        ('0x1.fffffffffffffp+511', '0x1.40d931ff62706p-1', '0x1.40d931ff62706p-1'),
+        ('0x1.0000000000000p+512', '0x1.40d931ff62706p-1', '0x1.40d931ff62706p-1'),
+        ('0x1.0000000000001p+512', '0x1.40d931ff62706p-1', '0x1.40d931ff62706p-1'),
+        ('-0x1.0000000000000p+512', '-0x1.40d931ff62706p-1', '-0x1.40d931ff62706p-1'),
+    ],
+    "bessel_j0": [
+        ('0x1.fffffffffffffp-1', '0x1.87c7fdbd7b8f0p-1'),
+        ('0x1.0000000000000p+0', '0x1.87c7fdbd7b8f0p-1'),
+        ('0x1.0000000000001p+0', '0x1.87c7fdbd7b8eep-1'),
+        ('0x1.fffffffffffffp+0', '0x1.ca873fb24cf00p-3'),
+        ('0x1.0000000000000p+1', '0x1.ca873fb24cef8p-3'),
+        ('0x1.0000000000001p+1', '0x1.ca873fb24cef0p-3'),
+        ('0x1.fffffffffffffp+1', '-0x1.96ae7093e94f4p-2'),
+        ('0x1.0000000000000p+2', '-0x1.96ae7093e94f8p-2'),
+        ('0x1.0000000000001p+2', '-0x1.96ae7093e94f4p-2'),
+        ('0x1.7ffffffffffffp+3', '0x1.86abbbc7b1b60p-5'),
+        ('0x1.8000000000000p+3', '0x1.86abbbc7a9200p-5'),
+        ('0x1.8000000000001p+3', '0x1.86abbbc6fb35ep-5'),
+        ('-0x1.fffffffffffffp-1', '0x1.87c7fdbd7b8f0p-1'),
+        ('-0x1.0000000000000p+0', '0x1.87c7fdbd7b8f0p-1'),
+        ('-0x1.0000000000001p+0', '0x1.87c7fdbd7b8eep-1'),
+        ('-0x1.fffffffffffffp+0', '0x1.ca873fb24cf00p-3'),
+        ('-0x1.0000000000000p+1', '0x1.ca873fb24cef8p-3'),
+        ('-0x1.0000000000001p+1', '0x1.ca873fb24cef0p-3'),
+        ('-0x1.fffffffffffffp+1', '-0x1.96ae7093e94f4p-2'),
+        ('-0x1.0000000000000p+2', '-0x1.96ae7093e94f8p-2'),
+        ('-0x1.0000000000001p+2', '-0x1.96ae7093e94f4p-2'),
+        ('-0x1.7ffffffffffffp+3', '0x1.86abbbc7b1b60p-5'),
+        ('-0x1.8000000000000p+3', '0x1.86abbbc7a9200p-5'),
+        ('-0x1.8000000000001p+3', '0x1.86abbbc6fb35ep-5'),
+        ('0x0.0p+0', '0x1.0000000000000p+0'),
+        ('-0x0.0p+0', '0x1.0000000000000p+0'),
+        ('inf', '0x0.0p+0'),
+        ('-inf', '0x0.0p+0'),
+        ('nan', 'nan'),
+    ],
+    "_ramp_kernel": [
+        ('0x1.fffffffffffffp-1', '0x1.4720e6e10be9fp+0', '0x1.06775a6cd7e17p-2'),
+        ('0x1.0000000000000p+0', '0x1.4720e6e10be9fp+0', '0x1.06775a6cd7e18p-2'),
+        ('0x1.0000000000001p+0', '0x1.4720e6e10bea0p+0', '0x1.06775a6cd7e16p-2'),
+        ('0x1.fffffffffffffp+0', '0x1.80a509fa0cb5bp-1', '0x1.2ad87c38d6e1dp-1'),
+        ('0x1.0000000000000p+1', '0x1.80a509fa0cb58p-1', '0x1.2ad87c38d6e1dp-1'),
+        ('0x1.0000000000001p+1', '0x1.80a509fa0cb55p-1', '0x1.2ad87c38d6e1cp-1'),
+        ('0x1.fffffffffffffp+1', '0x1.4ebe5f4965dfdp-2', '0x1.37bb1ff6bcd8dp-2'),
+        ('0x1.0000000000000p+2', '0x1.4ebe5f4965dfcp-2', '0x1.37bb1ff6bcd8ep-2'),
+        ('0x1.0000000000001p+2', '0x1.4ebe5f4965dfbp-2', '0x1.37bb1ff6bcd8dp-2'),
+        ('0x1.7ffffffffffffp+3', '0x1.ad1ca67683555p-4', '0x1.aa6920efaaa16p-4'),
+        ('0x1.8000000000000p+3', '0x1.ad1ca67683553p-4', '0x1.aa6920efaaa14p-4'),
+        ('0x1.8000000000001p+3', '0x1.ad1ca67683552p-4', '0x1.aa6920efaaa14p-4'),
+        ('0x0.0p+0', '0x1.5555555555555p+0', '0x0.0p+0'),
+        ('nan', 'nan', 'nan'),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", list(BOUNDARY_BITS))
+def test_boundary_bits(name):
+    """Every kernel keeps its bits at its splits and domain edges, and its
+    return types: a float or complex for a scalar or 0-d input (the ramp
+    kernel takes arrays only), an array of the input's shape otherwise."""
+    fn = getattr(phasematch if name == "_ramp_kernel" else numerics, name)
+    pins = BOUNDARY_BITS[name]
+    got = fn(np.array([float.fromhex(row[0]) for row in pins])).tolist()
+    assert [(v.hex(),) if type(v) is float else (v.real.hex(), v.imag.hex()) for v in got] == [
+        row[1:] for row in pins
+    ]
+    kind = complex if len(pins[0]) == 3 else float
+    grid = fn(np.full((2, 3), 2.5))
+    assert type(grid) is np.ndarray and grid.shape == (2, 3) and grid.dtype == kind
+    if name == "_ramp_kernel":
+        zero_d = fn(np.array(2.5))
+        assert type(zero_d) is np.ndarray and zero_d.shape == () and zero_d.dtype == complex
+    else:
+        assert type(fn(2.5)) is kind and type(fn(np.array(2.5))) is kind
+
+
 def _hankel_modulus_phase(degree=13):
     """Exact coefficients of M = P^2 + Q^2 and Phi = atan(Q/P) in y = 1/x,
     J0's Hankel cosine/sine series P = sum (-1)^k c_2k y^2k and
