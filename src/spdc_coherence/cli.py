@@ -91,7 +91,7 @@ def cmd_joint(args, write):
 def cmd_phase_diagram(args, write):
     diagram = sweep_phase_diagram((0.0, args.x_max), (0.0, args.y_max), args.nx, args.ny, args.alpha)
     write("phase_diagram.csv", sweep_to_csv(diagram))
-    total = len(diagram)
+    total = diagram.type1.size
     frac1 = np.count_nonzero(diagram.type1) / total
     frac2 = np.count_nonzero(diagram.type2) / total
     print(

@@ -159,6 +159,7 @@ def classify_xy(x: float, y: float, alpha: float) -> PhaseDiagramCell:
     return PhaseDiagramCell(x=x, y=y, type1=type1, type2=type2, classification=_LABELS[type1, type2])
 
 
+# The Sequence adapter's last reader is perfbench's survey check
 @dataclass(frozen=True, eq=False)
 class PhaseDiagram(Sequence):
     """An nx-by-ny phase diagram held as columns: the cell centres x (nx,)
@@ -241,7 +242,7 @@ def sweep_to_csv(diagram: PhaseDiagram) -> str:
     is its x text joined to one of three "y,type1,type2,classification"
     tails made per y, picked by the cell's verdicts."""
     lines = ["x,y,type1,type2,classification"]
-    if len(diagram):
+    if diagram.type1.size:
         ys = [_g9(y) for y in diagram.y.tolist()]
         # tails[type1 + 2 type2, j]; the regions are disjoint, so no cell has code 3
         tails = np.array([

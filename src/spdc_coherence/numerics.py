@@ -16,7 +16,9 @@ the Fresnel integral, run in numpy complex arithmetic; J0's is the
 modulus-phase form of Hankel's expansion, one cosine per point, within
 5.4e-12 of scipy's j0 on [0, 3000].  The error bounds in the docstrings
 were measured against 40-digit mpmath values; mpmath is not a dependency.
-The Hankel transform takes an array of radii in one call.
+An array input returns a new array of its shape that the caller owns,
+with bits that do not depend on how many points the call holds; the
+Hankel transform takes an array of radii in one call.
 
 Nothing in here knows about pumps or crystals.  The physics modules quote
 closed-form results; the Hankel transform is the independent numerical
@@ -91,9 +93,9 @@ def _horner(coeffs, w: np.ndarray) -> np.ndarray:
 
 def _split_domain(x: np.ndarray, split: float, top: float, limit: complex, near: Callable, far: Callable) -> np.ndarray:
     # near(x) where x <= split, far(x) where split < x < top (NaN too) and
-    # the limit from top on, for x >= 0: the one series-or-tail dispatch of
-    # every special function here.  Each piece runs only on a nonempty set
-    # (on nothing, _gamma_cf would make all its steps).
+    # the limit from top on, for x >= 0 of any shape, into a new array: the
+    # one series-or-tail dispatch of every kernel here.  Each piece runs only
+    # on a nonempty set (on nothing, _gamma_cf would make all its steps).
     out = np.full(x.shape, limit)
     small = x <= split
     large = ~(small | (x >= top))
@@ -148,21 +150,19 @@ def sine_integral(x):
     Power series up to x = 4, above it pi/2 + Im E1(ix) by the continued
     fraction of ``exp1_i``.  Absolute error below 1e-15 on [0, 1e4]
     (largest 8.9e-16, in the series near x = 3.9); Si(inf) = pi/2.
-    Accepts scalars or arrays; a scalar or 0-d input returns a float.
+    A scalar or 0-d x returns a float, an array a new one of its shape.
     Negative arguments raise NegativeArgument: all callers here pass
     quadratic phases, so the odd extension is intentionally not provided.
     """
     arr = np.asarray(x, dtype=float)
-    flat = arr.ravel()
-    negative = flat < 0.0
+    negative = arr < 0.0
     if negative.any():
-        bad = float(flat[np.argmax(negative)])
-        raise NegativeArgument(f"sine_integral needs x >= 0, got {bad!r}")
+        raise NegativeArgument(f"sine_integral needs x >= 0, got {float(arr[negative][0])!r}")
     # x itself, not |x|: Si(-0.0) = -0.0
-    out = _split_domain(flat, _SI_SPLIT, math.inf, math.pi / 2,
+    out = _split_domain(arr, _SI_SPLIT, math.inf, math.pi / 2,
                         lambda xs: xs * _horner(_SI_SERIES, xs * xs),
                         lambda xl: math.pi / 2 + _e1_large(xl).imag)
-    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def _e1_series(x: np.ndarray) -> np.ndarray:
@@ -181,14 +181,13 @@ def exp1_i(x):
     conjugate.  Relative error below 5.7e-15 for 1e-9 <= |x| <= 1e4
     (largest 5.6e-15, in the series near x = 3.97, where its terms cancel
     most; E1 diverges like -ln|x| at 0);
-    E1(+-i inf) = 0.  Accepts scalars or arrays; a scalar or 0-d input
-    returns a complex.
+    E1(+-i inf) = 0.  A scalar or 0-d x returns a complex, an array a new
+    one of its shape.
     """
     arr = np.asarray(x, dtype=float)
-    flat = arr.ravel()
-    out = _split_domain(np.abs(flat), _SI_SPLIT, math.inf, 0j, _e1_series, _e1_large)
-    out.imag[flat < 0.0] *= -1.0
-    return complex(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+    out = _split_domain(np.abs(arr), _SI_SPLIT, math.inf, 0j, _e1_series, _e1_large)
+    out.imag[arr < 0.0] *= -1.0
+    return complex(out) if out.ndim == 0 else out
 
 
 _FRESNEL_SPLIT = 2.0
@@ -210,17 +209,16 @@ def fresnel(x):
     just above the split); above, the rounding of x^2 in the phase
     dominates, at most |x| eps / 4 < 5.6e-17 |x| (largest 5.04e-15 on
     [0, 100], at x = 91.0).  From |x| = 2^512, where x^2 overflows, up to
-    F(+-inf) it returns the limit +-(sqrt(pi)/2) e^{i pi/4}.  Accepts
-    scalars or arrays; a scalar or 0-d input returns a complex.
+    F(+-inf) it returns the limit +-(sqrt(pi)/2) e^{i pi/4}.  A scalar or
+    0-d x returns a complex, an array a new one of its shape.
     """
     arr = np.asarray(x, dtype=float)
-    flat = arr.ravel()
     # the tail int_x^inf e^{iv^2} dv = (x/2) e^{ix^2} e^z z^(-1/2) Gamma(1/2, z), z = -ix^2
-    out = _split_domain(np.abs(flat), _FRESNEL_SPLIT, _FRESNEL_HUGE, _FRESNEL_LIMIT,
+    out = _split_domain(np.abs(arr), _FRESNEL_SPLIT, _FRESNEL_HUGE, _FRESNEL_LIMIT,
                         lambda xs: xs * _horner(_FRESNEL_SERIES, xs * xs),
                         lambda xl: _FRESNEL_LIMIT - 0.5 * xl * np.exp(1j * xl * xl) * _gamma_cf(0.5, -1j * xl * xl))
-    out[flat < 0.0] *= -1.0
-    return complex(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+    out[arr < 0.0] *= -1.0
+    return complex(out) if out.ndim == 0 else out
 
 
 _J0_SPLIT = 12.0
@@ -263,13 +261,12 @@ def bessel_j0(x):
     modulus-phase form of Hankel's expansion, sqrt(2 M(1/x) / (pi x))
     cos(x - pi/4 + Phi(1/x)), with one cosine per point.  Absolute error
     below 5.4e-12 against scipy's j0 on [0, 3000] (measured 5.34e-12, just
-    above the split); J0(+-inf) = 0.0 and NaN stays NaN.  Accepts scalars
-    or arrays; a scalar or 0-d input returns a float.
+    above the split); J0(+-inf) = 0.0 and NaN stays NaN.  A scalar or 0-d
+    x returns a float, an array a new one of its shape.
     """
-    arr = np.asarray(x, dtype=float)
-    out = _split_domain(np.abs(arr.ravel()), _J0_SPLIT, math.inf, 0.0,
+    out = _split_domain(np.abs(np.asarray(x, dtype=float)), _J0_SPLIT, math.inf, 0.0,
                         lambda xs: _horner(_J0_SERIES, -0.25 * (xs * xs)), _j0_asymptotic)
-    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 class RadialDensity(NamedTuple):

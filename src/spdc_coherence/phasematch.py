@@ -340,9 +340,6 @@ def _ramp_kernel(x: np.ndarray) -> np.ndarray:
 
 
 def _ramp_closed_form(x: np.ndarray) -> np.ndarray:
-    # fresnel returns a view, so from 16384 points on numpy computes the
-    # first product in its right operand's buffer with the operands swapped,
-    # which can round differently: these bits depend on both
     inv = 1.0 / x
     return fresnel(x) * (2.0 - 1j * inv * inv) * inv + 1j * np.exp(1j * x * x) * inv * inv
 
@@ -365,7 +362,7 @@ def _momentum_marginal(k_p: float, key: NonlinearityProfile) -> Callable[[np.nda
         # one lag at a time: memory stays a few arrays of t's size
         for lag, weight in zip(lags.tolist(), weights.tolist()):
             total += weight * lag**1.5 * _ramp_kernel(t * math.sqrt(lag / k_p))
-        return (rotation * total).real
+        return (rotation * total).real.copy()  # owned, not a view of the complex sum
 
     return marginal
 

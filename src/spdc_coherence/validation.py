@@ -160,7 +160,7 @@ def check_phase_diagram_boundaries() -> CheckResult:
         passed=bad == 0 and const_err < 1e-3,
         observed=const_err,
         tolerance=1e-3,
-        detail=f"{len(cells)} cells, {bad} disagree with witness route; "
+        detail=f"{cells.type1.size} cells, {bad} disagree with witness route; "
         f"boundaries {b1:.6f}, {b2:.6f}",
     )
 

@@ -82,15 +82,14 @@ def test_criterion_4_phase_diagram_boundaries():
     b2 = 2.0 / math.sqrt(alpha + 1.0 / alpha)
     const_err = max(abs(b1 - 2.965), abs(b2 - 1.228))
     cells = entanglement.sweep_phase_diagram((0.0, 3.0), (0.0, 4.0), 60, 80, alpha)
-    mismatched = dual = 0
-    for cell in cells:
-        want1 = cell.y > BOUNDARY_TYPE1
-        want2 = cell.y * cell.y < 4.0 / ((alpha + 1.0 / alpha) * (1.0 + 4.0 * cell.x**2))
-        mismatched += cell.type1 != want1 or cell.type2 != want2
-        dual += cell.type1 and cell.type2
+    x, y = cells.x[:, None], cells.y[None, :]
+    want1 = y > BOUNDARY_TYPE1
+    want2 = y * y < 4.0 / ((alpha + 1.0 / alpha) * (1.0 + 4.0 * x**2))
+    mismatched = int(np.count_nonzero((cells.type1 != want1) | (cells.type2 != want2)))
+    dual = int(np.count_nonzero(cells.type1 & cells.type2))
     ok = mismatched == 0 and dual == 0 and const_err < 1e-3
     _report(4, ok,
-            f"{len(cells)} cells, {mismatched} off-predicate, {dual} dual; "
+            f"{cells.type1.size} cells, {mismatched} off-predicate, {dual} dual; "
             f"boundary constants {b1:.4f}/{b2:.4f} within 1e-3 of 2.965/1.228")
 
 

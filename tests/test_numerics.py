@@ -20,6 +20,7 @@ from spdc_coherence.errors import (
     NoSignChange,
     ZeroMass,
 )
+from spdc_coherence.params import CrystalParams
 from spdc_coherence.numerics import (
     RadialGrid,
     _format_distinct,
@@ -447,6 +448,47 @@ def test_boundary_bits(name):
         assert type(zero_d) is np.ndarray and zero_d.shape == () and zero_d.dtype == complex
     else:
         assert type(fn(2.5)) is kind and type(fn(np.array(2.5))) is kind
+
+
+def _log_uniform(signed):
+    # 20,000 seeded points with 1e-12 <= |x| <= 1e8
+    rng = np.random.default_rng(23)
+    x = 10.0 ** rng.uniform(-12.0, 8.0, 20000)
+    return x * rng.choice([-1.0, 1.0], x.size) if signed else x
+
+
+def _momentum_marginal(model):
+    return phasematch.momentum_radial_density(CrystalParams(L=1000.0, k_p=10.0), model).marginal
+
+
+# Each kernel and an input of at least 20,000 points: past numpy's
+# temporary-elision threshold for a complex result
+CALL_SIZE_CASES = {
+    "sine_integral": lambda: (sine_integral, _log_uniform(signed=False)),
+    "exp1_i": lambda: (exp1_i, _log_uniform(signed=True)),
+    "fresnel": lambda: (fresnel, _log_uniform(signed=True)),
+    "bessel_j0": lambda: (bessel_j0, _log_uniform(signed=True)),
+    "_ramp_kernel": lambda: (phasematch._ramp_kernel, np.linspace(1.0, 16.0, 20000)),
+    "marginal_sinc": lambda: (_momentum_marginal(phasematch.EXACT_SINC), np.linspace(0.0, 0.6, 20001)),
+    "marginal_alternating": lambda: (
+        _momentum_marginal(phasematch.PhaseMatchModel.from_profile(phasematch.NonlinearityProfile.alternating(2, 500.0))),
+        np.linspace(0.0, 0.6, 20001),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(CALL_SIZE_CASES))
+def test_bits_independent_of_call_size(name):
+    """An array input returns a new array of its shape that the caller
+    owns, and its bits do not depend on how many points the call holds:
+    one call equals its 1,000-point slices word for word."""
+    fn, x = CALL_SIZE_CASES[name]()
+    whole = fn(x)
+    sliced = np.concatenate([fn(x[k:k + 1000]) for k in range(0, x.size, 1000)])
+    assert np.array_equal(whole.view(np.uint64), sliced.view(np.uint64))
+    assert whole.base is None
+    grid = fn(x[:1200].reshape(30, 40))
+    assert grid.shape == (30, 40) and grid.base is None
 
 
 def _hankel_modulus_phase(degree=13):
