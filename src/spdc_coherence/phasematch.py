@@ -23,11 +23,11 @@ marginal is a closed form too: |chi|^2 is the Fourier transform of the
 profile's autocorrelation, which is piecewise linear, so the transverse
 projection reduces to Fresnel integrals, one kernel per distinct lag
 between edges of the profile.
-Every non-Gaussian position density is one closed form: the amplitude
-of each piecewise-constant segment (z_a, z_b, chi2) is
-chi2 [E1(i kappa/z_b) - E1(i kappa/z_a)] with kappa = k_p rho^2 / 4, and
-Parseval's theorem turns the momentum norm into the position scale, so
-no position-space normalization integral or Hankel transform is needed.
+Every non-Gaussian position density is one closed form: the amplitude is
+-sum_e sigma_e E1(i kappa/z_e) over the edges z_e of chi2, sigma_e its
+jump there and kappa = k_p rho^2 / 4, and Parseval's theorem turns the
+momentum norm into the position scale, so no position-space normalization
+integral or Hankel transform is needed.
 It is tabulated on each build, and the 1D marginal of the table's linear
 interpolant is a closed form too, so no density is projected by quadrature.
 The builders take _minus_key's inputs, never a crystal or a model.
@@ -36,13 +36,13 @@ The builders take _minus_key's inputs, never a crystal or a model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .errors import ParseError, UnknownChoice
-from .numerics import RadialDensity, _horner, _split_domain, exp1_i, find_root, fresnel, gaussian_radial, sinc
+from .numerics import _FRESNEL_HUGE, RadialDensity, _horner, _split_domain, exp1_i, find_root, fresnel, gaussian_radial, sinc
 from .params import CrystalParams
 
 __all__ = [
@@ -75,9 +75,15 @@ class NonlinearityProfile:
 
     segments: (z_start, z_end, chi2) triples (um, um, signed amplitude),
     stored sorted by z_start.  Signed amplitudes encode periodic poling.
+    edges: (z_e, sigma_e), chi2's sorted edges and its nonzero jumps there,
+    built with the profile; every closed form reads chi2 through them, and
+    equality and hashing stay on segments.  Spectrum and norm stay per
+    segment (the edge form cancels as dk -> 0): two cuts agree there when
+    their sums of chi2^2 (z_b - z_a) do.
     """
 
     segments: tuple[tuple[float, float, float], ...]
+    edges: tuple[tuple[float, ...], tuple[float, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         segs = sorted(
@@ -96,14 +102,22 @@ class NonlinearityProfile:
         if all(amp == 0.0 for _, _, amp in segs):
             raise ValueError("profile needs at least one segment with chi2 != 0")
         object.__setattr__(self, "segments", tuple(segs))
+        jumps: dict[float, float] = {}
+        for za, zb, amp in segs:
+            jumps[za] = jumps.get(za, 0.0) + amp
+            jumps[zb] = jumps.get(zb, 0.0) - amp
+        z = tuple(sorted(e for e, sigma in jumps.items() if sigma != 0.0))
+        object.__setattr__(self, "edges", (z, tuple(jumps[e] for e in z)))
 
     @property
     def extent(self) -> tuple[float, float]:
-        return self.segments[0][0], self.segments[-1][1]
+        """The support of chi2: its first and last edge."""
+        return self.edges[0][0], self.edges[0][-1]
 
     @property
     def min_segment_length(self) -> float:
-        return min(b - a for a, b, _ in self.segments)
+        """The shortest gap between two edges of chi2."""
+        return float(np.diff(self.edges[0]).min())
 
     @classmethod
     def boxcar(cls, c: CrystalParams, chi2: float = 1.0) -> "NonlinearityProfile":
@@ -302,18 +316,12 @@ def _momentum_norm(k_p: float, key: NonlinearityProfile) -> float:
 def _autocorrelation_lags(key: NonlinearityProfile) -> tuple[np.ndarray, np.ndarray]:
     # The autocorrelation R(s) = int chi2(z) chi2(z + s) dz of the profile
     # as ramps: for s >= 0, R(s) = sum_j w_j (lag_j - s)_+ over the distinct
-    # positive lags z_f - z_e between edges of chi2, with
-    # w_j = -sum sigma_e sigma_f over the edge pairs at that lag (sigma the
-    # jumps of chi2).  Returns the sorted lags and their weights; equal
-    # lags are combined exactly.  The pairs are taken d edges apart, one d
-    # at a time and combined as they come, so a uniform stack of n segments
-    # never holds its n^2/2 pairs.
-    jumps: dict[float, float] = {}
-    for za, zb, amp in key.segments:
-        jumps[za] = jumps.get(za, 0.0) + amp
-        jumps[zb] = jumps.get(zb, 0.0) - amp
-    edges = np.array(sorted(z for z, sigma in jumps.items() if sigma != 0.0))
-    sigma = np.array([jumps[z] for z in edges.tolist()])
+    # positive lags z_f - z_e between the profile's edges, with
+    # w_j = -sum sigma_e sigma_f over the edge pairs at that lag.  Returns
+    # the sorted lags and their weights; equal lags are combined exactly.
+    # The pairs are taken d edges apart, one d at a time and combined as
+    # they come, so a uniform stack of n segments never holds n^2/2 pairs.
+    edges, sigma = map(np.array, key.edges)
     lags, weights = [], []
     for d in range(1, edges.size):
         lag, which = np.unique(edges[d:] - edges[:-d], return_inverse=True)
@@ -332,11 +340,12 @@ _RAMP_SERIES = tuple(1j**n * (4 / (math.factorial(n) * (2 * n + 1) * (2 * n + 3)
 
 
 def _ramp_kernel(x: np.ndarray) -> np.ndarray:
-    # k(x) = int_0^1 (1 - s) s^{-1/2} e^{i x^2 s} ds for finite x >= 0, in
-    # closed form F(x) (2/x - i/x^3) + i e^{ix^2}/x^2 with F the Fresnel
-    # integral.  Its 1/x^2 terms cancel as x -> 0, losing digits like 1/x^2,
-    # so x <= 1 (and x = 0 exactly, where k = 4/3) takes the power series.
-    return _split_domain(x, 1.0, math.inf, 0j, lambda xs: _horner(_RAMP_SERIES, xs * xs), _ramp_closed_form)
+    # k(x) = int_0^1 (1 - s) s^{-1/2} e^{i x^2 s} ds for x >= 0, in closed
+    # form F(x) (2/x - i/x^3) + i e^{ix^2}/x^2 with F the Fresnel integral.
+    # Its 1/x^2 terms cancel as x -> 0, losing digits like 1/x^2, so x <= 1
+    # (and x = 0 exactly, where k = 4/3) takes the power series; from
+    # fresnel's top on, where x^2 overflows, k ~ 2 F(inf)/x is 0.
+    return _split_domain(x, 1.0, _FRESNEL_HUGE, 0j, lambda xs: _horner(_RAMP_SERIES, xs * xs), _ramp_closed_form)
 
 
 def _ramp_closed_form(x: np.ndarray) -> np.ndarray:
@@ -395,18 +404,15 @@ def _momentum_density(k_p: float, key: NonlinearityProfile) -> RadialDensity:
 def _position_kernel(rho: np.ndarray, k_p: float, key: NonlinearityProfile, placed: NonlinearityProfile) -> np.ndarray:
     # Closed-form position density at radii rho > 0.  The 2D Fourier
     # transform of e^{i q^2 z / k_p} is (i pi k_p / z) e^{-i kappa / z},
-    # kappa = k_p rho^2 / 4, so each segment's amplitude integrates to
-    # chi2 [E1(i kappa/z_b) - E1(i kappa/z_a)]; a face at z = 0 adds
-    # E1(i inf) = 0, and a segment that straddles 0 splits there into the
-    # same two end terms.  Parseval fixes the scale from the momentum
+    # kappa = k_p rho^2 / 4, so the amplitude integrates to
+    # -sum_e sigma_e E1(i kappa/z_e), one E1 per edge of chi2; an edge at
+    # z = 0 adds E1(i inf) = 0.  Parseval fixes the scale from the momentum
     # norm: density = (k_p/2)^2 |sum|^2 / norm_q.
     kappa = 0.25 * k_p * rho * rho
     total = np.zeros(rho.shape, dtype=complex)
-    for za, zb, amp in placed.segments:
-        if zb != 0.0:
-            total += amp * exp1_i(kappa / zb)
-        if za != 0.0:
-            total -= amp * exp1_i(kappa / za)
+    for z, sigma in zip(*placed.edges):
+        if z != 0.0:
+            total -= sigma * exp1_i(kappa / z)
     return (0.5 * k_p) ** 2 * (total.real**2 + total.imag**2) / _momentum_norm(k_p, key)
 
 
@@ -420,10 +426,10 @@ def _position_table(k_p: float, key: NonlinearityProfile, placed: NonlinearityPr
     """The closed-form position density of the placed profile on a radial
     table, built afresh on each call (joint caches the factor made from
     it).  Quadratic midpoint nodes rho_max ((k + 1/2)/n)^2 crowd towards
-    the origin, where a face at z = 0 puts a log-squared peak, and never
-    touch its divergence.  rho_max^2 k_p / (2 _U_HALF) is the placed
-    profile's extent E, or the sinc tail's scale (z_lo^2 + z_hi^2)/E if
-    it lies off z = 0."""
+    the origin, where an edge at z = 0 puts a log-squared peak, and never
+    touch its divergence.  rho_max^2 k_p / (2 _U_HALF) is the extent E
+    from the placed profile's first edge z_lo to its last z_hi, or the
+    sinc tail's scale (z_lo^2 + z_hi^2)/E if both lie off z = 0."""
     zlo, zhi = placed.extent
     rho_max = math.sqrt(2.0 * _U_HALF * (zhi - zlo + 2.0 * max(zlo * zhi, 0.0) / (zhi - zlo)) / k_p)
     t = (np.arange(_TABLE_NODES) + 0.5) / _TABLE_NODES
@@ -542,12 +548,12 @@ def _position_marginal(nodes: np.ndarray, vals: np.ndarray) -> Callable[[np.ndar
 
 def position_radial_density(c: CrystalParams, m: PhaseMatchModel) -> RadialDensity:
     """The anti-diagonal position density as a radial profile.  Non-Gaussian
-    models read the closed form (k_p/2)^2 |sum_seg chi2 [E1(i kappa/z_b) -
-    E1(i kappa/z_a)]|^2 / norm_q, kappa = k_p rho^2/4, from a table built
-    on each call.  Unlike the momentum density this depends on z0: a
-    crystal centred on the origin (z0 = L/2) gives
-    [pi/2 - Si(k_p rho^2 / (2L))]^2, while a face at z = 0 (the default
-    z0 = L) develops an integrable log-squared peak at rho = 0."""
+    models read the closed form (k_p/2)^2 |sum_e sigma_e E1(i kappa/z_e)|^2
+    / norm_q over the edges z_e of chi2 (sigma_e its jump there), kappa =
+    k_p rho^2/4, from a table built on each call.  Unlike the momentum
+    density this depends on z0: a crystal centred on the origin (z0 = L/2)
+    gives [pi/2 - Si(k_p rho^2 / (2L))]^2, while a face at z = 0 (the
+    default z0 = L) develops an integrable log-squared peak at rho = 0."""
     if m.kind == "gauss":
         return gaussian_radial(variance_rho_minus(c))
     return _position_density(*_minus_key(c, m, "position"))

@@ -637,6 +637,42 @@ class TestMinusFactorCache:
         assert info.misses == 0 and info.currsize == 0
 
 
+class TestProfileCuts:
+    """A profile is read through the jumps of chi2 alone: the same chi2 cut
+    at equal chi2, or padded with chi2 = 0, gives the same default axes and
+    the same grid bits in both spaces.  (Its norm, a sum over segments,
+    agrees to the bit at these cuts.)"""
+
+    WHOLE = {
+        "boxcar": ((0.0, 1000.0, 1.0),),
+        "poled_pair": ((0.0, 500.0, 1.0), (500.0, 1000.0, -1.0)),
+    }
+    CUTS = {
+        "boxcar": [
+            ((0.0, 999.0, 1.0), (999.0, 1000.0, 1.0)),
+            ((0.0, 1000.0, 1.0), (1000.0, 1200.0, 0.0)),
+            ((-100.0, 0.0, 0.0), (0.0, 1000.0, 1.0)),
+        ],
+        "poled_pair": [
+            ((0.0, 250.0, 1.0), (250.0, 500.0, 1.0), (500.0, 1000.0, -1.0)),
+            ((0.0, 500.0, 1.0), (500.0, 1000.0, -1.0), (1000.0, 1200.0, 0.0)),
+            ((-100.0, 0.0, 0.0), (0.0, 500.0, 1.0), (500.0, 1000.0, -1.0)),
+        ],
+    }
+
+    @pytest.mark.parametrize("space", ["momentum", "position"])
+    @pytest.mark.parametrize("name", ["boxcar", "poled_pair"])
+    def test_recut_profile_gives_the_same_grid(self, name, space):
+        whole = PhaseMatchModel.from_profile(NonlinearityProfile(self.WHOLE[name]))
+        axes = default_axes(PUMP, CRYSTAL, whole, space, "rotated")
+        values = evaluate_grid(PUMP, CRYSTAL, whole, space, "rotated", axes).values
+        for segments in self.CUTS[name]:
+            cut = PhaseMatchModel.from_profile(NonlinearityProfile(segments))
+            assert default_axes(PUMP, CRYSTAL, cut, space, "rotated") == axes
+            got = evaluate_grid(PUMP, CRYSTAL, cut, space, "rotated", axes).values
+            assert got.tobytes() == values.tobytes()
+
+
 class TestFactor:
     def test_gaussian_passes_its_marginal_through(self):
         radial = momentum_radial_density(CRYSTAL, GAUSSIAN_APPROX)

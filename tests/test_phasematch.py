@@ -25,7 +25,9 @@ from oracles import (
 )
 
 import spdc_coherence
+from spdc_coherence import phasematch
 from spdc_coherence.errors import ParseError, UnknownChoice
+from spdc_coherence.numerics import exp1_i
 from spdc_coherence.params import CrystalParams
 from spdc_coherence.phasematch import (
     EXACT_SINC,
@@ -39,6 +41,7 @@ from spdc_coherence.phasematch import (
     _FAR_COEFFS,
     _NEAR,
     _minus_key,
+    _position_kernel,
     _position_table,
     load_profile,
     momentum_radial_density,
@@ -162,8 +165,34 @@ class TestProfiles:
     def test_alternating_layout(self):
         prof = NonlinearityProfile.alternating(3, 10.0, z_start=5.0, chi2=2.0)
         assert prof.segments == ((5.0, 15.0, 2.0), (15.0, 25.0, -2.0), (25.0, 35.0, 2.0))
+        assert prof.edges == ((5.0, 15.0, 25.0, 35.0), (2.0, -4.0, 4.0, -2.0))
+        assert repr(prof) == f"NonlinearityProfile(segments={prof.segments!r})"
         assert prof.extent == (5.0, 35.0)
         assert prof.min_segment_length == 10.0
+
+    @pytest.mark.parametrize(
+        "segments",
+        [
+            ((0.0, 60.0, 1.0), (60.0, 100.0, 1.0)),  # cut at equal chi2
+            ((0.0, 100.0, 1.0), (100.0, 130.0, 0.0)),  # padded at the end
+            ((-10.0, 0.0, 0.0), (0.0, 100.0, 1.0)),  # padded at the start
+        ],
+        ids=["cut", "pad_end", "pad_start"],
+    )
+    def test_edges_ignore_how_chi2_is_cut(self, segments):
+        """The edges, and the extent and shortest gap read from them, are
+        those of chi2 itself; equality and hashing stay on the segments."""
+        whole = NonlinearityProfile(((0.0, 100.0, 1.0),))
+        cut = NonlinearityProfile(segments)
+        assert cut.edges == whole.edges == ((0.0, 100.0), (1.0, -1.0))
+        assert cut.extent == (0.0, 100.0)
+        assert cut.min_segment_length == 100.0
+        assert cut != whole and cut == NonlinearityProfile(segments)
+        assert hash(cut) == hash(NonlinearityProfile(segments))
+
+    def test_shortest_gap_counts_gaps_in_chi2(self):
+        prof = NonlinearityProfile(((0.0, 50.0, 1.0), (52.0, 100.0, -1.0)))
+        assert prof.min_segment_length == 2.0
 
     def test_segments_sorted(self):
         prof = NonlinearityProfile(((10.0, 20.0, 1.0), (0.0, 10.0, -1.0)))
@@ -286,6 +315,13 @@ class TestMomentumDensity:
         assert got[0, 0] == pytest.approx(float(_pdf_q(0.1, C_EXIT, EXACT_SINC)), rel=1e-12)
         assert got[1, 1] == float(_pdf_q(0.1, C_EXIT, EXACT_SINC))
 
+    def test_marginal_vanishes_where_the_kernel_argument_overflows(self):
+        """Sinc's one lag gives kernel arguments x = 10 t here, and from
+        x = 2^512 on x^2 overflows: the kernel takes its limit 0 there, as
+        at t = inf, instead of NaN with an overflow warning."""
+        marginal = momentum_radial_density(C_EXIT, EXACT_SINC).marginal
+        assert marginal(np.array([1e160, 1e200, np.inf])).tolist() == [0.0, 0.0, 0.0]
+
     # The density is |chi(q^2/k_p)|^2 / norm_q evaluated exactly at every
     # radius, beyond the window too.  Both sides normalize by the exact
     # Parseval norm, so only rounding in the spectrum's phases separates
@@ -353,6 +389,36 @@ class TestPositionDensity:
         exit_vals = _pdf_rho(rhos, C_EXIT, EXACT_SINC)
         mid_vals = _pdf_rho(rhos, C_MID, EXACT_SINC)
         assert np.max(np.abs(exit_vals - mid_vals)) / np.max(mid_vals) > 0.01
+
+    def test_one_e1_per_edge(self, monkeypatch):
+        """The amplitude -sum_e sigma_e E1(i kappa/z_e) takes one E1 pass per
+        edge of chi2 off z = 0: 250 for a 250-segment stack from 0."""
+        calls = []
+
+        def counting(x):
+            calls.append(np.shape(x))
+            return exp1_i(x)
+
+        monkeypatch.setattr(phasematch, "exp1_i", counting)
+        prof = NonlinearityProfile.alternating(250, 4.0)
+        _position_kernel(np.linspace(1.0, 50.0, 64), K_P, prof, prof)
+        assert calls == [(64,)] * 250
+
+    def test_edge_form_against_mpmath(self):
+        """The closed form of alternating(250, 4) against
+        (k_p/2)^2 |sum_e sigma_e E1(i kappa/z_e)|^2 / (pi^2 k_p L) summed in
+        40-digit mpmath (edges 4e for e = 0..250, jumps +1 at both ends and
+        -2, +2, ... between), stored as hex, to 1e-14 of the largest pinned value
+        (observed 4.2e-15; two E1 passes per segment err by 5.9e-15)."""
+        rho = np.array([1.0, 1.75, 3.0, 5.5, 9.0, 16.0, 30.0, 50.0])
+        want = np.array([float.fromhex(h) for h in (
+            "0x1.7042dbdc06352p-13", "0x1.97dec1f4e4940p-14", "0x1.c9a98a3a7c01ap-14",
+            "0x1.392818823a7d4p-14", "0x1.3e5f7d58196f3p-15", "0x1.b7f1c5b672e3cp-17",
+            "0x1.5844206127065p-17", "0x1.703560c9c0444p-19",
+        )])
+        prof = NonlinearityProfile.alternating(250, 4.0)
+        got = _position_kernel(rho, K_P, prof, prof)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(want)
 
     def test_beyond_table_is_zero(self):
         assert float(_pdf_rho(1e6, C_EXIT, EXACT_SINC)) == 0.0
