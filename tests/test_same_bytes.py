@@ -28,6 +28,21 @@ def test_tree_matches_itself():
     assert "joint-exit_face-momentum-lab-sinc/exit_code" in files  # exit 2 is recorded, not skipped
 
 
+def test_run_without_exit_code_fails(tmp_path):
+    """A tree whose cli ends the process before the worker records the run
+    leaves no exit_code: exit 2, not an identical comparison."""
+    pkg = tmp_path / "src" / "spdc_coherence"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("")
+    (pkg / "cli.py").write_text("import os\n\n\ndef main(argv):\n    os._exit(0)\n")
+    proc = subprocess.run(
+        [sys.executable, str(TOOL), str(ROOT), str(tmp_path), "--only", "phase-diagram"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.strip() == "error: no exit_code from new/phase-diagram"
+
+
 def test_matrix_covers_every_command(tmp_path):
     names = [name for name, _ in same_bytes.write_inputs(ROOT, tmp_path)]
     assert len(names) == 3 * 2 * 2 * 3 + 4

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare the output bytes of two source trees of this package.
 
-    python tools/same_bytes.py OLD_TREE NEW_TREE [--only TEXT] [--keep DIR]
+    python tools/same_bytes.py OLD_TREE NEW_TREE [--only TEXT]
 
 Each tree's ``cli.main`` runs one fixed matrix of commands in its own
 Python process, with that tree's ``src`` first on the path:
@@ -19,10 +19,10 @@ an exit code of 2 is a result like any other.  Manifests' ``duration_s``
 and validate's "passed in X s" are masked before hashing.  The script
 prints one SHA-256 per file (old -> new where they differ), then the
 files that differ, and exits 1 on any difference, 0 when every file
-matches.  The inputs are written once and shared by both trees; the
-example config is read from OLD_TREE.  ``--only TEXT`` keeps the runs
-whose name contains TEXT; ``--keep DIR`` leaves the outputs in DIR/old
-and DIR/new (which must not exist yet) instead of a temporary directory.
+matches, and 2 when a worker fails or a run left no ``exit_code``.  The
+inputs and outputs live in one temporary directory, the inputs shared by
+both trees; the example config is read from OLD_TREE.  ``--only TEXT``
+keeps the runs whose name contains TEXT.
 """
 
 from __future__ import annotations
@@ -143,13 +143,10 @@ def main(argv=None) -> int:
     ap.add_argument("old", type=Path, help="reference source tree (holds src/ and configs/)")
     ap.add_argument("new", type=Path, help="source tree to compare with it")
     ap.add_argument("--only", default="", help="keep the runs whose name contains this text")
-    ap.add_argument("--keep", type=Path, help="write the outputs to DIR/old and DIR/new and keep them")
     args = ap.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="same_bytes-") as tmp:
-        base = args.keep if args.keep is not None else Path(tmp)
-        if (base / "old").exists() or (base / "new").exists():
-            ap.error(f"{base} already holds old/ or new/")
-        inputs = Path(tmp) / "inputs"
+        base = Path(tmp).resolve()
+        inputs = base / "inputs"
         inputs.mkdir()
         runs = [run for run in write_inputs(args.old, inputs) if args.only in run[0]]
         if not runs:
@@ -160,13 +157,19 @@ def main(argv=None) -> int:
         procs = []
         for side, tree in (("old", args.old), ("new", args.new)):
             out = base / side
-            out.mkdir(parents=True)
+            out.mkdir()
             cmd = [sys.executable, str(Path(__file__).resolve()), "--worker", str(tree.resolve()), str(out), str(matrix)]
             procs.append(subprocess.Popen(cmd, cwd=tmp, env=env))
         if any([proc.wait() != 0 for proc in procs]):  # wait for both
             print("error: a worker failed", file=sys.stderr)
             return 2
-        lines, differ = compare(digests(base / "old"), digests(base / "new"))
+        old, new = digests(base / "old"), digests(base / "new")
+        unrun = [f"{side}/{name}" for side, found in (("old", old), ("new", new))
+                 for name, _ in runs if f"{name}/exit_code" not in found]
+        if unrun:  # a worker that stopped early must not compare as identical
+            print(f"error: no exit_code from {', '.join(unrun)}", file=sys.stderr)
+            return 2
+        lines, differ = compare(old, new)
     print("\n".join(lines))
     for path in differ:
         print(f"differ: {path}")
