@@ -11,8 +11,10 @@ density develops the familiar tilted-ellipse correlations.
 
 Each factor is a _Factor (marginal, 1/e half-width, window) that _factor
 builds from a radial density's exact marginal (phasematch decides how
-each density projects): a Gaussian passes its closed form through, a
-heavy-tailed density is tabulated once on 4097 nodes across its window.
+each density projects, and where it is tabulated): a Gaussian passes its
+closed form through, a heavy-tailed density is tabulated once at its
+RadialDensity.offsets, 4097 uniform ones in momentum and its own 2048
+table radii plus 0 in position.
 Only the minus factor can need a table, and it does not depend on the
 pump: a non-Gaussian one is cached on exactly what it reads
 (phasematch._minus_key), so a sweep over the pump or alpha, or over z0
@@ -31,7 +33,7 @@ log-squared peak at the origin, |E1(i k_p rho^2 / 4L)|^2 ~
 (ln(k_p rho^2 / 4L) + 0.577)^2 as rho -> 0.  At L = 1000 um and
 k_p = 10 rad/um the disc rho < 0.5 um holds 1.28% of the mass.  Its 1D
 marginal stays finite but has a cusp at the origin (15% lower at
-0.5 um) inside a 1/e half-width of 5.24 um, so the coarseness guard
+0.5 um) inside a 1/e half-width of 5.18 um, so the coarseness guard
 cannot see it; default grids (1.6 um cells there) sample across it and
 their cell sums soften accordingly.  Centred crystals (z0 = L/2) have
 no such feature.
@@ -64,8 +66,6 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
-
-_MARGINAL_NODES = 4097  # table nodes of a non-Gaussian factor's marginal
 
 DEFAULT_COUNT = 256
 
@@ -113,12 +113,12 @@ class _Factor(NamedTuple):
 
 def _factor(radial: RadialDensity) -> _Factor:
     """The factor of a radial density: a Gaussian's closed-form marginal, or
-    any other density's exact marginal tabulated once across its window and
-    read by linear interpolation, zero beyond the table."""
+    any other density's exact marginal tabulated once at the density's own
+    offsets and read by linear interpolation, zero beyond the table."""
     if radial.sigma is not None:
         return _Factor(radial.marginal, _SQRT2 * radial.sigma, radial.half_range)
     span = radial.half_range
-    nodes = np.linspace(0.0, span, _MARGINAL_NODES)
+    nodes = radial.offsets
     vals = radial.marginal(nodes)
     width_half = _width_from_table(nodes, vals)
     # default window by mass quantile: the sinc-family tails decay like

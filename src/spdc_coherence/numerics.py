@@ -282,12 +282,17 @@ class RadialDensity(NamedTuple):
     (heavy-tailed sinc family).
     marginal: the exact 1D marginal, always set, vectorized offset t ->
     integral of pdf(sqrt(t^2 + y^2)) over every y.
+    offsets: where a non-Gaussian factor tabulates marginal, ascending
+    from 0 to half_range; None for a Gaussian, whose marginal is read
+    directly.  A momentum density spreads them uniformly, a position
+    density puts them at its own table radii, crowded towards the cusp.
     """
 
     pdf: Callable[[np.ndarray], np.ndarray]
     half_range: float
     sigma: float | None
     marginal: Callable[[np.ndarray], np.ndarray]
+    offsets: np.ndarray | None = None
 
 
 def gaussian_radial(var: float) -> RadialDensity:

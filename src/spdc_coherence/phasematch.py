@@ -29,7 +29,8 @@ jump there and kappa = k_p rho^2 / 4, and Parseval's theorem turns the
 momentum norm into the position scale, so no position-space normalization
 integral or Hankel transform is needed.
 It is tabulated on each build, and the 1D marginal of the table's linear
-interpolant is a closed form too, so no density is projected by quadrature.
+interpolant is a closed form too, so no density is projected by quadrature;
+joint tabulates that marginal at 0 and the table's own radii.
 The builders take _minus_key's inputs, never a crystal or a model.
 """
 
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -67,6 +69,8 @@ _TAYLOR_SWITCH = 1e-5  # |dk| * segment length below which the series is used
 # natural argument u (= dk * feature / 2).  The tail mass beyond u is
 # ~ 1/(pi u): 1000 keeps default grids above 99.9% capture.
 _U_HALF = 1000.0
+
+_MARGINAL_NODES = 4097  # uniform offsets of a momentum factor's marginal table
 
 
 @dataclass(frozen=True)
@@ -398,21 +402,33 @@ def _momentum_density(k_p: float, key: NonlinearityProfile) -> RadialDensity:
         return np.abs(chi_tilde_profile(q * q / k_p, key)) ** 2 / norm
 
     half = math.sqrt(2.0 * _U_HALF * k_p / key.min_segment_length)
-    return RadialDensity(pdf=pdf, half_range=half, sigma=None, marginal=_momentum_marginal(k_p, key))
+    return RadialDensity(
+        pdf=pdf, half_range=half, sigma=None, marginal=_momentum_marginal(k_p, key),
+        offsets=np.linspace(0.0, half, _MARGINAL_NODES),
+    )
 
 
 def _position_kernel(rho: np.ndarray, k_p: float, key: NonlinearityProfile, placed: NonlinearityProfile) -> np.ndarray:
     # Closed-form position density at radii rho > 0.  The 2D Fourier
     # transform of e^{i q^2 z / k_p} is (i pi k_p / z) e^{-i kappa / z},
     # kappa = k_p rho^2 / 4, so the amplitude integrates to
-    # -sum_e sigma_e E1(i kappa/z_e), one E1 per edge of chi2; an edge at
-    # z = 0 adds E1(i inf) = 0.  Parseval fixes the scale from the momentum
-    # norm: density = (k_p/2)^2 |sum|^2 / norm_q.
+    # -sum_e sigma_e E1(i kappa/z_e), one E1 per distinct |z_e|: an edge at
+    # -z reads the conjugate of the one at z, as exp1_i does for a negated
+    # argument, and an edge at z = 0 adds E1(i inf) = 0.  Parseval fixes
+    # the scale from the momentum norm: density = (k_p/2)^2 |sum|^2 / norm_q.
     kappa = 0.25 * k_p * rho * rho
     total = np.zeros(rho.shape, dtype=complex)
+    edges = set(placed.edges[0])
+    pending = {}  # E1 at |z| for each edge whose mirror -z is still to come
     for z, sigma in zip(*placed.edges):
-        if z != 0.0:
-            total -= sigma * exp1_i(kappa / z)
+        if z == 0.0:
+            continue
+        e1 = pending.pop(-z, None)
+        if e1 is None:
+            e1 = exp1_i(kappa / abs(z))
+            if -z in edges:
+                pending[z] = e1
+        total -= sigma * (e1.conj() if z < 0.0 else e1)
     return (0.5 * k_p) ** 2 * (total.real**2 + total.imag**2) / _momentum_norm(k_p, key)
 
 
@@ -478,34 +494,39 @@ def _position_marginal(nodes: np.ndarray, vals: np.ndarray) -> Callable[[np.ndar
     # r_j < max(_NEAR t_max, _FAR_FLOOR R) in closed form, and the far
     # nodes through phi's series in units of R (rho = r/R, tau = t/R): sums
     # of d_j rho_j^2, d_j, d_j ln rho_j and d_j rho_j^{-2m}
-    # (m < _SERIES_TERMS) over each group's far nodes, built once, then one
+    # (m < _SERIES_TERMS) over each group's far nodes, built on the first
+    # call (a caller that reads only pdf never pays for them), then one
     # Horner pass in tau^2 for every offset.  This stays within 1e-14 of
     # the peak of the all-closed-form sum.
     jumps = np.diff(np.diff(vals) / np.diff(nodes), prepend=0.0, append=0.0)
     n = nodes.size
     big_r = float(nodes[-1])
-    rho = nodes / big_r
-    floor = int(np.searchsorted(rho, _FAR_FLOOR))
     lo_edges = np.arange(0, n + 1, _NODE_GROUP)
-    top = nodes[np.minimum(lo_edges + _NODE_GROUP, n) - 1]
-    splits = np.maximum(np.searchsorted(nodes, _NEAR * top), floor)
-    r = rho[floor:]
-    terms = np.empty((_SERIES_TERMS + 2, r.size))
-    terms[0] = r * r
-    terms[1] = 1.0
-    terms[2] = np.log(r)
-    np.cumprod(np.broadcast_to(1.0 / terms[0], (_SERIES_TERMS - 1, r.size)), axis=0, out=terms[3:])
-    terms *= jumps[floor:]
-    # each group's far sums: pairwise sums between consecutive splits (which
-    # never decrease), then a running sum over those few pieces from the top
-    edges = np.append(splits, n) - floor
-    pieces = np.stack([terms[:, a:b].sum(axis=1) for a, b in zip(edges[:-1], edges[1:])], axis=1)
-    tails = np.cumsum(pieces[:, ::-1], axis=1)[:, ::-1]
-    sum2, sum0, sum_log = tails[:3]
-    plain = np.stack((sum2, (0.5 + math.log(2.0)) * sum0 + sum_log, sum0))
-    series = _FAR_COEFFS[:, None] * tails[3:]
+
+    @cache
+    def far_sums():
+        rho = nodes / big_r
+        floor = int(np.searchsorted(rho, _FAR_FLOOR))
+        top = nodes[np.minimum(lo_edges + _NODE_GROUP, n) - 1]
+        splits = np.maximum(np.searchsorted(nodes, _NEAR * top), floor)
+        r = rho[floor:]
+        terms = np.empty((_SERIES_TERMS + 2, r.size))
+        terms[0] = r * r
+        terms[1] = 1.0
+        terms[2] = np.log(r)
+        np.cumprod(np.broadcast_to(1.0 / terms[0], (_SERIES_TERMS - 1, r.size)), axis=0, out=terms[3:])
+        terms *= jumps[floor:]
+        # each group's far sums: pairwise sums between consecutive splits (which
+        # never decrease), then a running sum over those few pieces from the top
+        edges = np.append(splits, n) - floor
+        pieces = np.stack([terms[:, a:b].sum(axis=1) for a, b in zip(edges[:-1], edges[1:])], axis=1)
+        tails = np.cumsum(pieces[:, ::-1], axis=1)[:, ::-1]
+        sum2, sum0, sum_log = tails[:3]
+        plain = np.stack((sum2, (0.5 + math.log(2.0)) * sum0 + sum_log, sum0))
+        return splits, plain, _FAR_COEFFS[:, None] * tails[3:]
 
     def marginal(t):
+        splits, plain, series = far_sums()
         t = np.abs(np.asarray(t, dtype=float))
         flat = t.ravel()
         out = 2.0 * vals[-1] * np.sqrt(np.maximum(nodes[-1] ** 2 - flat * flat, 0.0))
@@ -565,4 +586,7 @@ def _position_density(k_p: float, key: NonlinearityProfile, placed: Nonlinearity
     def pdf(r):
         return np.interp(np.abs(np.asarray(r, dtype=float)), nodes, vals, right=0.0)
 
-    return RadialDensity(pdf=pdf, half_range=float(nodes[-1]), sigma=None, marginal=_position_marginal(nodes, vals))
+    return RadialDensity(
+        pdf=pdf, half_range=float(nodes[-1]), sigma=None, marginal=_position_marginal(nodes, vals),
+        offsets=np.concatenate(([0.0], nodes)),
+    )

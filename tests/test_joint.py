@@ -51,12 +51,10 @@ SQRT2 = math.sqrt(2.0)
 
 
 def _minus_table(c, m, space):
-    """(nodes, values) of the minus factor's table: the nodes span the
-    radial density's window, and np.interp returns the table value exactly
-    at a node."""
+    """(nodes, values) of the minus factor's table: the radial density's own
+    offsets, and np.interp returns the table value exactly at a node."""
     radial = (momentum_radial_density if space == "momentum" else position_radial_density)(c, m)
-    nodes = np.linspace(0.0, radial.half_range, joint._MARGINAL_NODES)
-    return nodes, _cached_minus(c, m, space).marginal(nodes)
+    return radial.offsets, _cached_minus(c, m, space).marginal(radial.offsets)
 
 
 def _cached_minus(c, m, space):
@@ -727,7 +725,7 @@ class TestClosedFormMarginal:
         ids=["sinc", "poled_pair", "alternating_16", "four_uneven"],
     )
     def test_one_kernel_per_distinct_lag(self, monkeypatch, model, lags):
-        """The build costs one Fresnel kernel over the 4097 nodes per
+        """The build costs one Fresnel kernel over the 4097 offsets per
         distinct positive lag between edges of chi2: one for sinc, n for a
         stack of n equal segments, at most n_e (n_e - 1)/2 for n_e edges."""
         calls = []
@@ -739,7 +737,7 @@ class TestClosedFormMarginal:
 
         monkeypatch.setattr(phasematch, "_ramp_kernel", counted)
         joint._factor(momentum_radial_density(CRYSTAL, model))
-        assert calls == [joint._MARGINAL_NODES] * lags
+        assert calls == [phasematch._MARGINAL_NODES] * lags
 
     def test_long_stack_lags_in_small_memory(self):
         """2,000 poled domains have 2,001 edges and 2 M edge pairs, but only
@@ -780,15 +778,35 @@ class TestClosedFormMarginal:
     def test_position_table_against_brute_force(self, crystal, model):
         """The closed-form projection of the position table's interpolant
         matches a 2^21-node midpoint projection of the same pdf within 1e-9
-        of the peak (observed below 1e-11)."""
+        of the peak (observed below 1e-11), at the table offsets nearest
+        1/256, 1/16, 1/2 and 0.977 of the table radius."""
         radial = position_radial_density(crystal, model)
         nodes, vals = _minus_table(crystal, model, "position")
         peak = float(np.max(vals))
         n = 2**21
-        for k in (16, 256, 2048, 4000):
+        for fraction in (1 / 256, 1 / 16, 1 / 2, 4000 / 4096):
+            k = int(np.argmin(np.abs(nodes - fraction * radial.half_range)))
             t = float(nodes[k])
             # the pdf drops to zero at the table's last node
             h = math.sqrt(radial.half_range**2 - t * t) / n
             y = (np.arange(n) + 0.5) * h
             want = 2.0 * h * float(np.sum(radial.pdf(np.hypot(t, y))))
             assert abs(float(vals[k]) - want) <= 1e-9 * peak
+
+    @pytest.mark.parametrize(
+        "crystal,model",
+        [(CRYSTAL, EXACT_SINC), (CRYSTAL_MID, EXACT_SINC), (CRYSTAL, POLED_PAIR)],
+        ids=["exit_face", "centred", "poled_pair"],
+    )
+    def test_position_table_reads_exact_marginal(self, crystal, model):
+        """The factor's table, read between its offsets, stays within 5e-5 of
+        the peak of the exact marginal across the window and down into the
+        exit face's t -> 0 cusp (observed 1.55e-5 exit face, 9.5e-6
+        centred and 2.34e-5 poled pair, all but the centred maximum at
+        t = 9e-5 um).  4,097 uniform offsets misread the cusp by 3.3e-3
+        (exit face) and 5.2e-3 (poled pair)."""
+        radial = position_radial_density(crystal, model)
+        factor = _cached_minus(crystal, model, "position")
+        t = np.concatenate((np.linspace(0.0, factor.window, 20001), np.geomspace(1e-6, 1.0, 2001)))
+        exact = radial.marginal(t)
+        assert np.max(np.abs(factor.marginal(t) - exact)) <= 5e-5 * np.max(exact)

@@ -1,5 +1,6 @@
 """tools/same_bytes.py: the byte comparison of two source trees."""
 
+import hashlib
 import importlib.util
 import pathlib
 import subprocess
@@ -26,6 +27,23 @@ def test_tree_matches_itself():
     files = [line.split("  ", 1)[1] for line in lines[:-1]]
     assert "joint-exit_face-position-rotated-poled_pair/joint_position_rotated.json" in files
     assert "joint-exit_face-momentum-lab-sinc/exit_code" in files  # exit 2 is recorded, not skipped
+
+
+def test_kernels_match_themselves():
+    """The working tree's kernel digests against themselves: ten kernels,
+    every file identical, exit 0, and each kernel's one call gives the
+    same bytes as its 30 x 40 call."""
+    proc = subprocess.run(
+        [sys.executable, str(TOOL), str(ROOT), str(ROOT), "--only", "kernel-"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[-1].startswith(f"{len(same_bytes.KERNELS)} runs, ") and lines[-1].endswith(", 0 differ")
+    digest = {path: sha for sha, path in (line.split("  ", 1) for line in lines[:-1])}
+    for name in same_bytes.KERNELS:
+        assert digest[f"kernel-{name}/exit_code"] == hashlib.sha256(b"0\n").hexdigest()  # no exception
+        assert digest[f"kernel-{name}/one_call"] == digest[f"kernel-{name}/grid_30x40"]
 
 
 def test_run_without_exit_code_fails(tmp_path):

@@ -14,6 +14,14 @@ Python process, with that tree's ``src`` first on the path:
 * ``phasematch`` for sinc and gauss on the example config;
 * ``phase-diagram`` and ``validate`` at their defaults.
 
+Each tree also runs the kernels that every output rests on (``KERNELS``):
+``exp1_i``, ``fresnel``, ``bessel_j0``, ``sine_integral``, the ramp
+kernel, and the 1D marginal of momentum and position densities at
+L = 1000 um, k_p = 10 rad/um.  Each takes 1,200 seeded inputs as one
+call (``one_call``), as one 30 x 40 call (``grid_30x40``, the same bytes
+when the bits do not depend on the call's shape) and every tenth of them
+as scalar calls (``scalar``); the files hold the raw output bytes.
+
 Every run keeps its files plus ``exit_code``, ``stdout`` and ``stderr``:
 an exit code of 2 is a result like any other.  Manifests' ``duration_s``
 and validate's "passed in X s" are masked before hashing.  The script
@@ -37,6 +45,7 @@ import subprocess
 import sys
 import tempfile
 import traceback
+import zlib
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -44,6 +53,22 @@ from pathlib import Path
 CONFIGS = {
     "exit_face": "pump.w = 100\npump.k_p = 10\ncrystal.L = 1000\n",
     "thin": "pump.w = 0.1\npump.k_p = 10\ncrystal.L = 0.1\ncrystal.z0 = 0.7\n",
+}
+# kernel -> (log10 range of its input magnitudes, whether they take random
+# signs): in units of the density's half range for a marginal.  Each range
+# crosses the kernel's series/tail splits, and a marginal's reaches past
+# its table; Si and the ramp kernel are defined for x >= 0 only.
+KERNELS = {
+    "exp1_i": (-3.0, 3.0, True),
+    "fresnel": (-3.0, 3.0, True),
+    "bessel_j0": (-3.0, 3.0, True),
+    "sine_integral": (-3.0, 3.0, False),
+    "_ramp_kernel": (-3.0, 3.0, False),
+    "momentum-sinc": (-5.0, 0.1, True),
+    "momentum-poled_pair": (-5.0, 0.1, True),
+    "position-exit_face": (-5.0, 0.1, True),
+    "position-centred": (-5.0, 0.1, True),
+    "position-poled_pair": (-5.0, 0.1, True),
 }
 MASKS = [
     (re.compile(rb'"duration_s": [^,\n}]+'), b'"duration_s": "*"'),
@@ -91,8 +116,45 @@ def write_inputs(old_tree: Path, inputs: Path) -> list[tuple[str, list[str]]]:
     return runs
 
 
+def _kernel(name: str):
+    """The imported package's function for a KERNELS name, and the scale of
+    its inputs: 1 for a special function, the half range for a marginal."""
+    from spdc_coherence import numerics, phasematch
+    from spdc_coherence.params import CrystalParams
+
+    if "-" not in name:
+        return getattr(phasematch if name == "_ramp_kernel" else numerics, name), 1.0
+    space, config = name.split("-")
+    crystal = CrystalParams(L=1000.0, k_p=10.0, z0=500.0 if config == "centred" else 1000.0)
+    model = phasematch.EXACT_SINC
+    if config == "poled_pair":
+        model = phasematch.PhaseMatchModel.from_profile(phasematch.NonlinearityProfile.alternating(2, 500.0))
+    density = getattr(phasematch, f"{space}_radial_density")(crystal, model)
+    return density.marginal, density.half_range
+
+
+def kernel_outputs(name: str) -> dict[str, bytes]:
+    """The raw output bytes of one kernel on its seeded inputs, called three
+    ways: one call, one 30 x 40 call and scalar calls on every tenth input."""
+    import numpy as np
+
+    func, scale = _kernel(name)
+    lo, hi, signed = KERNELS[name]
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
+    x = scale * 10.0 ** rng.uniform(lo, hi, (30, 40))
+    if signed:
+        x *= rng.choice((-1.0, 1.0), x.shape)
+    flat = x.ravel()
+    return {
+        "one_call": np.asarray(func(flat)).tobytes(),
+        "grid_30x40": np.asarray(func(x)).tobytes(),
+        "scalar": np.array([func(np.asarray(v)) for v in flat[::10].tolist()]).tobytes(),
+    }
+
+
 def worker(tree: Path, out: Path, matrix: Path) -> None:
-    """Run the matrix through tree's cli.main, one output directory a run."""
+    """Run the matrix through tree's cli.main, and the kernels, one output
+    directory a run."""
     src = (tree / "src").resolve()
     sys.path.insert(0, str(src))
     from spdc_coherence import cli
@@ -104,7 +166,13 @@ def worker(tree: Path, out: Path, matrix: Path) -> None:
         stdout, stderr = io.StringIO(), io.StringIO()
         with redirect_stdout(stdout), redirect_stderr(stderr):
             try:
-                code = cli.main([*argv, "--out", str(run)])
+                if argv is None:  # a kernel
+                    run.mkdir(parents=True, exist_ok=True)
+                    for field, data in kernel_outputs(name.removeprefix("kernel-")).items():
+                        (run / field).write_bytes(data)
+                    code = 0
+                else:
+                    code = cli.main([*argv, "--out", str(run)])
             except SystemExit as exc:  # argparse rejects its input
                 code = exc.code
             except Exception as exc:  # a result too: its type and message, not line numbers
@@ -148,7 +216,8 @@ def main(argv=None) -> int:
         base = Path(tmp).resolve()
         inputs = base / "inputs"
         inputs.mkdir()
-        runs = [run for run in write_inputs(args.old, inputs) if args.only in run[0]]
+        runs = write_inputs(args.old, inputs) + [(f"kernel-{name}", None) for name in KERNELS]
+        runs = [run for run in runs if args.only in run[0]]
         if not runs:
             ap.error(f"no run name contains {args.only!r}")
         matrix = inputs / "matrix.json"
