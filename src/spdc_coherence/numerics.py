@@ -277,7 +277,10 @@ class RadialDensity(NamedTuple):
     non-Gaussian momentum density.  A non-Gaussian position density is
     zero beyond it (the table radius), so its rho^-4 tail is missing:
     at L = 1000 um and k_p = 10 it integrates to 0.999381 (exit-face
-    sinc), 0.999692 (centred sinc) and 0.998737 (poled pair).  sigma:
+    sinc), 0.999692 (centred sinc) and 0.998737 (poled pair).  Its
+    marginal is checked against the u = 1/z route, which has no table
+    radius (`validation.check_position_marginal_route` for sinc,
+    `tests/oracles.py` for any profile).  sigma:
     per-axis standard deviation when the density is Gaussian, else None
     (heavy-tailed sinc family).
     marginal: the exact 1D marginal, always set, vectorized offset t ->

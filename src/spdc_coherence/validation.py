@@ -1,7 +1,7 @@
 """Self-validation battery: every closed form against an independent
 numerical route, every advertised identity at its stated tolerance.
 
-Each check is standalone and cheap: the whole battery runs in 0.2-0.3 s
+Each check is standalone and cheap: the whole battery runs in about 0.1 s
 with cold caches (in-process, on a 2-core x86-64 host with numpy 2.4).  The CLI `validate` command runs them in order and
 reports one line per check.
 """
@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import entanglement, joint, phasematch, pump
-from .numerics import RadialGrid, hankel0, sinc
+from .numerics import sinc
 from .params import CrystalParams, PumpParams
 
 __all__ = ["CheckResult", "run_all"]
@@ -196,43 +196,124 @@ def check_momentum_widths_coherence() -> CheckResult:
     )
 
 
-def _centred_spectrum(c: CrystalParams) -> RadialGrid:
-    """Re chi~(q^2/k_p) on 16,384 midpoint nodes out to q^2 L / 2 k_p = 1000,
-    where the sinc has fallen to ~1e-3."""
-    q_max = math.sqrt(2.0 * 1000.0 * c.k_p / c.L)
-    return RadialGrid.from_function(
-        lambda q: np.asarray(phasematch.chi_tilde_sinc(q * q / c.k_p, c)).real, q_max, 16384
-    )
+def _u_spans(L: float, z0: float) -> list[tuple[float, float]]:
+    """The crystal [z0 - L, z0] in u = 1/z: one span, or two out to -inf
+    and +inf when it straddles z = 0; a face at z = 0 goes to infinity."""
+    za, zb = z0 - L, z0
+    if za >= 0.0:
+        return [(1.0 / zb, math.inf if za == 0.0 else 1.0 / za)]
+    if zb <= 0.0:
+        return [(-math.inf if zb == 0.0 else 1.0 / zb, 1.0 / za)]
+    return [(-math.inf, 1.0 / za), (1.0 / zb, math.inf)]
 
 
-def _parseval_norm(f: RadialGrid) -> float:
-    """int 2 pi rho hankel0(f, rho)^2 drho over the whole plane, by Parseval:
-    (1/2pi) int q f^2 dq, summed over f's own midpoint nodes."""
-    return float(np.sum(f.nodes * f.values**2)) * f.step / (2.0 * math.pi)
+def _end_ratio(e: float, w):
+    # (e - w)/e, 1 at an infinite end; e2/(e2 + w) is its reciprocal at -w
+    return 1.0 if math.isinf(e) else (e - w) / e
 
 
-def check_si_vs_hankel() -> CheckResult:
-    """The E1 closed-form position density of the centred crystal, as the
-    package tabulates it, against a from-scratch Hankel transform of the
-    spectrum: J0 quadrature shares no code with the E1 kernel.
+def _route_g(w, spans: list[tuple[float, float]], w_ref: float):
+    """G(w) = int c(u) c(u - w) du / (u (u - w)), c = 1 on the spans.  As
+    1/(u (u - w)) = [1/(u - w) - 1/u] / w, each pair of spans adds
+    ln[(u - w)/u] between the ends of their overlap, 0 at an infinite end.
+    Which ends bound an overlap is read at the real w_ref, so a complex w
+    continues G off the axis from the stretch between kinks holding w_ref.
+    (u - w)/u keeps one sign s over an overlap, and s (u - w)/u at an end
+    is a real Moebius map of w, positive at w_ref: it takes a vertical ray
+    into the right half plane, where the principal log is continuous."""
+    total = 0.0
+    for lo, hi in spans:
+        for lo2, hi2 in spans:  # u - w runs over [lo2, hi2]
+            if max(lo, lo2 + w_ref) >= min(hi, hi2 + w_ref):
+                continue
+            s = 1.0 if (hi > 0.0) == (hi2 > 0.0) else -1.0
+            # u = e of this span at an end, or u = e2 + w of the other
+            top = _end_ratio(hi, w) if hi <= hi2 + w_ref else 1.0 / _end_ratio(hi2, -w)
+            bottom = _end_ratio(lo, w) if lo >= lo2 + w_ref else 1.0 / _end_ratio(lo2, -w)
+            total = total + np.log(s * top) - np.log(s * bottom)
+    return total / w
 
-    The transform is normalized by Parseval on the spectrum it reads, not
-    by phasematch's momentum norm, so the oracle stays independent; the
-    norm covers the whole plane, since the tail past the compared
-    5 sqrt(L/k_p) still holds ~2.5% of the mass."""
+
+def _log_trapezoid(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the trapezoid rule in ln r on [lo, hi]: it
+    converges geometrically for an integrand analytic in a strip about the
+    axis that vanishes at both ends, whatever scales lie in between."""
+    x = np.linspace(math.log(lo), math.log(hi), n)
+    r = np.exp(x)
+    return r, r * (x[1] - x[0])
+
+
+def _route_marginal(L: float, z0: float, k_p: float, t: np.ndarray) -> np.ndarray:
+    """The sinc crystal's position marginal at offsets t > 0 through u = 1/z,
+    sharing no code with E1, the table or J0.  The amplitude is
+    A = int c(u) e^{-i kappa u} du/u with c = 1 on the crystal's u-spans and
+    kappa = k_p rho^2/4; squared and integrated across y at rho^2 = t^2 + y^2,
+    M(t) = s 2 Re[e^{-i pi/4} sqrt(4 pi/k_p) int_0^inf w^{-1/2} G(w) e^{-iaw} dw]
+    with a = k_p t^2/4.  Parseval fixes the scale s: the plane integral of
+    |A|^2 is 4 pi^2 L/k_p for a crystal of length L, so s = k_p/(4 pi^2 L).
+    G is analytic off its kinks, the differences of finite span ends, and
+    e^{-iaw} decays below the axis.  With no kink (a face at z = 0) the
+    whole integral is one ray, w = -i r^2; otherwise the real stretch up to
+    the kink takes composite Gauss-Legendre in sqrt(w), and the rest one
+    vertical ray from the kink, w = w_k - i r.  Both rays take the
+    trapezoid rule in ln r: G varies on the scale 1/L near the axis, far
+    below 1/a at small t, where Gauss-Laguerre in a r errs by 0.18 of the
+    peak."""
+    spans = _u_spans(L, z0)
+    a = 0.25 * k_p * t * t
+    r_top = 40.0 / float(a.min())  # e^{-a r} below e^{-40} beyond it on every row
+    ends = [e for span in spans for e in span if math.isfinite(e)]
+    kinks = [e - f for e in ends for f in ends if e > f]  # one segment: at most one
+    if not kinks:
+        r, wt = _log_trapezoid(1e-5 / math.sqrt(L), math.sqrt(r_top), 400)
+        w = -1j * r * r
+        # w^{-1/2} dw = 2 e^{-i pi/4} dr on the ray
+        integral = np.sum(np.exp(-np.outer(a, r * r)) * (2.0 * _route_g(w, spans, 1.0) * wt), axis=1)
+        integral = integral * complex(math.sqrt(0.5), -math.sqrt(0.5))
+    else:
+        w_k = kinks[0]
+        # 64 panels of 16 nodes in s = sqrt(w): 6 nodes a radian at the
+        # largest phase, a w_k = 400 (t = 200 um)
+        x, wx = np.polynomial.legendre.leggauss(16)
+        half = 0.5 * math.sqrt(w_k) / 64
+        s = ((2 * np.arange(64) + 1)[:, None] * half + half * x).ravel()
+        ws = np.tile(half * wx, 64)
+        integral = np.sum(np.exp(-1j * np.outer(a, s * s)) * (2.0 * _route_g(s * s, spans, 0.5 * w_k) * ws), axis=1)
+        r, wt = _log_trapezoid(1e-14 * w_k, r_top, 500)
+        w = w_k - 1j * r
+        ray = np.sum(np.exp(-np.outer(a, r)) * (-1j * _route_g(w, spans, 2.0 * w_k) / np.sqrt(w) * wt), axis=1)
+        integral = integral + np.exp(-1j * a * w_k) * ray
+    rotated = complex(math.sqrt(0.5), -math.sqrt(0.5)) * integral
+    return k_p / (4.0 * math.pi**2 * L) * 2.0 * math.sqrt(4.0 * math.pi / k_p) * rotated.real
+
+
+def check_position_marginal_route() -> CheckResult:
+    """The sinc position marginals that joint tabulates, for the exit face
+    (z0 = L) and the centred crystal (z0 = L/2), against the u = 1/z route
+    at 20 offsets from 0.05 to 200 um, as fractions of the route's largest
+    value.  Measured: the exit face is high by 4.6e-5 at 0.05 um, the
+    table's interpolant overshooting the cusp, and low by 3.6e-6 to 4.0e-6
+    at 50-200 um, the rho^-4 tail past the table radius; the centred
+    crystal is within 5.9e-6 (22.5 um).  Each tolerance fails E1 scaled by
+    1 + 1e-4 (2.5e-4 and 2.0e-4) and a table on 1,024 nodes (2.0e-4 and
+    3.2e-5)."""
     L, k_p = 1000.0, 10.0
-    c = CrystalParams(L=L, k_p=k_p, z0=L / 2.0)
-    spectrum = _centred_spectrum(c)
-    rhos = np.linspace(0.0, 5.0 * math.sqrt(L / k_p), 200)
-    dens = hankel0(spectrum, rhos) ** 2 / _parseval_norm(spectrum)
-    ref = phasematch.position_radial_density(c, phasematch.EXACT_SINC).pdf(rhos)
-    l2 = math.sqrt(float(np.sum((dens - ref) ** 2)) / float(np.sum(ref**2)))
+    t = np.geomspace(0.05, 200.0, 20)
+    errors = []
+    for z0, tol in ((L, 1e-4), (L / 2.0, 1.5e-5)):
+        route = _route_marginal(L, z0, k_p, t)
+        c = CrystalParams(L=L, k_p=k_p, z0=z0)
+        got = phasematch.position_radial_density(c, phasematch.EXACT_SINC).marginal(t)
+        errors.append((float(np.max(np.abs(got - route)) / np.max(route)), tol))
+    (exit_err, exit_tol), (mid_err, mid_tol) = errors
+    worst = max(err / tol for err, tol in errors)
     return CheckResult(
-        name="si_vs_hankel_l2",
-        passed=l2 < 1e-3,
-        observed=l2,
-        tolerance=1e-3,
-        detail="centred crystal, rho in [0, 5 sqrt(L/k_p)]",
+        name="position_marginal_route",
+        passed=worst < 1.0,
+        observed=worst,
+        tolerance=1.0,
+        detail=f"share of tolerance; exit face {exit_err:.1e} of the largest value (< {exit_tol:.0e}), "
+        f"centred {mid_err:.1e} (< {mid_tol:.1e}), 20 offsets in [0.05, 200] um",
     )
 
 
@@ -350,7 +431,7 @@ def run_all() -> list[CheckResult]:
         check_position_grids_coherence_free,
         check_phase_diagram_boundaries,
         check_momentum_widths_coherence,
-        check_si_vs_hankel,
+        check_position_marginal_route,
         check_exit_vs_centred,
         check_uncertainty_identities,
         check_profile_boxcar,

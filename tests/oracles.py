@@ -2,7 +2,9 @@
 
 Nothing here shares numerical code with the package: scipy.special
 supplies Si, E1 and J0, scipy.integrate the quadratures, and the
-piecewise spectrum is a plain numpy sum of exponentials.  The frozen
+piecewise spectrum is a plain numpy sum of exponentials.  The one
+package name used is RadialGrid, the container that numerics.hankel0
+reads, to hand it the centred crystal's spectrum.  The frozen
 constants were computed once with mpmath at 40 significant digits and
 pasted in; tests treat them as ground truth.
 """
@@ -14,6 +16,8 @@ import warnings
 
 import numpy as np
 from scipy import integrate, special
+
+from spdc_coherence.numerics import RadialGrid
 
 # sinc(x) = 1/e on [2, 2.5], and its reciprocal (the calibrated width
 # parameter of the Gaussian phase-matching stand-in)
@@ -104,6 +108,20 @@ def e1_position_radial(rho, k_p, segments):
     return (k_p / 2.0) ** 2 * np.abs(total) ** 2 / norm_q
 
 
+def centred_spectrum(L, k_p):
+    """The centred crystal's real spectrum sinc(q^2 L / 2 k_p) on 16,384
+    midpoint nodes out to q^2 L / 2 k_p = 1000, where the sinc has fallen
+    to ~1e-3: the input of the Hankel route to its position density."""
+    q_max = math.sqrt(2.0 * 1000.0 * k_p / L)
+    return RadialGrid.from_function(lambda q: sinc(q * q * L / (2.0 * k_p)), q_max, 16384)
+
+
+def parseval_norm(f):
+    """int 2 pi rho hankel0(f, rho)^2 drho over the whole plane, by Parseval:
+    (1/2pi) int q f^2 dq, summed over f's own midpoint nodes."""
+    return float(np.sum(f.nodes * f.values**2)) * f.step / (2.0 * math.pi)
+
+
 def marginal_of_radial(pdf, t, y_cap):
     """1D marginal of a radially symmetric 2D density at offset t, by
     adaptive quadrature across the transverse direction."""
@@ -153,6 +171,99 @@ def table_position_marginal(nodes, vals, t):
         log = np.log((r + s) / np.where(tb > 0.0, tb, 1.0))
         out[start : start + 128] += np.sum((r * s - tb * tb * log) * jumps, axis=1)
     return out
+
+
+def _u_spans(segments):
+    """Each segment (z_a, z_b, chi2) in u = 1/z as (u_lo, u_hi, chi2): one
+    span, or two out to -inf and +inf when it straddles z = 0."""
+    spans = []
+    for za, zb, amp in segments:
+        if za >= 0.0:
+            spans.append((1.0 / zb, math.inf if za == 0.0 else 1.0 / za, amp))
+        elif zb <= 0.0:
+            spans.append((-math.inf if zb == 0.0 else 1.0 / zb, 1.0 / za, amp))
+        else:
+            spans += [(-math.inf, 1.0 / za, amp), (1.0 / zb, math.inf, amp)]
+    return spans
+
+
+def _g_piece(w, spans, w_ref):
+    """G(w) = int c(u) c(u - w) du / (u (u - w)) by partial fractions, with
+    the overlap of each pair of spans bounded by the ends it has at the real
+    w_ref: the analytic piece of G between the two kinks around w_ref,
+    continued to complex w.  Each pair adds chi2 chi2' ln[(u - w)/u]
+    between its ends.  (u - w)/u keeps one sign s over the overlap, so at
+    each end s (u - w)/u is a Moebius map of w with real coefficients that
+    is positive at w_ref: a vertical ray maps into the right half plane,
+    where the principal log is continuous."""
+    total = np.zeros(np.shape(w), dtype=complex)
+    for lo, hi, amp in spans:
+        for lo2, hi2, amp2 in spans:
+            lo_w, hi_w = max(lo, lo2 + w_ref), min(hi, hi2 + w_ref)
+            if lo_w >= hi_w:
+                continue
+            s = 1.0 if (hi > 0.0) == (hi2 > 0.0) else -1.0  # sign of u (u - w)
+            for end, own, other, sign in ((hi_w, hi, hi2, 1.0), (lo_w, lo, lo2, -1.0)):
+                if math.isinf(end):  # (u - w)/u -> 1, and s = 1 there
+                    continue
+                # u = own, or u = other + w
+                ratio = (own - w) / own if end == own else other / (other + w)
+                total += sign * amp * amp2 * np.log(s * ratio)
+    return total / w
+
+
+def _log_ray(lo, hi, n):
+    x = np.linspace(math.log(lo), math.log(hi), n)
+    r = np.exp(x)
+    return r, r * (x[1] - x[0])
+
+
+def u_route_position_marginal(t, k_p, segments, nodes=600):
+    """1D position marginal of a piecewise-constant chi(2) profile,
+    segments (z_a, z_b, chi2), at offsets t > 0, through u = 1/z:
+
+        M(t) = k_p / (4 pi^2 E) 2 Re[e^{-i pi/4} sqrt(4 pi/k_p)
+               int_0^inf w^{-1/2} G(w) e^{-i k_p t^2 w/4} dw],
+
+    E = sum chi2^2 (z_b - z_a) (Parseval), G the overlap integral of the
+    profile's u-spans (_g_piece).  G is analytic between its kinks, the
+    positive differences of finite span ends, and e^{-iaw} decays below
+    the axis, so each stretch [w_j, w_j+1] is the vertical ray down from
+    w_j minus the one from w_j+1 (the last stretch only its first ray),
+    both with that stretch's G.  The ray from w = 0 runs w = -i r^2, the
+    others w = w_j - i r; every ray takes the trapezoid rule in ln r,
+    whose ends are set so that nothing beyond them reaches 1e-15 of the
+    result.  No Fourier weight and no real-axis quadrature: the rays
+    carry no oscillation."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    a = 0.25 * k_p * t * t
+    spans = _u_spans(segments)
+    ends = sorted({e for lo, hi, _ in spans for e in (lo, hi) if math.isfinite(e)})
+    kinks = sorted({e - f for e in ends for f in ends if e > f})
+    bounds = [0.0] + kinks
+    r_top = 40.0 / float(a.min())
+    w_min = min(abs(e) for e in ends)  # below it G is flat: it starts to bend at w ~ 1/|z|
+    total = np.zeros(t.shape, dtype=complex)
+    for j, w_lo in enumerate(bounds):
+        w_hi = bounds[j + 1] if j + 1 < len(bounds) else math.inf
+        w_ref = 0.5 * (w_lo + w_hi) if math.isfinite(w_hi) else 2.0 * w_lo + w_min
+        for w0, sign in ((w_lo, 1.0), (w_hi, -1.0)):
+            if math.isinf(w0):
+                continue
+            if w0 == 0.0:
+                r, wt = _log_ray(1e-6 * math.sqrt(w_min), math.sqrt(r_top), nodes)
+                g = _g_piece(-1j * r * r, spans, w_ref)
+                # w^{-1/2} dw = 2 e^{-i pi/4} dr on w = -i r^2
+                vals = np.exp(-np.outer(a, r * r)) * (2.0 * complex(math.sqrt(0.5), -math.sqrt(0.5)) * g * wt)
+            else:
+                r, wt = _log_ray(1e-15 * w0, r_top, nodes)
+                w = w0 - 1j * r
+                vals = np.exp(-np.outer(a, r)) * (-1j * _g_piece(w, spans, w_ref) / np.sqrt(w) * wt)
+                vals *= np.exp(-1j * a * w0)[:, None]
+            total += sign * np.sum(vals, axis=1)
+    norm = sum(amp * amp * (zb - za) for za, zb, amp in segments)
+    rotated = complex(math.sqrt(0.5), -math.sqrt(0.5)) * total
+    return k_p / (4.0 * math.pi**2 * norm) * 2.0 * math.sqrt(4.0 * math.pi / k_p) * rotated.real
 
 
 def schell_gamma(p, r1, r2):

@@ -22,10 +22,11 @@ from oracles import (
     sinc_momentum_radial,
     si_position_radial,
     table_position_marginal,
+    u_route_position_marginal,
 )
 
 import spdc_coherence
-from spdc_coherence import phasematch
+from spdc_coherence import phasematch, validation
 from spdc_coherence.errors import ParseError, UnknownChoice
 from spdc_coherence.numerics import exp1_i
 from spdc_coherence.params import CrystalParams
@@ -487,6 +488,42 @@ class TestPositionMarginalKernel:
         series = 1.0 - x * (0.5 + math.log(2.0) - math.log(u)) + tail
         exact = math.sqrt(1.0 - x) - x * math.acosh(1.0 / u)
         assert abs(series - exact) <= 1e-15 * exact
+
+
+class TestUInverseRoute:
+    """Position marginals against the u = 1/z route of tests/oracles.py,
+    which integrates the overlap G(w) of the profile's u-spans between its
+    kinks on vertical contours and shares no code with E1 or the table.
+    Errors are fractions of the route's largest value at 60 offsets from
+    0.05 to 200 um."""
+
+    OFFSETS = np.geomspace(0.05, 200.0, 60)
+
+    @pytest.mark.parametrize(
+        "c,model,segments,tol",
+        [
+            # 6.1e-6 at 24 um: the table's interpolant between its nodes
+            (C_MID, EXACT_SINC, [(-500.0, 500.0, 1.0 / L)], 1e-5),
+            # +5.4e-5 at 0.05 um: the interpolant overshoots the cusp
+            (C_EXIT, POLED_PAIR, POLED_PAIR.profile.segments, 8e-5),
+            # -1.3e-4 at 99 um: the rho^-4 tail past the table radius (item 6)
+            (C_EXIT, PhaseMatchModel.from_profile(NonlinearityProfile.alternating(8, 125.0)),
+             NonlinearityProfile.alternating(8, 125.0).segments, 2e-4),
+        ],
+        ids=["centred", "poled_pair", "alternating8"],
+    )
+    def test_marginal_against_route(self, c, model, segments, tol):
+        want = u_route_position_marginal(self.OFFSETS, K_P, segments)
+        got = position_radial_density(c, model).marginal(self.OFFSETS)
+        assert np.max(np.abs(got - want)) / np.max(want) < tol
+
+    @pytest.mark.parametrize("z0", [L, L / 2.0], ids=["exit_face", "centred"])
+    def test_validate_route_matches_oracle(self, z0):
+        """spdc validate's route (one ray, or a real stretch to the kink and one ray)
+        against the oracle's (rays only): 5e-14 and 1.2e-12 apart."""
+        want = u_route_position_marginal(self.OFFSETS, K_P, [(z0 - L, z0, 1.0)])
+        got = validation._route_marginal(L, z0, K_P, self.OFFSETS)
+        assert np.max(np.abs(got - want)) / np.max(want) < 1e-11
 
 
 class TestRadialDensities:

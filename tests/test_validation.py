@@ -1,5 +1,7 @@
 """The `spdc validate` battery: what it runs, and that its checks catch
-the faults they are there for."""
+the faults they are there for.  Also the Hankel route to the centred
+crystal's position density, which the battery ran before the u = 1/z
+route replaced it."""
 
 import dataclasses
 import math
@@ -8,7 +10,9 @@ import numpy as np
 import pytest
 from scipy.special import j0
 
-from spdc_coherence import joint, validation
+import oracles
+from spdc_coherence import joint, phasematch, validation
+from spdc_coherence.numerics import hankel0
 from spdc_coherence.params import CrystalParams
 
 NAMES = (
@@ -18,7 +22,7 @@ NAMES = (
     "position_grids_coherence_free",
     "phase_diagram_boundaries",
     "momentum_widths_coherence",
-    "si_vs_hankel_l2",
+    "position_marginal_route",
     "exit_vs_centred_position",
     "uncertainty_identities",
     "profile_boxcar_equals_sinc",
@@ -87,17 +91,51 @@ class TestPositionGridsFault:
         assert not validation.check_position_grids_coherence_free().passed
 
 
+class TestPositionRouteFault:
+    """The u = 1/z check must see an E1 off by 1e-4 and a table on half
+    its nodes; the Hankel check passed the first."""
+
+    def test_unperturbed_passes(self):
+        assert validation.check_position_marginal_route().passed
+
+    def test_scaled_e1_fails(self, monkeypatch):
+        real = phasematch.exp1_i
+        monkeypatch.setattr(phasematch, "exp1_i", lambda x: real(x) * (1.0 + 1e-4))
+        assert not validation.check_position_marginal_route().passed
+
+    def test_coarse_table_fails(self, monkeypatch):
+        monkeypatch.setattr(phasematch, "_TABLE_NODES", 1024)
+        assert not validation.check_position_marginal_route().passed
+
+
+def test_centred_pdf_matches_hankel_transform():
+    """The E1 closed-form position density of the centred crystal, as the
+    package tabulates it, against a from-scratch Hankel transform of the
+    spectrum: J0 quadrature shares no code with the E1 kernel.  The
+    transform is normalized by Parseval on the spectrum it reads, not by
+    phasematch's momentum norm; the norm covers the whole plane, since the
+    tail past the compared 5 sqrt(L/k_p) still holds ~2.5% of the mass."""
+    L, k_p = 1000.0, 10.0
+    spectrum = oracles.centred_spectrum(L, k_p)
+    rhos = np.linspace(0.0, 5.0 * math.sqrt(L / k_p), 200)
+    dens = hankel0(spectrum, rhos) ** 2 / oracles.parseval_norm(spectrum)
+    c = CrystalParams(L=L, k_p=k_p, z0=L / 2.0)
+    ref = phasematch.position_radial_density(c, phasematch.EXACT_SINC).pdf(rhos)
+    l2 = math.sqrt(float(np.sum((dens - ref) ** 2)) / float(np.sum(ref**2)))
+    assert l2 < 1e-3  # observed 3.47e-4
+
+
 def test_parseval_norm_matches_rho_integral():
     """The Parseval norm of the Hankel oracle against the rho-integral it
     replaced: the squared transform on 1,024 quadratic radii out to
     sqrt(2000 L / k_p), trapezoid, J0 from scipy."""
     L, k_p = 1000.0, 10.0
-    spectrum = validation._centred_spectrum(CrystalParams(L=L, k_p=k_p, z0=L / 2.0))
+    spectrum = oracles.centred_spectrum(L, k_p)
     q = spectrum.nodes
     weights = q * spectrum.values * spectrum.step / (2.0 * math.pi)
     r_full = math.sqrt(2.0 * 1000.0 * L / k_p) * np.linspace(0.0, 1.0, 1024) ** 2
     # 64 radii at a time keeps the J0 block at 8 MB
     psi = np.concatenate([j0(np.outer(rows, q)) @ weights for rows in np.split(r_full, 16)])
     rho_integral = 2.0 * math.pi * float(np.trapezoid(r_full * psi**2, r_full))
-    parseval = validation._parseval_norm(spectrum)
+    parseval = oracles.parseval_norm(spectrum)
     assert abs(parseval - rho_integral) / rho_integral < 1e-4  # observed 1.6e-5
