@@ -251,59 +251,55 @@ def _route_marginal(L: float, z0: float, k_p: float, t: np.ndarray) -> np.ndarra
     M(t) = s 2 Re[e^{-i pi/4} sqrt(4 pi/k_p) int_0^inf w^{-1/2} G(w) e^{-iaw} dw]
     with a = k_p t^2/4.  Parseval fixes the scale s: the plane integral of
     |A|^2 is 4 pi^2 L/k_p for a crystal of length L, so s = k_p/(4 pi^2 L).
-    G is analytic off its kinks, the differences of finite span ends, and
-    e^{-iaw} decays below the axis.  With no kink (a face at z = 0) the
-    whole integral is one ray, w = -i r^2; otherwise the real stretch up to
-    the kink takes composite Gauss-Legendre in sqrt(w), and the rest one
-    vertical ray from the kink, w = w_k - i r.  Both rays take the
-    trapezoid rule in ln r: G varies on the scale 1/L near the axis, far
-    below 1/a at small t, where Gauss-Laguerre in a r errs by 0.18 of the
-    peak."""
+    G is analytic off its kinks, the differences of finite span ends (one
+    segment has at most one), and e^{-iaw} decays below the axis.  So the
+    integral is the vertical ray from w = 0, w = -i r^2, with the first
+    stretch's G, plus the ray from the kink w_k, w = w_k - i r, with the
+    second stretch's G less the first's; with no kink (a face at z = 0) the
+    first ray is all.  Both take the trapezoid rule in ln r: G varies on
+    the scale 1/L near the axis, far below 1/a at small t, where
+    Gauss-Laguerre in a r errs by 0.18 of the peak."""
     spans = _u_spans(L, z0)
     a = 0.25 * k_p * t * t
     r_top = 40.0 / float(a.min())  # e^{-a r} below e^{-40} beyond it on every row
     ends = [e for span in spans for e in span if math.isfinite(e)]
-    kinks = [e - f for e in ends for f in ends if e > f]  # one segment: at most one
-    if not kinks:
-        r, wt = _log_trapezoid(1e-5 / math.sqrt(L), math.sqrt(r_top), 400)
-        w = -1j * r * r
-        # w^{-1/2} dw = 2 e^{-i pi/4} dr on the ray
-        integral = np.sum(np.exp(-np.outer(a, r * r)) * (2.0 * _route_g(w, spans, 1.0) * wt), axis=1)
-        integral = integral * complex(math.sqrt(0.5), -math.sqrt(0.5))
-    else:
-        w_k = kinks[0]
-        # 64 panels of 16 nodes in s = sqrt(w): 6 nodes a radian at the
-        # largest phase, a w_k = 400 (t = 200 um)
-        x, wx = np.polynomial.legendre.leggauss(16)
-        half = 0.5 * math.sqrt(w_k) / 64
-        s = ((2 * np.arange(64) + 1)[:, None] * half + half * x).ravel()
-        ws = np.tile(half * wx, 64)
-        integral = np.sum(np.exp(-1j * np.outer(a, s * s)) * (2.0 * _route_g(s * s, spans, 0.5 * w_k) * ws), axis=1)
-        r, wt = _log_trapezoid(1e-14 * w_k, r_top, 500)
+    kinks = [e - f for e in ends for f in ends if e > f]
+    w_first = 0.5 * kinks[0] if kinks else 1.0 / L  # a real w inside the first stretch
+    r, wt = _log_trapezoid(1e-6 / math.sqrt(L), math.sqrt(r_top), 300)
+    # w^{-1/2} dw = 2 e^{-i pi/4} dr on w = -i r^2
+    g = _route_g(-1j * r * r, spans, w_first)
+    integral = complex(math.sqrt(0.5), -math.sqrt(0.5)) * np.sum(np.exp(-np.outer(a, r * r)) * (2.0 * g * wt), axis=1)
+    for w_k in kinks:
+        r, wt = _log_trapezoid(1e-14 * w_k, r_top, 300)
         w = w_k - 1j * r
-        ray = np.sum(np.exp(-np.outer(a, r)) * (-1j * _route_g(w, spans, 2.0 * w_k) / np.sqrt(w) * wt), axis=1)
+        dg = _route_g(w, spans, 2.0 * w_k) - _route_g(w, spans, w_first)
+        ray = np.sum(np.exp(-np.outer(a, r)) * (-1j * dg / np.sqrt(w) * wt), axis=1)
         integral = integral + np.exp(-1j * a * w_k) * ray
     rotated = complex(math.sqrt(0.5), -math.sqrt(0.5)) * integral
     return k_p / (4.0 * math.pi**2 * L) * 2.0 * math.sqrt(4.0 * math.pi / k_p) * rotated.real
 
 
 def check_position_marginal_route() -> CheckResult:
-    """The sinc position marginals that joint tabulates, for the exit face
-    (z0 = L) and the centred crystal (z0 = L/2), against the u = 1/z route
-    at 20 offsets from 0.05 to 200 um, as fractions of the route's largest
-    value.  Measured: the exit face is high by 4.6e-5 at 0.05 um, the
-    table's interpolant overshooting the cusp, and low by 3.6e-6 to 4.0e-6
-    at 50-200 um, the rho^-4 tail past the table radius; the centred
-    crystal is within 5.9e-6 (22.5 um).  Each tolerance fails E1 scaled by
-    1 + 1e-4 (2.5e-4 and 2.0e-4) and a table on 1,024 nodes (2.0e-4 and
-    3.2e-5)."""
+    """The sinc position marginals as a position grid reads them, joint's
+    cached factor (the exact marginal tabulated at the density's offsets and
+    read by linear interpolation), for the exit face (z0 = L) and the
+    centred crystal (z0 = L/2), against the u = 1/z route at 20 offsets
+    from 0.05 to 200 um, as fractions of the route's largest value.
+    Measured: the exit face is high by 4.7e-5 at 0.05 um, the position
+    table's interpolant overshooting the cusp, and low by 3.8e-6 to 4.2e-6
+    at 54-200 um, the rho^-4 tail past the table radius; the centred
+    crystal is within 1.1e-5 (14.6 um), the factor's interpolation between
+    its offsets.  Each tolerance fails E1 scaled by 1 + 1e-4 (2.5e-4 and
+    2.0e-4) and a position table on 1,024 nodes (2.0e-4 and 6.4e-5); the
+    centred one also fails a factor tabulated at every other offset
+    (1.9e-5)."""
     L, k_p = 1000.0, 10.0
     t = np.geomspace(0.05, 200.0, 20)
     errors = []
     for z0, tol in ((L, 1e-4), (L / 2.0, 1.5e-5)):
         route = _route_marginal(L, z0, k_p, t)
-        c = CrystalParams(L=L, k_p=k_p, z0=z0)
-        got = phasematch.position_radial_density(c, phasematch.EXACT_SINC).marginal(t)
+        key = phasematch._minus_key(CrystalParams(L=L, k_p=k_p, z0=z0), phasematch.EXACT_SINC, "position")
+        got = joint._minus_marginal("position", key).marginal(t)
         errors.append((float(np.max(np.abs(got - route)) / np.max(route)), tol))
     (exit_err, exit_tol), (mid_err, mid_tol) = errors
     worst = max(err / tol for err, tol in errors)

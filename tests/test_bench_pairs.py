@@ -22,7 +22,6 @@ STUB = textwrap.dedent('''
     ap = argparse.ArgumentParser()
     ap.add_argument("--workload", required=True, choices=("validate", "survey"))
     ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--seconds", type=int, default=24)
     ap.add_argument("--trace", type=int, default=0)
     args = ap.parse_args()
     with open(os.environ["BENCH_STUB_LOG"], "a") as log:
@@ -50,8 +49,7 @@ def test_tree_against_itself(tmp_path):
     out = tmp_path / "BENCH.json"
     out.write_text(json.dumps({"workloads": {"survey": {"kept": True}}}), encoding="utf-8")
     proc = subprocess.run(
-        [sys.executable, str(TOOL), str(old), str(new), "--workload", "validate", "--seeds", "3-6",
-         "--seconds", "1", "--out", str(out)],
+        [sys.executable, str(TOOL), str(old), str(new), "--workload", "validate", "--seeds", "3-6", "--out", str(out)],
         capture_output=True, text=True, timeout=60, env={"BENCH_STUB_LOG": str(log), "PATH": ""},
     )
     assert proc.returncode == 0, proc.stderr

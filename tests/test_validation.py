@@ -92,8 +92,17 @@ class TestPositionGridsFault:
 
 
 class TestPositionRouteFault:
-    """The u = 1/z check must see an E1 off by 1e-4 and a table on half
-    its nodes; the Hankel check passed the first."""
+    """The u = 1/z check must see an E1 off by 1e-4, a position table on
+    half its nodes and joint's factor tabulated at half its offsets; the
+    Hankel check passed the first.  The check reads
+    joint's cached factor, so each test starts and ends with that cache
+    empty: no faulty factor outlives its test."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_factors(self):
+        joint._minus_marginal.cache_clear()
+        yield
+        joint._minus_marginal.cache_clear()
 
     def test_unperturbed_passes(self):
         assert validation.check_position_marginal_route().passed
@@ -105,6 +114,16 @@ class TestPositionRouteFault:
 
     def test_coarse_table_fails(self, monkeypatch):
         monkeypatch.setattr(phasematch, "_TABLE_NODES", 1024)
+        assert not validation.check_position_marginal_route().passed
+
+    def test_sparse_factor_offsets_fail(self, monkeypatch):
+        real = joint._position_density
+
+        def every_other_offset(*key):
+            radial = real(*key)
+            return radial._replace(offsets=radial.offsets[::2])
+
+        monkeypatch.setattr(joint, "_position_density", every_other_offset)
         assert not validation.check_position_marginal_route().passed
 
 

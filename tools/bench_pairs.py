@@ -1,14 +1,13 @@
 #!/usr/bin/env python3
 """Compare the benchmark of two source trees over alternating pairs of runs.
 
-    python tools/bench_pairs.py OLD_TREE NEW_TREE --workload W --seeds A-B
-        [--seconds S] [--out FILE]
+    python tools/bench_pairs.py OLD_TREE NEW_TREE --workload W --seeds A-B [--out FILE]
 
 For each seed from A to B, one pair of runs: each tree's own
 ``perfbench/run.py --workload W --seed N --trace 0`` in its own process,
 with the tree as working directory.  OLD_TREE (the parent) goes first in
 the 1st, 3rd, ... pair and NEW_TREE (the change) in the 2nd, 4th, ...
-``--seconds`` is handed to both (default: their BENCHMARK.json's).
+Each run lasts its tree's BENCHMARK.json run_seconds, as the benchmark sets.
 
 Per end-to-end metric of OLD_TREE's BENCHMARK.json, the summary holds each
 side's runs, median and quartiles (linear interpolation), ``change_won``
@@ -54,11 +53,9 @@ DIGEST = re.compile(r"outputs sha256 = (\S+)")
 RUN_TIMEOUT_S = 600
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: int | None) -> dict:
+def run_once(tree: Path, workload: str, seed: int) -> dict:
     """One benchmark run of tree: its result JSON plus the output digest."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--trace", "0"]
-    if seconds is not None:
-        cmd += ["--seconds", str(seconds)]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
     lines = proc.stdout.strip().splitlines()
@@ -152,7 +149,6 @@ def main(argv=None) -> int:
     ap.add_argument("new", type=Path, help="the change's source tree")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", required=True, type=parse_seeds, help="A-B, both included")
-    ap.add_argument("--seconds", type=int, default=None, help="default: BENCHMARK.json's run_seconds")
     ap.add_argument("--out", type=Path, default=None, help="merge the workload's entry into this JSON file")
     args = ap.parse_args(argv)
     spec = json.loads((args.old / "BENCHMARK.json").read_text(encoding="utf-8"))
@@ -164,7 +160,7 @@ def main(argv=None) -> int:
             sides = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             order.append(sides[0])
             for side in sides:
-                result = run_once(trees[side], args.workload, seed, args.seconds)
+                result = run_once(trees[side], args.workload, seed)
                 runs[side].append(result)
                 run_s = result["metrics"].get("run_s", {}).get("value")
                 print(f"{args.workload} seed {seed} {side}: run_s {run_s}", file=sys.stderr)
@@ -172,11 +168,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     entry = summarize(args.workload, args.seeds, runs, order, spec)
-    seconds = f" --seconds {args.seconds}" if args.seconds is not None else ""
     doc = json.loads(args.out.read_text(encoding="utf-8")) if args.out and args.out.exists() else {}
     doc["host"] = host()
     doc["method"] = (
-        "tools/bench_pairs.py OLD_TREE NEW_TREE --workload <w> --seeds <A-B>" + seconds + ": "
+        "tools/bench_pairs.py OLD_TREE NEW_TREE --workload <w> --seeds <A-B>: "
         "perfbench/run.py --trace 0 of each tree in its own process, the parent first in the "
         "1st, 3rd, ... pair; quartiles by linear interpolation over each side's runs; change_won "
         "counts pairs where the change is better; unresolved when either side's interquartile "
