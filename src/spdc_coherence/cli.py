@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .entanglement import classify, sweep_phase_diagram, sweep_to_csv
 from .errors import GridTooCoarse, ParseError
-from .joint import DEFAULT_COUNT, default_axes, evaluate_grid, widths_from_grid
+from .joint import DEFAULT_COUNT, MAX_DEFAULT_COUNT, default_axes, evaluate_grid, widths_from_grid
 from .numerics import _g9
 from .params import load_params, params_dict
 from .phasematch import (
@@ -82,10 +82,10 @@ def cmd_joint(args, write):
     write(f"{stem}.json", grid.to_json() + "\n")
     dp, dm = widths_from_grid(grid)
     print(
-        f"{stem}: {args.grid}x{args.grid} cells, mass {grid.mass:.6f}, "
+        f"{stem}: {grid.axis1.count}x{grid.axis2.count} cells, mass {grid.mass:.6f}, "
         f"diagonal width {dp:.6g}, anti-diagonal width {dm:.6g}"
     )
-    return _params_doc(p, c, m, space=args.space, coords=args.coords, grid=args.grid), 0
+    return _params_doc(p, c, m, space=args.space, coords=args.coords, grid=grid.axis1.count), 0
 
 
 def cmd_phase_diagram(args, write):
@@ -183,7 +183,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--space", choices=("momentum", "position"), default="momentum")
     sp.add_argument("--coords", choices=("rotated", "lab"), default="rotated")
-    sp.add_argument("--grid", type=int, default=DEFAULT_COUNT, help="cells per axis (default 256)")
+    sp.add_argument("--grid", type=int, help=f"cells per axis (default: {DEFAULT_COUNT}, "
+                    f"or up to {MAX_DEFAULT_COUNT} as the resolution guard asks)")
     with_model(sp)
     sp.set_defaults(fn=cmd_joint)
 

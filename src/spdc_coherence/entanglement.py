@@ -23,15 +23,14 @@ of the first.  The sweep asserts this, to catch rounding.
 
 sweep_phase_diagram returns a PhaseDiagram: the x and y cell centres and
 the two verdict masks as read-only columns, one array pass for the whole
-grid.  It reads as a sequence of PhaseDiagramCell, each equal to
-classify_xy at its centre, and sweep_to_csv writes it from the columns.
+grid.  It iterates as PhaseDiagramCell, each equal to classify_xy at its
+centre, and sweep_to_csv writes it from the columns.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import product
 from typing import NamedTuple
@@ -159,14 +158,14 @@ def classify_xy(x: float, y: float, alpha: float) -> PhaseDiagramCell:
     return PhaseDiagramCell(x=x, y=y, type1=type1, type2=type2, classification=_LABELS[type1, type2])
 
 
-# The Sequence adapter's last reader is perfbench's survey check
+# len() and iteration have one reader left, perfbench's survey check
 @dataclass(frozen=True, eq=False)
-class PhaseDiagram(Sequence):
+class PhaseDiagram:
     """An nx-by-ny phase diagram held as columns: the cell centres x (nx,)
     and y (ny,), and the verdict masks type1 and type2 (nx, ny).  Every
     column is a read-only private copy, and no cell may be in both
-    witness regions.  It reads as a sequence of PhaseDiagramCell,
-    row-major in x then y: cell k sits at (i, j) = divmod(k, ny)."""
+    witness regions.  Its length is the cell count, and it iterates as
+    PhaseDiagramCell, row-major in x then y."""
 
     x: np.ndarray
     y: np.ndarray
@@ -186,15 +185,6 @@ class PhaseDiagram(Sequence):
 
     def __len__(self) -> int:
         return self.type1.size
-
-    def __getitem__(self, k) -> PhaseDiagramCell:
-        n = len(self)
-        k = operator.index(k)
-        if not -n <= k < n:
-            raise IndexError(f"cell {k} of a {n}-cell phase diagram")
-        i, j = divmod(k % n, self.y.size)
-        t1, t2 = bool(self.type1[i, j]), bool(self.type2[i, j])
-        return PhaseDiagramCell(float(self.x[i]), float(self.y[j]), t1, t2, _LABELS[t1, t2])
 
     def __iter__(self):
         return (

@@ -68,6 +68,7 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 
 DEFAULT_COUNT = 256
+MAX_DEFAULT_COUNT = 2048  # a 2048^2 lab export already takes about 6 s and 270 MB
 
 
 @dataclass(frozen=True)
@@ -104,7 +105,7 @@ class _Factor(NamedTuple):
     """One factor of the joint density.  marginal: its 1D marginal,
     vectorized offset t -> density.  width_half: the marginal's 1/e
     half-width, the resolution scale the grid guard works with.  window:
-    the +/- half-range default axes span."""
+    the +/- half-range default axes span (5 sigma, or a table's quantile)."""
 
     marginal: Callable[[np.ndarray], np.ndarray]
     width_half: float
@@ -116,8 +117,7 @@ def _factor(radial: RadialDensity) -> _Factor:
     any other density's exact marginal tabulated once at the density's own
     offsets and read by linear interpolation, zero beyond the table."""
     if radial.sigma is not None:
-        return _Factor(radial.marginal, _SQRT2 * radial.sigma, radial.half_range)
-    span = radial.half_range
+        return _Factor(radial.marginal, _SQRT2 * radial.sigma, 5.0 * radial.sigma)
     nodes = radial.offsets
     vals = radial.marginal(nodes)
     width_half = _width_from_table(nodes, vals)
@@ -131,7 +131,7 @@ def _factor(radial: RadialDensity) -> _Factor:
     def marginal(t):
         return np.interp(np.abs(t), nodes, vals, right=0.0)
 
-    return _Factor(marginal, width_half, min(span, max(quantile, 5.0 * width_half)))
+    return _Factor(marginal, width_half, min(float(nodes[-1]), max(quantile, 5.0 * width_half)))
 
 
 def _width_from_table(nodes, vals) -> float:
@@ -188,21 +188,26 @@ def default_axes(
     m: PhaseMatchModel,
     space: str,
     coords: str,
-    count: int = DEFAULT_COUNT,
+    count: int | None = None,
 ) -> tuple[Axis, Axis]:
-    """Symmetric windows of +/- 5 widths per factor.  Rotated: one factor
-    per axis.  Lab: each axis must contain the rotated box, so the two
-    half-ranges combine as (h_plus + h_minus)/sqrt2."""
+    """Symmetric windows per factor.  Rotated: one factor per axis.  Lab:
+    each axis must contain the rotated box, so the two half-ranges combine
+    as (h_plus + h_minus)/sqrt2.  count None: DEFAULT_COUNT if the
+    resolution guard passes there, else the largest count it asks for, up
+    to MAX_DEFAULT_COUNT (GridTooCoarse beyond)."""
     _check_coords(coords)
     return _axes(*_factor_pair(p, c, m, space), space, coords, count)
 
 
-def _axes(plus: _Factor, minus: _Factor, space: str, coords: str, count: int) -> tuple[Axis, Axis]:
+def _axes(plus: _Factor, minus: _Factor, space: str, coords: str, count: int | None) -> tuple[Axis, Axis]:
     la, lb = _LABELS[(space, coords)]
-    if coords == "rotated":
-        return Axis(-plus.window, plus.window, count, la), Axis(-minus.window, minus.window, count, lb)
-    h = (plus.window + minus.window) / _SQRT2
-    return Axis(-h, h, count, la), Axis(-h, h, count, lb)
+    h1, h2 = (plus.window, minus.window) if coords == "rotated" else ((plus.window + minus.window) / _SQRT2,) * 2
+    if count is None:
+        trial = (Axis(-h1, h1, DEFAULT_COUNT), Axis(-h2, h2, DEFAULT_COUNT))
+        count = max(DEFAULT_COUNT, *map(_need, _widths(plus, minus, coords), trial))
+        if count > MAX_DEFAULT_COUNT:
+            raise GridTooCoarse(f"default axes would need more than {MAX_DEFAULT_COUNT} cells per axis", count)
+    return Axis(-h1, h1, count, la), Axis(-h2, h2, count, lb)
 
 
 def _check_coords(coords: str):
@@ -210,22 +215,28 @@ def _check_coords(coords: str):
         raise UnknownChoice(f"unknown coords {coords!r}, expected 'lab' or 'rotated'")
 
 
-def _check_resolution(plus: _Factor, minus: _Factor, coords: str, ax1: Axis, ax2: Axis):
-    # each factor's full 1/e width must span at least 4 cells; in lab
-    # coordinates a rotated-frame feature of width W crosses an axis over
-    # W*sqrt2, which relaxes the step requirement by sqrt2
+def _widths(plus: _Factor, minus: _Factor, coords: str) -> tuple[float, float]:
+    # the full 1/e width each axis resolves; in lab coordinates a
+    # rotated-frame feature of width W crosses an axis over W*sqrt2
     if coords == "rotated":
-        widths = (2.0 * plus.width_half, 2.0 * minus.width_half)
-    else:
-        widths = (2.0 * min(plus.width_half, minus.width_half) * _SQRT2,) * 2
+        return 2.0 * plus.width_half, 2.0 * minus.width_half
+    return (2.0 * min(plus.width_half, minus.width_half) * _SQRT2,) * 2
+
+
+def _need(width: float, ax: Axis) -> int:
+    # 0 if width spans at least 4 cells of ax, else the fewest cells over
+    # its range that it does: the quotient can round down onto one too few
+    if not width < 4.0 * ax.step:
+        return 0
+    n = math.ceil(4.0 * (ax.hi - ax.lo) / width)
+    return n + int(width < 4.0 * ((ax.hi - ax.lo) / n))
+
+
+def _check_resolution(widths: tuple[float, float], ax1: Axis, ax2: Axis):
     for width, ax in zip(widths, (ax1, ax2)):
-        if width < 4.0 * ax.step:
-            need = math.ceil(4.0 * (ax.hi - ax.lo) / width)
-            raise GridTooCoarse(
-                f"axis {ax.label or '?'}: factor 1/e width {width:.6g} spans "
-                f"{width / ax.step:.2f} cells, need at least 4",
-                suggested_count=need,
-            )
+        if need := _need(width, ax):
+            raise GridTooCoarse(f"axis {ax.label or '?'}: factor 1/e width {width:.6g} spans "
+                                f"{width / ax.step:.2f} cells, need at least 4", suggested_count=need)
 
 
 @dataclass(frozen=True)
@@ -361,15 +372,15 @@ def evaluate_grid(
     minus((s_k - i_j)/sqrt2).  On axes of one step, s + i and s - i each
     take n1 + n2 - 1 values: each factor is sampled once on them and the
     grid is the product of a Hankel and a Toeplitz view of the samples.
-    Other lab axes take one broadcast product over every cell.  Raises
-    UnknownChoice for an unknown space or coords before any build, and
-    GridTooCoarse, with a suggested count, when the narrower factor's 1/e
-    width would span fewer than 4 cells.
+    Other lab axes take one broadcast product over every cell; axes None
+    takes default_axes.  Raises UnknownChoice for an unknown space or
+    coords before any build, and GridTooCoarse, with a suggested count,
+    when a factor's 1/e width would span fewer than 4 cells.
     """
     _check_coords(coords)
     plus, minus = _factor_pair(p, c, m, space)
-    ax1, ax2 = _axes(plus, minus, space, coords, DEFAULT_COUNT) if axes is None else axes
-    _check_resolution(plus, minus, coords, ax1, ax2)
+    ax1, ax2 = _axes(plus, minus, space, coords, None) if axes is None else axes
+    _check_resolution(_widths(plus, minus, coords), ax1, ax2)
 
     if coords == "rotated":
         values = np.outer(plus.marginal(ax1.centers), minus.marginal(ax2.centers))

@@ -21,9 +21,9 @@ with bits that do not depend on how many points the call holds; the
 Hankel transform takes an array of radii in one call.
 
 Nothing in here knows about pumps or crystals.  The physics modules quote
-closed-form results; the Hankel transform is the independent numerical
-route those results are checked against, so it deliberately avoids
-depending on them (and on external special-function libraries).
+closed-form results, and `validation._route_marginal` is the independent
+numerical route they are checked against.  J0, `hankel0` and `RadialGrid`
+serve tests alone; they stay because perfbench's tracer binds them.
 """
 
 from __future__ import annotations
@@ -272,35 +272,32 @@ def bessel_j0(x):
 class RadialDensity(NamedTuple):
     """A normalized, radially symmetric 2D density.
 
-    pdf: vectorized radius -> density.  half_range: the window radius; 5
-    sigma for a Gaussian, all but a few 1e-4 of the mass for a
-    non-Gaussian momentum density.  A non-Gaussian position density is
-    zero beyond it (the table radius), so its rho^-4 tail is missing:
-    at L = 1000 um and k_p = 10 it integrates to 0.999381 (exit-face
-    sinc), 0.999692 (centred sinc) and 0.998737 (poled pair).  Its
-    marginal is checked against the u = 1/z route, which has no table
-    radius (`validation.check_position_marginal_route` for sinc,
-    `tests/oracles.py` for any profile).  sigma:
-    per-axis standard deviation when the density is Gaussian, else None
-    (heavy-tailed sinc family).
+    pdf: vectorized radius -> density.  sigma: the per-axis standard
+    deviation of a Gaussian, else None (heavy-tailed sinc family).
     marginal: the exact 1D marginal, always set, vectorized offset t ->
     integral of pdf(sqrt(t^2 + y^2)) over every y.
     offsets: where a non-Gaussian factor tabulates marginal, ascending
-    from 0 to half_range; None for a Gaussian, whose marginal is read
-    directly.  A momentum density spreads them uniformly, a position
-    density puts them at its own table radii, crowded towards the cusp.
+    from 0 to the table's reach; None for a Gaussian, whose marginal is
+    read directly.  A momentum density spreads them uniformly, and its
+    reach holds all but a few 1e-4 of the mass.  A position density puts
+    them at its own table radii, crowded towards the cusp, and is zero
+    beyond the last, so its rho^-4 tail is missing: at L = 1000 um and
+    k_p = 10 it integrates to 0.999381 (exit-face sinc), 0.999692
+    (centred sinc) and 0.998737 (poled pair).  Its marginal is checked
+    against the u = 1/z route, which has no table radius
+    (`validation.check_position_marginal_route` for sinc,
+    `tests/oracles.py` for any profile).
     """
 
     pdf: Callable[[np.ndarray], np.ndarray]
-    half_range: float
     sigma: float | None
     marginal: Callable[[np.ndarray], np.ndarray]
     offsets: np.ndarray | None = None
 
 
 def gaussian_radial(var: float) -> RadialDensity:
-    """The 2D Gaussian of per-axis variance var, peak 1/(2 pi var), windowed
-    at 5 sigma, and its 1D marginal: every Gaussian factor's one density."""
+    """The 2D Gaussian of per-axis variance var, peak 1/(2 pi var), and its
+    1D marginal: every Gaussian factor's one density."""
 
     def pdf(r):
         r = np.asarray(r, dtype=float)
@@ -313,7 +310,7 @@ def gaussian_radial(var: float) -> RadialDensity:
         t = np.asarray(t, dtype=float)
         return np.exp(-t * t / (2.0 * s2)) / math.sqrt(2.0 * math.pi * s2)
 
-    return RadialDensity(pdf=pdf, half_range=5.0 * sigma, sigma=sigma, marginal=marginal)
+    return RadialDensity(pdf=pdf, sigma=sigma, marginal=marginal)
 
 
 @dataclass(frozen=True, eq=False)

@@ -65,9 +65,8 @@ __all__ = [
 
 _TAYLOR_SWITCH = 1e-5  # |dk| * segment length below which the series is used
 
-# Dimensionless window of the heavy-tailed sinc-family densities, in the
-# natural argument u (= dk * feature / 2).  The tail mass beyond u is
-# ~ 1/(pi u): 1000 keeps default grids above 99.9% capture.
+# How far sinc-family tables reach, in u = dk * feature / 2 (tail mass
+# ~ 1/(pi u) beyond); joint's mass quantile, not this, sets default windows.
 _U_HALF = 1000.0
 
 _MARGINAL_NODES = 4097  # uniform offsets of a momentum factor's marginal table
@@ -403,7 +402,7 @@ def _momentum_density(k_p: float, key: NonlinearityProfile) -> RadialDensity:
 
     half = math.sqrt(2.0 * _U_HALF * k_p / key.min_segment_length)
     return RadialDensity(
-        pdf=pdf, half_range=half, sigma=None, marginal=_momentum_marginal(k_p, key),
+        pdf=pdf, sigma=None, marginal=_momentum_marginal(k_p, key),
         offsets=np.linspace(0.0, half, _MARGINAL_NODES),
     )
 
@@ -587,6 +586,6 @@ def _position_density(k_p: float, key: NonlinearityProfile, placed: Nonlinearity
         return np.interp(np.abs(np.asarray(r, dtype=float)), nodes, vals, right=0.0)
 
     return RadialDensity(
-        pdf=pdf, half_range=float(nodes[-1]), sigma=None, marginal=_position_marginal(nodes, vals),
+        pdf=pdf, sigma=None, marginal=_position_marginal(nodes, vals),
         offsets=np.concatenate(([0.0], nodes)),
     )

@@ -18,6 +18,7 @@ from spdc_coherence.validation import CheckResult
 ROOT = Path(__file__).resolve().parent.parent
 
 CONFIG = "pump.w = 10\npump.k_p = 10\ncrystal.L = 1000\n"
+EXIT_FACE = "pump.w = 100\npump.k_p = 10\ncrystal.L = 1000\n"
 
 
 @pytest.fixture
@@ -135,12 +136,30 @@ class TestJoint:
 
     def test_grid_too_coarse_exit_code(self, tmp_path, capsys):
         cfgp = tmp_path / "wide.cfg"
-        cfgp.write_text("pump.w = 100\npump.k_p = 10\ncrystal.L = 1000\n", encoding="utf-8")
+        cfgp.write_text(EXIT_FACE, encoding="utf-8")
         code = main(["joint", "--config", str(cfgp), "--out", str(tmp_path / "o"),
-                     "--coords", "lab"])
+                     "--coords", "lab", "--grid", "256"])
         assert code == 2
         err = capsys.readouterr().err
-        assert "suggested minimum count" in err
+        assert "(suggested minimum count: 671)" in err
+
+    @pytest.mark.parametrize("space,count", [("momentum", 671), ("position", 353)])
+    def test_default_grid_takes_the_guards_count(self, tmp_path, capsys, space, count):
+        cfgp = tmp_path / "wide.cfg"
+        cfgp.write_text(EXIT_FACE, encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["joint", "--config", str(cfgp), "--out", str(out), "--space", space, "--coords", "lab"]) == 0
+        assert capsys.readouterr().out.startswith(f"joint_{space}_lab: {count}x{count} cells, ")
+        assert _read_json(out / "joint_manifest.json")["parameters"]["grid"] == count
+
+    def test_default_grid_above_the_cap(self, tmp_path, capsys):
+        cfgp = tmp_path / "wider.cfg"
+        cfgp.write_text("pump.w = 1000\npump.k_p = 10\ncrystal.L = 100\n", encoding="utf-8")
+        code = main(["joint", "--config", str(cfgp), "--out", str(tmp_path / "o"), "--coords", "lab"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "(suggested minimum count: 20972)" in err
+        assert f"more than {joint.MAX_DEFAULT_COUNT} cells" in err
 
 
 class TestPhaseDiagram:

@@ -191,10 +191,10 @@ class TestSweep:
     def test_row_major_centres(self):
         cells = sweep_phase_diagram((0.0, 1.0), (0.0, 2.0), 4, 5, ALPHA)
         assert len(cells) == 20
-        assert cells[0].x == pytest.approx(0.125)
-        assert cells[0].y == pytest.approx(0.2)
-        assert cells[5].x == pytest.approx(0.375)  # next x block
-        assert cells[1].y == pytest.approx(0.6)
+        assert cells.x.tolist() == pytest.approx([0.125, 0.375, 0.625, 0.875])
+        assert cells.y.tolist() == pytest.approx([0.2, 0.6, 1.0, 1.4, 1.8])
+        # iteration walks y within each x block
+        assert [(c.x, c.y) for c in cells][4:6] == [(cells.x[0], cells.y[4]), (cells.x[1], cells.y[0])]
 
     def test_matches_predicate_everywhere(self):
         cells = sweep_phase_diagram((0.0, 3.0), (0.0, 4.0), 60, 80, ALPHA)
@@ -222,7 +222,7 @@ class TestSweep:
     def test_type2_boundary_at_coherent_edge(self):
         cells = sweep_phase_diagram((0.0, 0.002), (0.0, 4.0), 1, 400, ALPHA)
         ys_type2 = [c.y for c in cells if c.type2]
-        x = cells[0].x
+        x = float(cells.x[0])
         boundary = 2.0 / math.sqrt((ALPHA + 1.0 / ALPHA) * (1.0 + 4.0 * x * x))
         assert abs(boundary - BOUNDARY_TYPE2) < 1e-5  # x is nearly zero here
         assert max(ys_type2) < boundary < max(ys_type2) + 0.01
@@ -255,24 +255,6 @@ class TestPhaseDiagram:
     def _sweep():
         return sweep_phase_diagram((0.0, 3.0), (0.0, 4.0), 6, 8, ALPHA)
 
-    def test_sequence_protocol(self):
-        diagram = self._sweep()
-        expected = [classify_xy((i + 0.5) * 0.5, (j + 0.5) * 0.5, ALPHA) for i in range(6) for j in range(8)]
-        assert len(diagram) == 48
-        assert list(diagram) == expected
-        assert [diagram[k] for k in range(48)] == expected
-        assert [diagram[k - 48] for k in range(48)] == expected
-        assert diagram[np.int64(9)] == expected[9] and diagram[-1] == expected[-1]
-        assert expected[17] in diagram and diagram.index(expected[17]) == 17
-        for k in (48, -49):
-            with pytest.raises(IndexError):
-                diagram[k]
-        with pytest.raises(TypeError):
-            diagram[1.0]
-        # the masks are the verdicts, the cells only read them
-        assert np.count_nonzero(diagram.type1) == sum(cell.type1 for cell in expected)
-        assert np.count_nonzero(diagram.type2) == sum(cell.type2 for cell in expected)
-
     def test_read_only_columns(self):
         diagram = self._sweep()
         shapes = [getattr(diagram, name).shape for name in ("x", "y", "type1", "type2")]
@@ -289,7 +271,7 @@ class TestPhaseDiagram:
         mask = np.zeros((2, 1), bool)
         made = PhaseDiagram(x, y, mask, mask)
         x[0], mask[0, 0] = 9.0, True
-        assert made[0] == classify_xy(0.5, 1.0, ALPHA)
+        assert made.x.tolist() == [0.5, 1.5] and not made.type1.any() and not made.type2.any()
         assert x.flags.writeable and mask.flags.writeable
 
     def test_shape_and_overlap_checked(self):

@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     e1_position_radial,
@@ -209,6 +211,60 @@ class TestDefaultAxes:
     def test_count_passthrough(self):
         ax1, ax2 = default_axes(PUMP, CRYSTAL, GAUSSIAN_APPROX, "position", "rotated", count=64)
         assert ax1.count == ax2.count == 64
+
+    @pytest.mark.parametrize("space,need", [("momentum", 671), ("position", 353)])
+    def test_default_count_is_the_guards(self, space, need):
+        """Exit-face lab sinc fails the guard at DEFAULT_COUNT, so the default
+        takes the count the guard asks for over the same window; an explicit
+        DEFAULT_COUNT is still refused."""
+        coarse = default_axes(PUMP, CRYSTAL, EXACT_SINC, space, "lab", count=DEFAULT_COUNT)
+        axes = default_axes(PUMP, CRYSTAL, EXACT_SINC, space, "lab")
+        assert [(ax.lo, ax.hi, ax.count) for ax in axes] == [(ax.lo, ax.hi, need) for ax in coarse]
+        assert evaluate_grid(PUMP, CRYSTAL, EXACT_SINC, space, "lab").values.shape == (need, need)
+        with pytest.raises(GridTooCoarse) as exc_info:
+            evaluate_grid(PUMP, CRYSTAL, EXACT_SINC, space, "lab", coarse)
+        assert exc_info.value.suggested_count == need
+
+    def test_default_count_is_capped(self):
+        wide, short = PumpParams(w=1000.0, k_p=K_P), CrystalParams(L=100.0, k_p=K_P)
+        with pytest.raises(GridTooCoarse, match=f"more than {joint.MAX_DEFAULT_COUNT} cells") as exc_info:
+            default_axes(wide, short, EXACT_SINC, "momentum", "lab")
+        assert exc_info.value.suggested_count == 20972
+
+    @given(
+        width=st.floats(min_value=1e-6, max_value=1e6),
+        ratios=st.tuples(*[st.floats(min_value=0.05, max_value=600.0)] * 3),
+        coords=st.sampled_from(["rotated", "lab"]),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_default_count_never_refused(self, width, ratios, coords):
+        """A default count within the cap passes the guard; it is
+        DEFAULT_COUNT whenever the guard passes there."""
+        plus = joint._Factor(None, width, ratios[0] * width)
+        minus = joint._Factor(None, ratios[1] * width, ratios[2] * width)
+        widths = joint._widths(plus, minus, coords)
+        try:
+            axes = joint._axes(plus, minus, "momentum", coords, None)
+        except GridTooCoarse as exc:
+            assert exc.suggested_count > joint.MAX_DEFAULT_COUNT
+            return
+        joint._check_resolution(widths, *axes)
+        coarse = joint._axes(plus, minus, "momentum", coords, DEFAULT_COUNT)
+        try:
+            joint._check_resolution(widths, *coarse)
+        except GridTooCoarse:
+            assert axes[0].count > DEFAULT_COUNT
+        else:
+            assert axes == coarse
+
+    def test_suggested_count_passes(self):
+        # 4 x range / width rounds down onto 1055, at which the width spans
+        # just under 4 cells
+        width, ax = 0.32859473049262433, Axis(-43.33343008371484, 43.33343008371484, 256)
+        assert math.ceil(4.0 * (ax.hi - ax.lo) / width) == 1055
+        assert width < 4.0 * Axis(ax.lo, ax.hi, 1055).step
+        assert joint._need(width, ax) == 1056
+        assert joint._need(width, Axis(ax.lo, ax.hi, 1056)) == 0
 
     def test_bad_space_and_coords(self):
         with pytest.raises(UnknownChoice, match="space 'energy'"):
@@ -677,13 +733,13 @@ class TestFactor:
         factor = joint._factor(radial)
         assert factor.marginal is radial.marginal
         assert factor.width_half == SQRT2 * radial.sigma
-        assert factor.window == radial.half_range
+        assert factor.window == 5.0 * radial.sigma
 
     @pytest.mark.parametrize("space", ["momentum", "position"])
     def test_table_reads_zero_beyond_its_window(self, space):
         radial = (momentum_radial_density if space == "momentum" else position_radial_density)(CRYSTAL, EXACT_SINC)
         factor = joint._factor(radial)
-        span = radial.half_range
+        span = float(radial.offsets[-1])
         beyond = np.array([1.0 + 1e-9, 1.5, 10.0]) * span
         assert factor.marginal(beyond).tolist() == [0.0] * 3
         assert factor.marginal(-beyond).tolist() == [0.0] * 3
@@ -782,13 +838,14 @@ class TestClosedFormMarginal:
         1/256, 1/16, 1/2 and 0.977 of the table radius."""
         radial = position_radial_density(crystal, model)
         nodes, vals = _minus_table(crystal, model, "position")
+        reach = float(nodes[-1])
         peak = float(np.max(vals))
         n = 2**21
         for fraction in (1 / 256, 1 / 16, 1 / 2, 4000 / 4096):
-            k = int(np.argmin(np.abs(nodes - fraction * radial.half_range)))
+            k = int(np.argmin(np.abs(nodes - fraction * reach)))
             t = float(nodes[k])
             # the pdf drops to zero at the table's last node
-            h = math.sqrt(radial.half_range**2 - t * t) / n
+            h = math.sqrt(reach**2 - t * t) / n
             y = (np.arange(n) + 0.5) * h
             want = 2.0 * h * float(np.sum(radial.pdf(np.hypot(t, y))))
             assert abs(float(vals[k]) - want) <= 1e-9 * peak

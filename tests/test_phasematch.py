@@ -330,13 +330,14 @@ class TestMomentumDensity:
     @staticmethod
     def _against_oracle(model, segments):
         rd = momentum_radial_density(C_EXIT, model)
-        # out to three times the corner radius sqrt2 half_range of the
-        # marginal's window
-        q = np.linspace(0.0, 3.0 * math.sqrt(2.0) * rd.half_range, 200001)
+        # out to three times the corner radius sqrt2 reach of the
+        # marginal's table
+        reach = float(rd.offsets[-1])
+        q = np.linspace(0.0, 3.0 * math.sqrt(2.0) * reach, 200001)
         want = profile_momentum_radial(q, K_P, segments)
         got = rd.pdf(q)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)  # observed 9e-16
-        assert np.max(got[q > math.sqrt(2.0) * rd.half_range]) > 0.0
+        assert np.max(got[q > math.sqrt(2.0) * reach]) > 0.0
 
     @pytest.mark.parametrize(
         "model,segments",
@@ -541,7 +542,7 @@ class TestRadialDensities:
     )
     def test_unit_mass(self, maker, c, model):
         rd = maker(c, model)
-        r = np.linspace(0.0, rd.half_range, 200001)
+        r = np.linspace(0.0, 5.0 * rd.sigma if rd.sigma is not None else float(rd.offsets[-1]), 200001)
         mass = 2.0 * math.pi * float(np.trapezoid(r * rd.pdf(r), r))
         assert abs(mass - 1.0) < 1e-3
 

@@ -26,7 +26,8 @@ def test_tree_matches_itself():
     assert lines[-1].startswith("12 runs, ") and lines[-1].endswith(", 0 differ")
     files = [line.split("  ", 1)[1] for line in lines[:-1]]
     assert "joint-exit_face-position-rotated-poled_pair/joint_position_rotated.json" in files
-    assert "joint-exit_face-momentum-lab-sinc/exit_code" in files  # exit 2 is recorded, not skipped
+    runs = {path.split("/", 1)[0] for path in files}
+    assert len(runs) == 12 and all(f"{run}/exit_code" in files for run in runs)
 
 
 def test_kernels_match_themselves():

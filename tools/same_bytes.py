@@ -55,7 +55,7 @@ CONFIGS = {
     "thin": "pump.w = 0.1\npump.k_p = 10\ncrystal.L = 0.1\ncrystal.z0 = 0.7\n",
 }
 # kernel -> (log10 range of its input magnitudes, whether they take random
-# signs): in units of the density's half range for a marginal.  Each range
+# signs): in units of the table's reach for a marginal.  Each range
 # crosses the kernel's series/tail splits, and a marginal's reaches past
 # its table; Si and the ramp kernel are defined for x >= 0 only.
 KERNELS = {
@@ -118,7 +118,7 @@ def write_inputs(old_tree: Path, inputs: Path) -> list[tuple[str, list[str]]]:
 
 def _kernel(name: str):
     """The imported package's function for a KERNELS name, and the scale of
-    its inputs: 1 for a special function, the half range for a marginal."""
+    its inputs: 1 for a special function, the table's reach for a marginal."""
     from spdc_coherence import numerics, phasematch
     from spdc_coherence.params import CrystalParams
 
@@ -130,7 +130,7 @@ def _kernel(name: str):
     if config == "poled_pair":
         model = phasematch.PhaseMatchModel.from_profile(phasematch.NonlinearityProfile.alternating(2, 500.0))
     density = getattr(phasematch, f"{space}_radial_density")(crystal, model)
-    return density.marginal, density.half_range
+    return density.marginal, float(density.offsets[-1])
 
 
 def kernel_outputs(name: str) -> dict[str, bytes]:
