@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from spdc_coherence import NonPositiveParameter, sweep_phase_diagram
+from spdc_coherence import DEFAULT_ALPHA, NonPositiveParameter, sweep_phase_diagram
 from spdc_coherence.entanglement import sweep_to_csv
 
 
@@ -23,7 +23,7 @@ def main() -> int:
     ap.add_argument("--y-max", type=float, default=4.0)
     ap.add_argument("--nx", type=int, default=72)
     ap.add_argument("--ny", type=int, default=36)
-    ap.add_argument("--alpha", type=float, default=0.455)
+    ap.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     ap.add_argument("--csv", help="optional output CSV path")
     args = ap.parse_args()
     try:

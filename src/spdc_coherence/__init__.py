@@ -42,7 +42,6 @@ from .joint import (
 )
 from .numerics import (
     Moments,
-    RadialGrid,
     bessel_j0,
     exp1_i,
     find_root,

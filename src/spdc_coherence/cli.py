@@ -25,7 +25,7 @@ from .entanglement import classify, sweep_phase_diagram, sweep_to_csv
 from .errors import GridTooCoarse, ParseError
 from .joint import DEFAULT_COUNT, MAX_DEFAULT_COUNT, default_axes, evaluate_grid, widths_from_grid
 from .numerics import _g9
-from .params import load_params, params_dict
+from .params import DEFAULT_ALPHA, load_params, params_dict
 from .phasematch import (
     PhaseMatchModel,
     chi_tilde,
@@ -194,7 +194,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--y-max", type=float, default=4.0, help="sqrt(L/(k_p w^2)) upper limit (default 4)")
     sp.add_argument("--nx", type=int, default=60)
     sp.add_argument("--ny", type=int, default=80)
-    sp.add_argument("--alpha", type=float, default=0.455)
+    sp.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     sp.set_defaults(fn=cmd_phase_diagram)
 
     sp = sub.add_parser("phasematch", help="spectrum table (mismatch, Re, Im, modulus squared)")

@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import NonPositiveParameter
 from .numerics import _g9
-from .params import CrystalParams, PumpParams
+from .params import CrystalParams, PumpParams, _require_same_k_p
 from .phasematch import variance_q_minus, variance_rho_minus
 from .pump import variance_q_plus, variance_rho_plus
 
@@ -75,14 +75,18 @@ def product_pm(p: PumpParams, c: CrystalParams) -> float:
     sqrt(2 w^2 * k_p / (2 alpha L)) = w sqrt(k_p / (alpha L)).
 
     Exactly independent of ell_c and R; entanglement witnessed when < 1/2.
+    Raises ParameterMismatch when pump and crystal disagree on k_p.
     """
+    _require_same_k_p(p, c)
     return math.sqrt(variance_rho_plus(p) * variance_q_minus(c))
 
 
 def product_mp(p: PumpParams, c: CrystalParams) -> float:
     """Anti-diagonal position width times diagonal momentum width.  Grows
     with 1/ell_c and with wavefront curvature; entanglement witnessed
-    when < 1/2."""
+    when < 1/2.  Raises ParameterMismatch when pump and crystal disagree
+    on k_p."""
+    _require_same_k_p(p, c)
     return math.sqrt(variance_rho_minus(c) * variance_q_plus(p))
 
 
@@ -109,7 +113,8 @@ class WitnessReport(NamedTuple):
 def classify(p: PumpParams, c: CrystalParams) -> WitnessReport:
     """Evaluate both witnesses for a parameter set.  Verdicts are strict
     (a product exactly at 1/2 witnesses nothing).  Correlation senses
-    compare the Gaussian-model rotated variances in each space."""
+    compare the Gaussian-model rotated variances in each space.  Raises
+    ParameterMismatch when pump and crystal disagree on k_p."""
     pm_val = product_pm(p, c)
     mp_val = product_mp(p, c)
     return WitnessReport(

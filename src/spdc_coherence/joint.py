@@ -50,9 +50,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import GridTooCoarse, ParameterMismatch, UnknownChoice
+from .errors import GridTooCoarse, UnknownChoice
 from .numerics import RadialDensity, _format_distinct, _g9, gaussian_radial, grid_moments
-from .params import CrystalParams, PumpParams, params_dict
+from .params import CrystalParams, PumpParams, _require_same_k_p, params_dict
 from .phasematch import PhaseMatchModel, _minus_key, _momentum_density, _position_density
 from .phasematch import variance_q_minus, variance_rho_minus
 from .pump import variance_q_plus, variance_rho_plus
@@ -160,8 +160,7 @@ def _minus_marginal(space: str, key: tuple) -> _Factor:
 
 def _factor_pair(p: PumpParams, c: CrystalParams, m: PhaseMatchModel, space: str):
     """(plus factor, minus factor) for the requested space."""
-    if p.k_p != c.k_p:
-        raise ParameterMismatch("pump and crystal disagree on k_p")
+    _require_same_k_p(p, c)
     if space == "momentum":
         plus_var, minus_var = variance_q_plus, variance_q_minus
     elif space == "position":

@@ -22,14 +22,13 @@ Hankel transform takes an array of radii in one call.
 
 Nothing in here knows about pumps or crystals.  The physics modules quote
 closed-form results, and `validation._route_marginal` is the independent
-numerical route they are checked against.  J0, `hankel0` and `RadialGrid`
-serve tests alone; they stay because perfbench's tracer binds them.
+numerical route they are checked against.  J0 and `hankel0` serve tests
+alone; they stay because perfbench's tracer binds them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -44,7 +43,6 @@ __all__ = [
     "bessel_j0",
     "RadialDensity",
     "gaussian_radial",
-    "RadialGrid",
     "hankel0",
     "find_root",
     "Moments",
@@ -313,72 +311,42 @@ def gaussian_radial(var: float) -> RadialDensity:
     return RadialDensity(pdf=pdf, sigma=sigma, marginal=marginal)
 
 
-@dataclass(frozen=True, eq=False)
-class RadialGrid:
-    """Uniform midpoint samples of a radial function on (0, r_max].
-
-    Sample k sits at r_k = (k + 1/2) r_max / n; the midpoint layout keeps
-    plain Riemann sums second-order accurate and never touches r = 0.
-    """
-
-    r_max: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", vals)
-        if not self.r_max > 0.0:
-            raise NonPositiveParameter("r_max", f"got {self.r_max!r}")
-        if vals.ndim != 1 or vals.size < 16:
-            raise GridTooCoarse("radial grid needs at least 16 one-dimensional samples")
-
-    @property
-    def n(self) -> int:
-        return self.values.size
-
-    @property
-    def step(self) -> float:
-        return self.r_max / self.n
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return (np.arange(self.n) + 0.5) * self.step
-
-    @classmethod
-    def from_function(cls, f: Callable[[np.ndarray], np.ndarray], r_max: float, n: int) -> "RadialGrid":
-        if not r_max > 0.0:
-            raise NonPositiveParameter("r_max", f"got {r_max!r}")
-        nodes = (np.arange(n) + 0.5) * (r_max / n)
-        return cls(r_max, np.asarray(f(nodes), dtype=float))
-
-
-def hankel0(f: RadialGrid, rho):
+def hankel0(values, r_max: float, rho):
     """Order-0 Hankel transform (1/2pi) * int q f(q) J0(q rho) dq at each
-    radius rho, midpoint rule over the grid.
+    radius rho, midpoint rule over the samples of f: sample k sits at
+    q_k = (k + 1/2) r_max / n, which keeps the plain Riemann sum
+    second-order accurate and never touches q = 0.
 
     Accepts a scalar (returns a float) or an array of radii (returns an
-    array of its shape), one J0 evaluation over the grid per radius; an
+    array of its shape), one J0 evaluation over the samples per radius; an
     array gives bit for bit the scalar calls' values.  The caller owns the
     truncation at r_max: f should have decayed there, or its tail must
-    cancel oscillatorily.  Raises NegativeArgument for a negative or
-    non-finite radius, and GridTooCoarse when one period of J0(q rho) at the
-    largest radius covers fewer than 4 samples.
+    cancel oscillatorily.  Raises NonPositiveParameter unless r_max is
+    positive and finite, GridTooCoarse for fewer than 16 samples or samples
+    that are not 1-D, NegativeArgument for a negative or non-finite radius,
+    and GridTooCoarse when one period of J0(q rho) at the largest radius
+    covers fewer than 4 samples.
     """
+    if not 0.0 < r_max < math.inf:
+        raise NonPositiveParameter("r_max", f"need a positive finite value, got {r_max!r}")
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1 or values.size < 16:
+        raise GridTooCoarse("hankel0 needs at least 16 one-dimensional samples")
     arr = np.asarray(rho, dtype=float)
     flat = arr.ravel()
     bad = ~((flat >= 0.0) & (flat < math.inf))
     if bad.any():
         raise NegativeArgument(f"hankel0 needs finite rho >= 0, got {float(flat[np.argmax(bad)])!r}")
-    h = f.step
+    h = r_max / values.size
     top = float(flat.max()) if flat.size else 0.0
     if top > 0.0 and 2.0 * math.pi / top < 4.0 * h:
-        needed = math.ceil(4.0 * f.r_max * top / (2.0 * math.pi))
+        needed = math.ceil(4.0 * r_max * top / (2.0 * math.pi))
         raise GridTooCoarse(
             f"J0(q rho) at rho={top:g} oscillates faster than 4 samples per period",
             suggested_count=needed,
         )
-    q = f.nodes
-    qf = q * f.values
+    q = (np.arange(values.size) + 0.5) * h
+    qf = q * values
     out = np.array([np.sum(qf * bessel_j0(q * r)) for r in flat.tolist()]) * h / (2.0 * math.pi)
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 

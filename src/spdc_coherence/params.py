@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NonPositiveParameter, ParseError
+from .errors import NonPositiveParameter, ParameterMismatch, ParseError
 
 __all__ = [
     "PumpParams",
@@ -111,6 +111,13 @@ class CrystalParams:
             raise NonPositiveParameter(
                 "beta", f"only degenerate pairs are modelled, need 1, got {self.beta!r}"
             )
+
+
+def _require_same_k_p(p: PumpParams, c: CrystalParams) -> None:
+    """Raise ParameterMismatch unless pump and crystal share one k_p: every
+    result that combines the two reads the crystal's k_p as the pump's."""
+    if p.k_p != c.k_p:
+        raise ParameterMismatch("pump and crystal disagree on k_p")
 
 
 # -- config file format ------------------------------------------------------

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import entanglement, joint, phasematch, pump
 from .numerics import sinc
-from .params import CrystalParams, PumpParams
+from .params import DEFAULT_ALPHA, CrystalParams, PumpParams
 
 __all__ = ["CheckResult", "run_all"]
 
@@ -45,13 +45,13 @@ def _rel(a: float, b: float) -> float:
 def check_alpha_calibration() -> CheckResult:
     alpha = phasematch.calibrate_alpha()
     residual = abs(float(sinc(1.0 / alpha)) - math.exp(-1.0))
-    rounded_ok = round(alpha, 3) == 0.455
+    rounded_ok = round(alpha, 3) == DEFAULT_ALPHA
     return CheckResult(
         name="alpha_calibration",
         passed=residual < 1e-9 and rounded_ok,
         observed=residual,
         tolerance=1e-9,
-        detail=f"alpha={alpha:.6f}, rounds to 0.455: {rounded_ok}",
+        detail=f"alpha={alpha:.6f}, rounds to {DEFAULT_ALPHA}: {rounded_ok}",
     )
 
 
@@ -139,7 +139,7 @@ def check_position_grids_coherence_free() -> CheckResult:
 
 
 def check_phase_diagram_boundaries() -> CheckResult:
-    alpha = 0.455
+    alpha = DEFAULT_ALPHA
     b1 = 2.0 / math.sqrt(alpha)
     b2 = 2.0 / math.sqrt(alpha + 1.0 / alpha)
     const_err = max(abs(b1 - 2.965), abs(b2 - 1.228))

@@ -2,9 +2,9 @@
 
 Nothing here shares numerical code with the package: scipy.special
 supplies Si, E1 and J0, scipy.integrate the quadratures, and the
-piecewise spectrum is a plain numpy sum of exponentials.  The one
-package name used is RadialGrid, the container that numerics.hankel0
-reads, to hand it the centred crystal's spectrum.  The frozen
+piecewise spectrum is a plain numpy sum of exponentials.  No package
+name is used: the centred crystal's spectrum goes to numerics.hankel0 as
+plain midpoint samples, laid out by ``midpoints``.  The frozen
 constants were computed once with mpmath at 40 significant digits and
 pasted in; tests treat them as ground truth.
 """
@@ -16,8 +16,6 @@ import warnings
 
 import numpy as np
 from scipy import integrate, special
-
-from spdc_coherence.numerics import RadialGrid
 
 # sinc(x) = 1/e on [2, 2.5], and its reciprocal (the calibrated width
 # parameter of the Gaussian phase-matching stand-in)
@@ -108,18 +106,28 @@ def e1_position_radial(rho, k_p, segments):
     return (k_p / 2.0) ** 2 * np.abs(total) ** 2 / norm_q
 
 
+def midpoints(r_max, n):
+    """The n midpoint nodes (k + 1/2) r_max / n on (0, r_max], where
+    numerics.hankel0 takes its samples to sit."""
+    return (np.arange(n) + 0.5) * (r_max / n)
+
+
 def centred_spectrum(L, k_p):
     """The centred crystal's real spectrum sinc(q^2 L / 2 k_p) on 16,384
     midpoint nodes out to q^2 L / 2 k_p = 1000, where the sinc has fallen
-    to ~1e-3: the input of the Hankel route to its position density."""
+    to ~1e-3: the input of the Hankel route to its position density.
+    Returns the samples and q_max, hankel0's first two arguments."""
     q_max = math.sqrt(2.0 * 1000.0 * k_p / L)
-    return RadialGrid.from_function(lambda q: sinc(q * q * L / (2.0 * k_p)), q_max, 16384)
+    q = midpoints(q_max, 16384)
+    return sinc(q * q * L / (2.0 * k_p)), q_max
 
 
-def parseval_norm(f):
-    """int 2 pi rho hankel0(f, rho)^2 drho over the whole plane, by Parseval:
-    (1/2pi) int q f^2 dq, summed over f's own midpoint nodes."""
-    return float(np.sum(f.nodes * f.values**2)) * f.step / (2.0 * math.pi)
+def parseval_norm(values, r_max):
+    """int 2 pi rho hankel0(values, r_max, rho)^2 drho over the whole
+    plane, by Parseval: (1/2pi) int q f^2 dq, summed over the samples' own
+    midpoint nodes."""
+    n = values.size
+    return float(np.sum(midpoints(r_max, n) * values**2)) * (r_max / n) / (2.0 * math.pi)
 
 
 def marginal_of_radial(pdf, t, y_cap):

@@ -23,7 +23,7 @@ from spdc_coherence.entanglement import (
     sweep_phase_diagram,
     sweep_to_csv,
 )
-from spdc_coherence.errors import NonPositiveParameter
+from spdc_coherence.errors import NonPositiveParameter, ParameterMismatch
 from spdc_coherence.joint import evaluate_grid, widths_from_grid
 from spdc_coherence.params import CrystalParams, PumpParams
 from spdc_coherence.phasematch import GAUSSIAN_APPROX
@@ -107,6 +107,13 @@ class TestClassify:
     def test_validates_input(self):
         with pytest.raises(NonPositiveParameter):
             classify(PumpParams(w=-1.0, k_p=K_P), CrystalParams(L=100.0, k_p=K_P))
+
+    def test_k_p_mismatch(self):
+        # the pair that evaluate_grid refuses gets no witness either
+        p, c = PumpParams(w=100.0, k_p=10.0), CrystalParams(L=1000.0, k_p=20.0)
+        for f in (classify, product_pm, product_mp):
+            with pytest.raises(ParameterMismatch, match="k_p"):
+                f(p, c)
 
     def test_momentum_sense_flip(self):
         c = CrystalParams(L=1000.0, k_p=K_P)
@@ -198,17 +205,19 @@ class TestSweep:
 
     def test_matches_predicate_everywhere(self):
         cells = sweep_phase_diagram((0.0, 3.0), (0.0, 4.0), 60, 80, ALPHA)
-        for cell in cells:
-            type1 = cell.y > BOUNDARY_TYPE1
-            type2 = cell.y * cell.y < 4.0 / ((ALPHA + 1.0 / ALPHA) * (1.0 + 4.0 * cell.x**2))
-            assert cell.type1 == type1 and cell.type2 == type2
-            assert not (cell.type1 and cell.type2)
+        x, y = cells.x[:, None], cells.y[None, :]
+        type1 = np.broadcast_to(y > BOUNDARY_TYPE1, cells.type1.shape)
+        type2 = y * y < 4.0 / ((ALPHA + 1.0 / ALPHA) * (1.0 + 4.0 * x**2))
+        assert np.array_equal(cells.type1, type1) and np.array_equal(cells.type2, type2)
+        assert not (cells.type1 & cells.type2).any()
         # the array sweep equals the scalar route cell by cell, centres included
         for nx, ny in ((60, 80), (300, 400)):
+            cells = sweep_phase_diagram((0.0, 3.0), (0.0, 4.0), nx, ny, ALPHA)
+            xs, ys, type1, type2 = cells.x.tolist(), cells.y.tolist(), cells.type1.tolist(), cells.type2.tolist()
             dx, dy = 3.0 / nx, 4.0 / ny
-            assert list(sweep_phase_diagram((0.0, 3.0), (0.0, 4.0), nx, ny, ALPHA)) == [
-                classify_xy((i + 0.5) * dx, (j + 0.5) * dy, ALPHA) for i in range(nx) for j in range(ny)
-            ]
+            for i in range(nx):
+                want = [classify_xy((i + 0.5) * dx, (j + 0.5) * dy, ALPHA)[:4] for j in range(ny)]
+                assert list(zip([xs[i]] * ny, ys, type1[i], type2[i])) == want
 
     def test_type1_boundary_bracketed(self):
         cells = sweep_phase_diagram((0.0, 3.0), (0.0, 4.0), 6, 80, ALPHA)

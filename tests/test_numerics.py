@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import SI_AT_1, SI_AT_PI, gaussian_2d
+from oracles import SI_AT_1, SI_AT_PI, gaussian_2d, midpoints
 from scipy import integrate, special
 
 from spdc_coherence import numerics, phasematch
@@ -22,7 +22,6 @@ from spdc_coherence.errors import (
 )
 from spdc_coherence.params import CrystalParams
 from spdc_coherence.numerics import (
-    RadialGrid,
     _format_distinct,
     bessel_j0,
     exp1_i,
@@ -643,66 +642,75 @@ class TestGaussianRadial:
             assert float(g.marginal(x)) == pytest.approx(want, rel=1e-10)
 
 
-class TestRadialGrid:
-    def test_midpoint_layout(self):
-        g = RadialGrid.from_function(lambda r: r, 2.0, 32)
-        assert g.n == 32
-        assert g.step == 2.0 / 32
-        assert g.nodes[0] == pytest.approx(g.step / 2.0)
-        assert np.allclose(np.diff(g.nodes), g.step)
-        assert np.array_equal(g.values, g.nodes)
-
-    def test_too_few_samples(self):
-        with pytest.raises(GridTooCoarse):
-            RadialGrid(1.0, np.ones(15))
-
-    def test_bad_r_max(self):
-        with pytest.raises(NonPositiveParameter):
-            RadialGrid(0.0, np.ones(32))
-        with pytest.raises(NonPositiveParameter):
-            RadialGrid.from_function(lambda r: r, -1.0, 32)
+def _gauss_samples(r_max, n):
+    q = midpoints(r_max, n)
+    return np.exp(-q * q)
 
 
 class TestHankel0:
     def test_gaussian_self_transform(self):
         # f(q) = exp(-q^2)  ->  exp(-rho^2/4) / (4 pi)
-        g = RadialGrid.from_function(lambda q: np.exp(-q * q), 25.0, 4096)
+        f = _gauss_samples(25.0, 4096)
         for rho in (0.0, 0.5, 1.3, 2.7, 4.0):
             want = math.exp(-rho * rho / 4.0) / (4.0 * math.pi)
-            assert abs(hankel0(g, rho) - want) < 1e-6  # observed ~2.5e-7
+            assert abs(hankel0(f, 25.0, rho) - want) < 1e-6  # observed ~2.5e-7
+
+    def test_midpoint_layout(self):
+        # one unit sample k reads q_k J0(q_k rho) h / 2 pi, q_k = (k + 1/2) h
+        n, r_max = 32, 2.0
+        h = r_max / n
+        for k in (0, 1, 17, 31):
+            q_k = (k + 0.5) * h
+            for rho in (0.0, 1.0):
+                want = q_k * float(bessel_j0(q_k * rho)) * h / (2.0 * math.pi)
+                assert hankel0(np.eye(n)[k], r_max, rho) == pytest.approx(want, rel=1e-15)
+
+    def test_too_few_samples(self):
+        hankel0(np.ones(16), 1.0, 0.5)  # 16 is enough
+        for bad in (np.ones(15), np.ones((4, 4)), 1.0):
+            with pytest.raises(GridTooCoarse, match="at least 16 one-dimensional samples"):
+                hankel0(bad, 1.0, 0.5)
+        with pytest.raises(GridTooCoarse):  # checked before the radius
+            hankel0(np.ones(15), 1.0, -1.0)
+
+    def test_bad_r_max(self):
+        # an infinite r_max would give NaN at rho = 0 and OverflowError beyond
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(NonPositiveParameter, match="r_max"):
+                hankel0(np.ones(32), bad, 0.5)
+        with pytest.raises(NonPositiveParameter):  # checked before the samples and the radius
+            hankel0(np.ones(15), 0.0, -1.0)
 
     def test_negative_rho(self):
-        g = RadialGrid.from_function(lambda q: np.exp(-q * q), 10.0, 64)
+        f = _gauss_samples(10.0, 64)
         for bad in (-0.5, math.nan, math.inf, -math.inf):
             with pytest.raises(NegativeArgument, match="finite rho >= 0"):
-                hankel0(g, bad)
+                hankel0(f, 10.0, bad)
             with pytest.raises(NegativeArgument, match=f"got {bad!r}"):
-                hankel0(g, np.array([0.5, bad, 1.0]))
+                hankel0(f, 10.0, np.array([0.5, bad, 1.0]))
 
     def test_oscillation_guard(self):
-        g = RadialGrid.from_function(lambda q: np.exp(-q * q), 30.0, 64)
         with pytest.raises(GridTooCoarse) as exc_info:
-            hankel0(g, 10.0)
+            hankel0(_gauss_samples(30.0, 64), 30.0, 10.0)
         needed = exc_info.value.suggested_count
         assert needed is not None and needed > 64
-        finer = RadialGrid.from_function(lambda q: np.exp(-q * q), 30.0, int(needed))
-        hankel0(finer, 10.0)  # must not raise
+        hankel0(_gauss_samples(30.0, int(needed)), 30.0, 10.0)  # must not raise
 
     def test_array_matches_scalar_calls(self):
-        g = RadialGrid.from_function(lambda q: np.exp(-q * q), 25.0, 4096)
+        f = _gauss_samples(25.0, 4096)
         rhos = np.array([[0.0, 0.5, 1.3], [2.7, 4.0, 0.5]])
-        out = hankel0(g, rhos)
+        out = hankel0(f, 25.0, rhos)
         assert out.shape == rhos.shape
-        want = np.array([[hankel0(g, float(r)) for r in row] for row in rhos])
+        want = np.array([[hankel0(f, 25.0, float(r)) for r in row] for row in rhos])
         assert out.tobytes() == want.tobytes()
-        assert type(hankel0(g, 1.3)) is float and type(hankel0(g, np.array(1.3))) is float
-        assert hankel0(g, np.array([])).shape == (0,)
+        assert type(hankel0(f, 25.0, 1.3)) is float and type(hankel0(f, 25.0, np.array(1.3))) is float
+        assert hankel0(f, 25.0, np.array([])).shape == (0,)
 
     def test_guard_reads_largest_radius(self):
-        g = RadialGrid.from_function(lambda q: np.exp(-q * q), 30.0, 64)
-        hankel0(g, np.array([0.0, 1.0, 2.0]))  # all resolved
+        f = _gauss_samples(30.0, 64)
+        hankel0(f, 30.0, np.array([0.0, 1.0, 2.0]))  # all resolved
         with pytest.raises(GridTooCoarse) as exc_info:
-            hankel0(g, np.array([0.0, 1.0, 10.0, 2.0]))
+            hankel0(f, 30.0, np.array([0.0, 1.0, 10.0, 2.0]))
         assert "rho=10" in str(exc_info.value)
         assert exc_info.value.suggested_count == math.ceil(4.0 * 30.0 * 10.0 / (2.0 * math.pi))
 

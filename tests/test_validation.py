@@ -135,9 +135,9 @@ def test_centred_pdf_matches_hankel_transform():
     phasematch's momentum norm; the norm covers the whole plane, since the
     tail past the compared 5 sqrt(L/k_p) still holds ~2.5% of the mass."""
     L, k_p = 1000.0, 10.0
-    spectrum = oracles.centred_spectrum(L, k_p)
+    spectrum, q_max = oracles.centred_spectrum(L, k_p)
     rhos = np.linspace(0.0, 5.0 * math.sqrt(L / k_p), 200)
-    dens = hankel0(spectrum, rhos) ** 2 / oracles.parseval_norm(spectrum)
+    dens = hankel0(spectrum, q_max, rhos) ** 2 / oracles.parseval_norm(spectrum, q_max)
     c = CrystalParams(L=L, k_p=k_p, z0=L / 2.0)
     ref = phasematch.position_radial_density(c, phasematch.EXACT_SINC).pdf(rhos)
     l2 = math.sqrt(float(np.sum((dens - ref) ** 2)) / float(np.sum(ref**2)))
@@ -149,12 +149,12 @@ def test_parseval_norm_matches_rho_integral():
     replaced: the squared transform on 1,024 quadratic radii out to
     sqrt(2000 L / k_p), trapezoid, J0 from scipy."""
     L, k_p = 1000.0, 10.0
-    spectrum = oracles.centred_spectrum(L, k_p)
-    q = spectrum.nodes
-    weights = q * spectrum.values * spectrum.step / (2.0 * math.pi)
+    spectrum, q_max = oracles.centred_spectrum(L, k_p)
+    q = oracles.midpoints(q_max, spectrum.size)
+    weights = q * spectrum * (q_max / spectrum.size) / (2.0 * math.pi)
     r_full = math.sqrt(2.0 * 1000.0 * L / k_p) * np.linspace(0.0, 1.0, 1024) ** 2
     # 64 radii at a time keeps the J0 block at 8 MB
     psi = np.concatenate([j0(np.outer(rows, q)) @ weights for rows in np.split(r_full, 16)])
     rho_integral = 2.0 * math.pi * float(np.trapezoid(r_full * psi**2, r_full))
-    parseval = oracles.parseval_norm(spectrum)
+    parseval = oracles.parseval_norm(spectrum, q_max)
     assert abs(parseval - rho_integral) / rho_integral < 1e-4  # observed 1.6e-5
