@@ -25,7 +25,7 @@ from .entanglement import classify, sweep_phase_diagram, sweep_to_csv
 from .errors import GridTooCoarse, ParseError
 from .joint import DEFAULT_COUNT, MAX_DEFAULT_COUNT, default_axes, evaluate_grid, widths_from_grid
 from .numerics import _g9
-from .params import DEFAULT_ALPHA, load_params, params_dict
+from .params import DEFAULT_ALPHA, _params_doc, load_params
 from .phasematch import (
     PhaseMatchModel,
     chi_tilde,
@@ -34,13 +34,6 @@ from .phasematch import (
     variance_rho_minus,
 )
 from .pump import variance_q_plus, variance_rho_plus
-
-
-def _params_doc(p, c, m: PhaseMatchModel | None = None, **extra) -> dict:
-    doc = {"pump": params_dict(p), "crystal": params_dict(c), **extra}
-    if m is not None:
-        doc["model"] = m.as_dict()
-    return doc
 
 
 def _model_from_args(args) -> PhaseMatchModel:
@@ -99,14 +92,7 @@ def cmd_phase_diagram(args, write):
         f"type1 area fraction {frac1:.4f}, type2 area fraction {frac2:.4f}, "
         f"neither {1.0 - frac1 - frac2:.4f}"
     )
-    params = {
-        "x_max": args.x_max,
-        "y_max": args.y_max,
-        "nx": args.nx,
-        "ny": args.ny,
-        "alpha": args.alpha,
-    }
-    return params, 0
+    return {"x_max": args.x_max, "y_max": args.y_max, "nx": args.nx, "ny": args.ny, "alpha": args.alpha}, 0
 
 
 def cmd_phasematch(args, write):
@@ -240,12 +226,14 @@ def main(argv=None) -> int:
         return code
     except (ValueError, OSError, ArithmeticError, MemoryError) as exc:
         # every package error is a ValueError; ArithmeticError: a finite
-        # parameter so extreme that float arithmetic fails; MemoryError: a
-        # grid too large to allocate
+        # parameter so extreme that float arithmetic fails, with its text
+        # last (float ** gives (errno, text)); MemoryError: a grid too
+        # large to allocate
         kind = ("grid too coarse: " if isinstance(exc, GridTooCoarse)
                 else "out of floating-point range: " if isinstance(exc, ArithmeticError)
                 else "out of memory: " if isinstance(exc, MemoryError) else "")
-        print(f"error: {kind}{exc}", file=sys.stderr)
+        detail = exc.args[-1] if isinstance(exc, ArithmeticError) and exc.args else exc
+        print(f"error: {kind}{detail}", file=sys.stderr)
         return 2
 
 

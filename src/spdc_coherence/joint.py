@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
@@ -52,7 +52,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GridTooCoarse, UnknownChoice
 from .numerics import RadialDensity, _format_distinct, _g9, gaussian_radial, grid_moments
-from .params import CrystalParams, PumpParams, _require_same_k_p, params_dict
+from .params import CrystalParams, PumpParams, _params_doc, _require_same_k_p
 from .phasematch import PhaseMatchModel, _minus_key, _momentum_density, _position_density
 from .phasematch import variance_q_minus, variance_rho_minus
 from .pump import variance_q_plus, variance_rho_plus
@@ -294,16 +294,11 @@ class JointGrid:
         doc = {
             "space": self.space,
             "coords": self.coords,
-            "axis1": _axis_doc(self.axis1),
-            "axis2": _axis_doc(self.axis2),
+            "axis1": asdict(self.axis1),
+            "axis2": asdict(self.axis2),
             "values": [],
+            **_params_doc(self.pump, self.crystal, self.model),
         }
-        if self.pump is not None:
-            doc["pump"] = params_dict(self.pump)
-        if self.crystal is not None:
-            doc["crystal"] = params_dict(self.crystal)
-        if self.model is not None:
-            doc["model"] = self.model.as_dict()
         # strings escape their newlines, so this line can only be the key
         head, tail = json.dumps(doc, indent=1).split('\n "values": []', 1)
         reprs = _format_distinct(self.values.ravel(), float.__repr__)
@@ -346,10 +341,6 @@ class JointGrid:
         del rows  # free the cell strings before the text is joined
         lines.append("")  # the trailing newline, without a second copy of the text
         return "\n".join(lines)
-
-
-def _axis_doc(ax: Axis) -> dict:
-    return {"lo": ax.lo, "hi": ax.hi, "count": ax.count, "label": ax.label}
 
 
 def _axis_from_doc(d: dict) -> Axis:

@@ -193,3 +193,14 @@ def params_dict(x: PumpParams | CrystalParams) -> dict[str, float]:
     section = "pump." if isinstance(x, PumpParams) else "crystal."
     names = [key[len(section):] for key in CONFIG_KEYS if key.startswith(section)]
     return {name: getattr(x, name) for name in dict.fromkeys(names + ["k_p"])}
+
+
+def _params_doc(p: PumpParams | None, c: CrystalParams | None, m=None, **extra) -> dict:
+    """The parameter block of a manifest (cli) and of grid JSON
+    (``JointGrid.to_json``): pump, crystal, extra, then the model's
+    ``as_dict``; a pump, crystal or model of None is left out."""
+    doc = {name: params_dict(x) for name, x in (("pump", p), ("crystal", c)) if x is not None}
+    doc.update(extra)
+    if m is not None:
+        doc["model"] = m.as_dict()
+    return doc

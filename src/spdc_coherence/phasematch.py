@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -493,39 +492,35 @@ def _position_marginal(nodes: np.ndarray, vals: np.ndarray) -> Callable[[np.ndar
     # r_j < max(_NEAR t_max, _FAR_FLOOR R) in closed form, and the far
     # nodes through phi's series in units of R (rho = r/R, tau = t/R): sums
     # of d_j rho_j^2, d_j, d_j ln rho_j and d_j rho_j^{-2m}
-    # (m < _SERIES_TERMS) over each group's far nodes, built on the first
-    # call (a caller that reads only pdf never pays for them), then one
-    # Horner pass in tau^2 for every offset.  This stays within 1e-14 of
-    # the peak of the all-closed-form sum.
+    # (m < _SERIES_TERMS) over each group's far nodes, built here with the
+    # table (joint reads every density's marginal in the op that builds
+    # it), then one Horner pass in tau^2 for every offset.  This stays
+    # within 1e-14 of the peak of the all-closed-form sum.
     jumps = np.diff(np.diff(vals) / np.diff(nodes), prepend=0.0, append=0.0)
     n = nodes.size
     big_r = float(nodes[-1])
     lo_edges = np.arange(0, n + 1, _NODE_GROUP)
-
-    @cache
-    def far_sums():
-        rho = nodes / big_r
-        floor = int(np.searchsorted(rho, _FAR_FLOOR))
-        top = nodes[np.minimum(lo_edges + _NODE_GROUP, n) - 1]
-        splits = np.maximum(np.searchsorted(nodes, _NEAR * top), floor)
-        r = rho[floor:]
-        terms = np.empty((_SERIES_TERMS + 2, r.size))
-        terms[0] = r * r
-        terms[1] = 1.0
-        terms[2] = np.log(r)
-        np.cumprod(np.broadcast_to(1.0 / terms[0], (_SERIES_TERMS - 1, r.size)), axis=0, out=terms[3:])
-        terms *= jumps[floor:]
-        # each group's far sums: pairwise sums between consecutive splits (which
-        # never decrease), then a running sum over those few pieces from the top
-        edges = np.append(splits, n) - floor
-        pieces = np.stack([terms[:, a:b].sum(axis=1) for a, b in zip(edges[:-1], edges[1:])], axis=1)
-        tails = np.cumsum(pieces[:, ::-1], axis=1)[:, ::-1]
-        sum2, sum0, sum_log = tails[:3]
-        plain = np.stack((sum2, (0.5 + math.log(2.0)) * sum0 + sum_log, sum0))
-        return splits, plain, _FAR_COEFFS[:, None] * tails[3:]
+    rho = nodes / big_r
+    floor = int(np.searchsorted(rho, _FAR_FLOOR))
+    top = nodes[np.minimum(lo_edges + _NODE_GROUP, n) - 1]
+    splits = np.maximum(np.searchsorted(nodes, _NEAR * top), floor)
+    r = rho[floor:]
+    terms = np.empty((_SERIES_TERMS + 2, r.size))
+    terms[0] = r * r
+    terms[1] = 1.0
+    terms[2] = np.log(r)
+    np.cumprod(np.broadcast_to(1.0 / terms[0], (_SERIES_TERMS - 1, r.size)), axis=0, out=terms[3:])
+    terms *= jumps[floor:]
+    # each group's far sums: pairwise sums between consecutive splits (which
+    # never decrease), then a running sum over those few pieces from the top
+    edges = np.append(splits, n) - floor
+    pieces = np.stack([terms[:, a:b].sum(axis=1) for a, b in zip(edges[:-1], edges[1:])], axis=1)
+    tails = np.cumsum(pieces[:, ::-1], axis=1)[:, ::-1]
+    sum2, sum0, sum_log = tails[:3]
+    plain = np.stack((sum2, (0.5 + math.log(2.0)) * sum0 + sum_log, sum0))
+    series = _FAR_COEFFS[:, None] * tails[3:]
 
     def marginal(t):
-        splits, plain, series = far_sums()
         t = np.abs(np.asarray(t, dtype=float))
         flat = t.ravel()
         out = 2.0 * vals[-1] * np.sqrt(np.maximum(nodes[-1] ** 2 - flat * flat, 0.0))

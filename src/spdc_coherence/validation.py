@@ -315,17 +315,19 @@ def check_position_marginal_route() -> CheckResult:
 
 def check_exit_vs_centred() -> CheckResult:
     """Moving the crystal must reshape the position density (phase matters)
-    while leaving the momentum spectrum's modulus untouched.  rho = 0 is
-    left out: there the exit-face density sits on its log-squared peak,
-    which would swamp the change in shape.  The momentum density reads
-    |chi| alone, so the modulus is checked on the spectra themselves,
-    which carry z0 in their phase."""
+    while leaving the momentum spectrum's modulus untouched.  The positions
+    read the E1 closed form, not a table.  rho = 0 is left out: there the
+    exit-face density sits on its log-squared peak, which would swamp the
+    change in shape.  The momentum density reads |chi| alone, so the modulus
+    is checked on the spectra themselves, which carry z0 in their phase."""
     L, k_p = 1000.0, 10.0
     c_exit = CrystalParams(L=L, k_p=k_p)  # z0 = L
     c_mid = CrystalParams(L=L, k_p=k_p, z0=L / 2.0)
     rhos = np.linspace(0.0, 4.0 * math.sqrt(L / k_p), 160)[1:]
-    pos_exit = phasematch.position_radial_density(c_exit, phasematch.EXACT_SINC).pdf(rhos)
-    pos_mid = phasematch.position_radial_density(c_mid, phasematch.EXACT_SINC).pdf(rhos)
+    pos_exit, pos_mid = (
+        phasematch._position_kernel(rhos, *phasematch._minus_key(c, phasematch.EXACT_SINC, "position"))
+        for c in (c_exit, c_mid)
+    )
     pos_dev = float(np.max(np.abs(pos_exit - pos_mid) / np.max(pos_mid)))
     dks = np.linspace(0.0, 1.0, 57)[1:] ** 2 / k_p
     mom_exit = np.abs(phasematch.chi_tilde_sinc(dks, c_exit)) ** 2

@@ -358,6 +358,8 @@ class TestErrorPaths:
         assert code == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
+        # a message, not an exception's args tuple
+        assert err[0].removeprefix("error: ").removeprefix("out of floating-point range: ")[:1].isalpha()
         assert not out.exists()
 
     @pytest.mark.parametrize("coords", ["rotated", "lab"])
@@ -372,7 +374,8 @@ class TestErrorPaths:
                      "--coords", coords, "--grid", "64"])
         assert code == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error: out of floating-point range:")
+        assert len(err) == 1 and err[0].startswith("error: out of floating-point range: ")
+        assert err[0].removeprefix("error: out of floating-point range: ")[:1].isalpha()
         assert not out.exists()
         assert len(recwarn) == 0
 
