@@ -26,14 +26,7 @@ from .errors import GridTooCoarse, ParseError
 from .joint import DEFAULT_COUNT, MAX_DEFAULT_COUNT, default_axes, evaluate_grid, widths_from_grid
 from .numerics import _g9
 from .params import DEFAULT_ALPHA, _params_doc, load_params
-from .phasematch import (
-    PhaseMatchModel,
-    chi_tilde,
-    load_profile,
-    variance_q_minus,
-    variance_rho_minus,
-)
-from .pump import variance_q_plus, variance_rho_plus
+from .phasematch import PhaseMatchModel, chi_tilde, load_profile
 
 
 def _model_from_args(args) -> PhaseMatchModel:
@@ -52,13 +45,7 @@ def _model_from_args(args) -> PhaseMatchModel:
 
 def cmd_variances(args, write):
     p, c = load_params(args.config)
-    doc = {
-        "variance_rho_plus": variance_rho_plus(p),
-        "variance_q_plus": variance_q_plus(p),
-        "variance_rho_minus": variance_rho_minus(c),
-        "variance_q_minus": variance_q_minus(c),
-        **classify(p, c)._asdict(),
-    }
+    doc = classify(p, c)._asdict()
     for key, val in doc.items():
         print(f"{key} = {json.dumps(val)}")
     write("variances.json", json.dumps(doc, indent=1) + "\n")

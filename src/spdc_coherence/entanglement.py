@@ -75,19 +75,16 @@ def product_pm(p: PumpParams, c: CrystalParams) -> float:
     sqrt(2 w^2 * k_p / (2 alpha L)) = w sqrt(k_p / (alpha L)).
 
     Exactly independent of ell_c and R; entanglement witnessed when < 1/2.
-    Raises ParameterMismatch when pump and crystal disagree on k_p.
+    Read from classify(p, c), and raises as it does.
     """
-    _require_same_k_p(p, c)
-    return math.sqrt(variance_rho_plus(p) * variance_q_minus(c))
+    return classify(p, c).product_pm
 
 
 def product_mp(p: PumpParams, c: CrystalParams) -> float:
     """Anti-diagonal position width times diagonal momentum width.  Grows
     with 1/ell_c and with wavefront curvature; entanglement witnessed
-    when < 1/2.  Raises ParameterMismatch when pump and crystal disagree
-    on k_p."""
-    _require_same_k_p(p, c)
-    return math.sqrt(variance_rho_minus(c) * variance_q_plus(p))
+    when < 1/2.  Read from classify(p, c), and raises as it does."""
+    return classify(p, c).product_mp
 
 
 def _sense(var_plus: float, var_minus: float) -> str:
@@ -99,9 +96,12 @@ def _sense(var_plus: float, var_minus: float) -> str:
 
 
 class WitnessReport(NamedTuple):
-    """Both width products, their strict witness verdicts, and the
-    correlation sense of each space's joint distribution."""
+    """Four closed-form variances, the two products of them, their strict verdicts, each space's sense."""
 
+    variance_rho_plus: float
+    variance_q_plus: float
+    variance_rho_minus: float
+    variance_q_minus: float
     product_pm: float
     product_mp: float
     type1: bool
@@ -111,20 +111,25 @@ class WitnessReport(NamedTuple):
 
 
 def classify(p: PumpParams, c: CrystalParams) -> WitnessReport:
-    """Evaluate both witnesses for a parameter set.  Verdicts are strict
-    (a product exactly at 1/2 witnesses nothing).  Correlation senses
-    compare the Gaussian-model rotated variances in each space.  Raises
-    ParameterMismatch when pump and crystal disagree on k_p."""
-    pm_val = product_pm(p, c)
-    mp_val = product_mp(p, c)
-    return WitnessReport(
-        product_pm=pm_val,
-        product_mp=mp_val,
-        type1=pm_val < 0.5,
-        type2=mp_val < 0.5,
-        correlation_position=_sense(variance_rho_plus(p), variance_rho_minus(c)),
-        correlation_momentum=_sense(variance_q_plus(p), variance_q_minus(c)),
+    """Both witnesses from one call of each closed-form (Gaussian-model)
+    variance: the one place the package computes them.  Verdicts are
+    strict; each space's sense compares its variance pair.  Raises
+    ParameterMismatch when pump and crystal disagree on k_p, and
+    FloatingPointError naming the first of the six numbers not positive
+    and finite (an input whose arithmetic overflowed or underflowed)."""
+    _require_same_k_p(p, c)
+    rho_p, q_p = variance_rho_plus(p), variance_q_plus(p)
+    rho_m, q_m = variance_rho_minus(c), variance_q_minus(c)
+    pm_val = math.sqrt(rho_p * q_m)
+    mp_val = math.sqrt(rho_m * q_p)
+    report = WitnessReport(
+        rho_p, q_p, rho_m, q_m, pm_val, mp_val, pm_val < 0.5, mp_val < 0.5, _sense(rho_p, rho_m), _sense(q_p, q_m)
     )
+    # each variance enters one product, so both are in range iff all six are
+    if not (0.0 < pm_val < math.inf and 0.0 < mp_val < math.inf):
+        name, val = next((k, v) for k, v in zip(report._fields, report) if not 0.0 < v < math.inf)
+        raise FloatingPointError(f"{name} = {val!r}, need a positive finite value")
+    return report
 
 
 class PhaseDiagramCell(NamedTuple):

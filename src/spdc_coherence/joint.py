@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -73,7 +74,7 @@ MAX_DEFAULT_COUNT = 2048  # a 2048^2 lab export already takes about 6 s and 270 
 
 @dataclass(frozen=True)
 class Axis:
-    """Cell-centred axis: count cells spanning [lo, hi]."""
+    """Cell-centred axis: count cells (an integer) spanning [lo, hi], with hi - lo positive and finite."""
 
     lo: float
     hi: float
@@ -83,6 +84,9 @@ class Axis:
     def __post_init__(self):
         if not self.hi > self.lo:
             raise ValueError(f"axis range [{self.lo!r}, {self.hi!r}] has non-positive width")
+        if not self.hi - self.lo < math.inf:  # an infinite end, or a span that overflows
+            raise ValueError(f"axis range [{self.lo!r}, {self.hi!r}] has infinite width")
+        object.__setattr__(self, "count", operator.index(self.count))  # TypeError for 8.5
         if self.count < 8:
             raise GridTooCoarse(f"axis needs at least 8 cells, got {self.count}", suggested_count=8)
 

@@ -86,9 +86,9 @@ class CrystalParams:
     beta   nondegeneracy, beta^2 = k_i/k_s; only the degenerate pair,
            beta = 1, is modelled
 
-    Construction raises NonPositiveParameter unless L, k_p, alpha are
-    positive and finite, z0 finite (either sign), z0 - L finite and below
-    z0 (L must not vanish next to z0), and beta = 1.
+    Construction raises NonPositiveParameter unless L, k_p, alpha and 1/L
+    (the sinc chi2) are positive and finite, z0 finite (either sign), z0 - L
+    finite and below z0 (L must not vanish next to z0), and beta = 1.
     """
 
     L: float
@@ -101,6 +101,8 @@ class CrystalParams:
         if self.z0 is None:
             object.__setattr__(self, "z0", float(self.L))
         _require_positive_finite(self, ("L", "k_p", "alpha"))
+        if not 1.0 / self.L < math.inf:
+            raise NonPositiveParameter("L", f"need a length whose reciprocal is finite, got {self.L!r}")
         if not math.isfinite(self.z0):
             raise NonPositiveParameter("z0", f"need a finite position, got {self.z0!r}")
         if not -math.inf < self.z0 - self.L < self.z0:

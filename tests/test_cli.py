@@ -12,7 +12,9 @@ import pytest
 
 from spdc_coherence import cli, joint, validation
 from spdc_coherence.cli import main
+from spdc_coherence.entanglement import classify
 from spdc_coherence.joint import JointGrid
+from spdc_coherence.params import load_params
 from spdc_coherence.validation import CheckResult
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -59,6 +61,32 @@ class TestVariances:
         assert man["outputs"] == ["variances.json"]
         assert man["parameters"]["pump"]["w"] == 10.0
         assert "version" in man and "duration_s" in man
+
+    def test_writes_the_report(self, cfg, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["variances", "--config", cfg, "--out", str(out)]) == 0
+        want = json.dumps(classify(*load_params(cfg))._asdict(), indent=1) + "\n"
+        assert (out / "variances.json").read_text(encoding="utf-8") == want
+
+    @pytest.mark.parametrize("line, name", [
+        ("pump.w = 1e-160", "variance_q_plus"),
+        ("crystal.L = 1e308", "variance_rho_minus"),
+        ("crystal.alpha = 1e-308", "variance_rho_minus"),
+    ])
+    def test_out_of_range_is_refused(self, tmp_path, capsys, line, name):
+        """A finite input whose variance overflows exits 2 with one line
+        naming it, and writes no Infinity (not JSON) and no manifest."""
+        key = line.split(" =")[0]
+        kept = [ln for ln in CONFIG.splitlines() if not ln.startswith(key)]
+        cfgp = tmp_path / "extreme.cfg"
+        cfgp.write_text("\n".join(kept + [line]) + "\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["variances", "--config", str(cfgp), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: out of floating-point range: {name} = inf,")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestJoint:
@@ -340,9 +368,11 @@ class TestErrorPaths:
         ("crystal.L = 1e300", "momentum", "sinc"),
         ("crystal.L = 5e-324", "momentum", "sinc"),  # chi2 = 1/L overflows
         ("pump.w = 1e300", "momentum", "sinc"),
-        ("pump.w = 1e-160", "momentum", "gauss"),  # grid values overflow
+        ("pump.w = 1e-160", "momentum", "gauss"),  # the plus window overflows
         ("pump.R = 1e-300", "momentum", "sinc"),
     ]
+    # the lines a parameter rule refuses, and the parameter each names
+    NAMED = {"crystal.z0 = 1e300": "'z0'", "crystal.L = 5e-324": "'L'"}
 
     @pytest.mark.parametrize("line, space, model", EXTREME, ids=[
         f"{line}-{space}" + ("" if model == "sinc" else f"-{model}") for line, space, model in EXTREME
@@ -360,6 +390,7 @@ class TestErrorPaths:
         assert len(err) == 1 and err[0].startswith("error:")
         # a message, not an exception's args tuple
         assert err[0].removeprefix("error: ").removeprefix("out of floating-point range: ")[:1].isalpha()
+        assert self.NAMED.get(line, "") in err[0]
         assert not out.exists()
 
     @pytest.mark.parametrize("coords", ["rotated", "lab"])

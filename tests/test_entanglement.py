@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from oracles import BOUNDARY_TYPE1, BOUNDARY_TYPE2
 
+from spdc_coherence import entanglement
 from spdc_coherence.entanglement import (
     ANTI,
     CORRELATED,
@@ -26,7 +27,8 @@ from spdc_coherence.entanglement import (
 from spdc_coherence.errors import NonPositiveParameter, ParameterMismatch
 from spdc_coherence.joint import evaluate_grid, widths_from_grid
 from spdc_coherence.params import CrystalParams, PumpParams
-from spdc_coherence.phasematch import GAUSSIAN_APPROX
+from spdc_coherence.phasematch import GAUSSIAN_APPROX, variance_q_minus, variance_rho_minus
+from spdc_coherence.pump import variance_q_plus, variance_rho_plus
 
 K_P = 10.0
 ALPHA = 0.455
@@ -133,10 +135,54 @@ class TestClassify:
         rep = classify(*_cfg(w=5.0, L=10000.0))
         assert tuple(rep) == tuple(rep._asdict().values())
         assert list(rep._asdict()) == [
+            "variance_rho_plus", "variance_q_plus", "variance_rho_minus", "variance_q_minus",
             "product_pm", "product_mp", "type1", "type2",
             "correlation_position", "correlation_momentum",
         ]
         assert rep._replace(type1=not rep.type1) != rep
+
+    def test_one_evaluation_per_report(self, monkeypatch):
+        """classify checks k_p once and calls each variance function once,
+        in the order the report holds them."""
+        calls = []
+
+        def counted(name, f):
+            def wrapper(*args):
+                calls.append(name)
+                return f(*args)
+            return wrapper
+
+        names = ["_require_same_k_p", "variance_rho_plus", "variance_q_plus",
+                 "variance_rho_minus", "variance_q_minus"]
+        for name in names:
+            monkeypatch.setattr(entanglement, name, counted(name, getattr(entanglement, name)))
+        classify(*_cfg(w=5.0, ell_c=20.0, L=10000.0))
+        assert calls == names
+
+    def test_products_read_the_report(self):
+        """On a seeded sweep, product_pm and product_mp are classify's fields
+        and its variances are the variance functions, bit for bit."""
+        rng = random.Random(20261020)
+        for _ in range(200):
+            w = 10.0 ** rng.uniform(-1.0, 3.0)
+            ell_c = math.inf if rng.random() < 0.3 else w * 10.0 ** rng.uniform(-2.0, 2.0)
+            R = math.inf if rng.random() < 0.5 else rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(2.0, 6.0)
+            p, c = _cfg(w=w, ell_c=ell_c, R=R, L=10.0 ** rng.uniform(1.0, 5.0), alpha=rng.uniform(0.2, 2.0))
+            rep = classify(p, c)
+            assert product_pm(p, c).hex() == rep.product_pm.hex()
+            assert product_mp(p, c).hex() == rep.product_mp.hex()
+            assert [v.hex() for v in rep[:4]] == [
+                variance_rho_plus(p).hex(), variance_q_plus(p).hex(),
+                variance_rho_minus(c).hex(), variance_q_minus(c).hex(),
+            ]
+
+    @pytest.mark.parametrize("w, L, name", [
+        (1e-160, 1000.0, "variance_q_plus"),  # 1 / (8 w^2) overflows
+        (1e-100, 1e300, "product_pm"),        # rho_plus * q_minus underflows
+    ])
+    def test_out_of_range_is_refused(self, w, L, name):
+        with pytest.raises(FloatingPointError, match=f"^{name} = "):
+            classify(PumpParams(w=w, k_p=K_P), CrystalParams(L=L, k_p=K_P))
 
     def test_enums_match_grid_orderings(self):
         """classify's correlation senses agree with numerical width orderings

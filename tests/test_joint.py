@@ -85,6 +85,19 @@ class TestAxis:
         with pytest.raises(ValueError):
             Axis(1.0, 1.0, 16)
 
+    @pytest.mark.parametrize("lo, hi", [(-math.inf, math.inf), (0.0, math.inf), (-1e308, 1e308), (math.nan, 1.0)])
+    def test_width_must_be_finite(self, lo, hi):
+        with pytest.raises(ValueError, match="width") as exc_info:
+            Axis(lo, hi, 8)
+        assert not isinstance(exc_info.value, GridTooCoarse)
+
+    def test_count_must_be_an_integer(self):
+        for count in (8.5, "9"):
+            with pytest.raises(TypeError):
+                Axis(0.0, 1.0, count)
+        ax = Axis(0.0, 1.0, np.int64(9))
+        assert type(ax.count) is int and ax.centers.size == 9
+
     def test_minimum_count(self):
         with pytest.raises(GridTooCoarse) as exc_info:
             Axis(0.0, 1.0, 7)

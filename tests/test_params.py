@@ -136,6 +136,15 @@ class TestValidation:
             assert exc_info.value.name == "z0"
         CrystalParams(L=1e300, k_p=10.0)  # z0 = L: the entrance face sits at 0
 
+    def test_length_reciprocal(self):
+        # the sinc amplitude chi2 = 1/L must be finite, whatever z0 is
+        for L, z0 in ((5e-324, None), (5e-309, None), (5e-309, 0.0)):
+            with pytest.raises(NonPositiveParameter, match="reciprocal") as exc_info:
+                CrystalParams(L=L, k_p=10.0, z0=z0)
+            assert exc_info.value.name == "L"
+        CrystalParams(L=6e-309, k_p=10.0)
+        CrystalParams(L=1e-300, k_p=10.0)
+
 
 class TestRoundTrip:
     def test_identity(self):

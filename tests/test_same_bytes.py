@@ -64,8 +64,10 @@ def test_run_without_exit_code_fails(tmp_path):
 
 def test_matrix_covers_every_command(tmp_path):
     names = [name for name, _ in same_bytes.write_inputs(ROOT, tmp_path)]
-    assert len(names) == 3 * 2 * 2 * 3 + 4
-    assert {"phasematch-sinc", "phasematch-gauss", "phase-diagram", "validate"} <= set(names)
+    assert len(names) == 3 * 2 * 2 * 3 + 7
+    assert {"phasematch-sinc", "phasematch-gauss", "phase-diagram", "validate", "variances-example",
+            "variances-exit_face-w_1e-160", "variances-exit_face-L_5e-324"} <= set(names)
+    assert "pump.w = 1e-160\n" in (tmp_path / "exit_face-w_1e-160.cfg").read_text()
     # the poled pair fills the thin crystal [z0 - L, z0] = [0.6, 0.7]
     assert (tmp_path / "thin_poled_pair.csv").read_text().splitlines() == [
         f"{0.7 - 0.1!r},{0.7 - 0.05!r},1", f"{0.7 - 0.05!r},0.7,-1",

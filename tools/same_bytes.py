@@ -12,6 +12,8 @@ Python process, with that tree's ``src`` first on the path:
   {momentum, position} x {rotated, lab} x {sinc, gauss, a poled pair
   filling the crystal's [z0 - L, z0]};
 * ``phasematch`` for sinc and gauss on the example config;
+* ``variances`` on the example config, and on the exit-face config with
+  ``pump.w = 1e-160`` and with ``crystal.L = 5e-324`` (``EXTREMES``);
 * ``phase-diagram`` and ``validate`` at their defaults.
 
 Each tree also runs the kernels that every output rests on (``KERNELS``):
@@ -53,6 +55,12 @@ from pathlib import Path
 CONFIGS = {
     "exit_face": "pump.w = 100\npump.k_p = 10\ncrystal.L = 1000\n",
     "thin": "pump.w = 0.1\npump.k_p = 10\ncrystal.L = 0.1\ncrystal.z0 = 0.7\n",
+}
+# (name, config text) of the variances runs past the float range: the
+# exit-face config with one value replaced
+EXTREMES = {
+    "exit_face-w_1e-160": CONFIGS["exit_face"].replace("pump.w = 100", "pump.w = 1e-160"),
+    "exit_face-L_5e-324": CONFIGS["exit_face"].replace("crystal.L = 1000", "crystal.L = 5e-324"),
 }
 # kernel -> (log10 range of its input magnitudes, whether they take random
 # signs): in units of the table's reach for a marginal.  Each range
@@ -111,6 +119,11 @@ def write_inputs(old_tree: Path, inputs: Path) -> list[tuple[str, list[str]]]:
                     runs.append((f"joint-{name}-{space}-{coords}-{model}", argv))
     for model in ("sinc", "gauss"):
         runs.append((f"phasematch-{model}", ["phasematch", "--config", str(inputs / "example.cfg"), "--model", model]))
+    runs.append(("variances-example", ["variances", "--config", str(inputs / "example.cfg")]))
+    for name, text in EXTREMES.items():
+        cfg = inputs / f"{name}.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        runs.append((f"variances-{name}", ["variances", "--config", str(cfg)]))
     runs.append(("phase-diagram", ["phase-diagram"]))
     runs.append(("validate", ["validate"]))
     return runs
