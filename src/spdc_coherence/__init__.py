@@ -42,13 +42,10 @@ from .joint import (
 )
 from .numerics import (
     Moments,
-    bessel_j0,
     exp1_i,
     find_root,
     grid_moments,
-    hankel0,
     sinc,
-    sine_integral,
 )
 from .params import (
     DEFAULT_ALPHA,

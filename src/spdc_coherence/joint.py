@@ -9,11 +9,10 @@ marginals; in rotated coordinates the factorization is exact by
 construction (outer product), in lab coordinates the axes mix and the
 density develops the familiar tilted-ellipse correlations.
 
-Each factor is a _Factor (marginal, 1/e half-width, window) that _factor
-builds from a radial density's exact marginal (phasematch decides how
-each density projects, and where it is tabulated): a Gaussian passes its
-closed form through, a heavy-tailed density is tabulated once at its
-RadialDensity.offsets, 4097 uniform ones in momentum and its own 2048
+Each factor is a _Factor (marginal, 1/e half-width, window): _gaussian
+passes a closed-form variance's marginal through, _factor tabulates a
+heavy-tailed density's exact marginal once at its RadialDensity.offsets
+(phasematch sets them), 4097 uniform ones in momentum and its own 2048
 table radii plus 0 in position.
 Only the minus factor can need a table, and it does not depend on the
 pump: a non-Gaussian one is cached on exactly what it reads
@@ -116,12 +115,18 @@ class _Factor(NamedTuple):
     window: float
 
 
+def _gaussian(variance: Callable, x) -> _Factor:
+    """The closed-form factor of variance(x), x a pump or crystal; raises
+    FloatingPointError naming a variance not positive and finite, as classify does."""
+    if not 0.0 < (var := variance(x)) < math.inf:
+        raise FloatingPointError(f"{variance.__name__} = {var!r}, need a positive finite value")
+    radial = gaussian_radial(var)
+    return _Factor(radial.marginal, _SQRT2 * radial.sigma, 5.0 * radial.sigma)
+
+
 def _factor(radial: RadialDensity) -> _Factor:
-    """The factor of a radial density: a Gaussian's closed-form marginal, or
-    any other density's exact marginal tabulated once at the density's own
-    offsets and read by linear interpolation, zero beyond the table."""
-    if radial.sigma is not None:
-        return _Factor(radial.marginal, _SQRT2 * radial.sigma, 5.0 * radial.sigma)
+    """A non-Gaussian radial density's factor: its exact marginal tabulated once
+    at the density's own offsets, read by linear interpolation, zero beyond."""
     nodes = radial.offsets
     vals = radial.marginal(nodes)
     width_half = _width_from_table(nodes, vals)
@@ -139,19 +144,17 @@ def _factor(radial: RadialDensity) -> _Factor:
 
 
 def _width_from_table(nodes, vals) -> float:
-    # full 1/e extent around the tallest feature, halved; for a
-    # centre-peaked marginal this is the usual 1/e half-width, for an
-    # edge-peaked one (poled profiles) it tracks the narrow feature
+    # full 1/e extent around the tallest feature, halved, its left edge
+    # mirrored (-hi) when the peak touches the origin; for a centre-peaked
+    # marginal this is the usual 1/e half-width, for an edge-peaked one
+    # (poled profiles) it tracks the narrow feature
     peak = int(np.argmax(vals))
     cut = vals[peak] / math.e
     right = np.nonzero(vals[peak:] < cut)[0]
     hi = nodes[peak + right[0]] if right.size else nodes[-1]
     left = np.nonzero(vals[: peak + 1] < cut)[0]
-    if left.size:
-        lo = nodes[left[-1]]
-        return 0.5 * (hi - lo)
-    # peak connects to the origin: mirror symmetry supplies the left side
-    return hi
+    lo = nodes[left[-1]] if left.size else -hi
+    return 0.5 * (hi - lo)
 
 
 @lru_cache(maxsize=32)
@@ -171,9 +174,9 @@ def _factor_pair(p: PumpParams, c: CrystalParams, m: PhaseMatchModel, space: str
         plus_var, minus_var = variance_rho_plus, variance_rho_minus
     else:
         raise UnknownChoice(f"unknown space {space!r}, expected 'momentum' or 'position'")
-    plus = _factor(gaussian_radial(plus_var(p)))
+    plus = _gaussian(plus_var, p)
     if m.kind == "gauss":
-        return plus, _factor(gaussian_radial(minus_var(c)))
+        return plus, _gaussian(minus_var, c)
     return plus, _minus_marginal(space, _minus_key(c, m, space))
 
 
@@ -313,8 +316,8 @@ class JointGrid:
     @classmethod
     def from_json(cls, text: str) -> "JointGrid":
         doc = json.loads(text)
-        ax1 = _axis_from_doc(doc["axis1"])
-        ax2 = _axis_from_doc(doc["axis2"])
+        ax1 = Axis(**doc["axis1"])
+        ax2 = Axis(**doc["axis2"])
         values = np.array(doc["values"], dtype=float).reshape(ax1.count, ax2.count)
         return cls(
             space=doc["space"],
@@ -347,10 +350,6 @@ class JointGrid:
         return "\n".join(lines)
 
 
-def _axis_from_doc(d: dict) -> Axis:
-    return Axis(lo=d["lo"], hi=d["hi"], count=int(d["count"]), label=d.get("label", ""))
-
-
 def evaluate_grid(
     p: PumpParams,
     c: CrystalParams,
@@ -363,13 +362,14 @@ def evaluate_grid(
 
     Rotated coordinates build the exact outer product of the two factor
     marginals.  Lab cell (k, j) holds plus((s_k + i_j)/sqrt2) *
-    minus((s_k - i_j)/sqrt2).  On axes of one step, s + i and s - i each
-    take n1 + n2 - 1 values: each factor is sampled once on them and the
-    grid is the product of a Hankel and a Toeplitz view of the samples.
-    Other lab axes take one broadcast product over every cell; axes None
-    takes default_axes.  Raises UnknownChoice for an unknown space or
-    coords before any build, and GridTooCoarse, with a suggested count,
-    when a factor's 1/e width would span fewer than 4 cells.
+    minus((s_k - i_j)/sqrt2).  On axes of one step, s + i and s - i each take
+    n1 + n2 - 1 values: each factor is sampled once on them and the grid is
+    the product of a Hankel and a Toeplitz view of the samples.  Other lab
+    axes take one broadcast product over every cell; axes None takes
+    default_axes.  Raises UnknownChoice for an unknown space or coords
+    before any build, FloatingPointError naming a Gaussian variance that is
+    not positive and finite before any table lookup, and GridTooCoarse, with
+    a suggested count, when a factor's 1/e width would span under 4 cells.
     """
     _check_coords(coords)
     plus, minus = _factor_pair(p, c, m, space)

@@ -23,7 +23,8 @@ Hankel transform takes an array of radii in one call.
 Nothing in here knows about pumps or crystals.  The physics modules quote
 closed-form results, and `validation._route_marginal` is the independent
 numerical route they are checked against.  J0 and `hankel0` serve tests
-alone; they stay because perfbench's tracer binds them.
+alone; they stay because perfbench's tracer binds them.  The package
+namespace re-exports none of J0, `hankel0` and Si: import them from here.
 """
 
 from __future__ import annotations

@@ -363,16 +363,25 @@ class TestErrorPaths:
     EXTREME = [
         ("crystal.z0 = 1e300", "position", "sinc"),  # L vanishes next to z0
         ("pump.w = 1e-300", "momentum", "sinc"),
-        ("pump.w = 1e-300", "position", "sinc"),  # the plus axis has zero width
+        ("pump.w = 1e-300", "position", "sinc"),  # the plus variance underflows to 0
         ("pump.ell_c = 1e-300", "momentum", "sinc"),
         ("crystal.L = 1e300", "momentum", "sinc"),
         ("crystal.L = 5e-324", "momentum", "sinc"),  # chi2 = 1/L overflows
         ("pump.w = 1e300", "momentum", "sinc"),
-        ("pump.w = 1e-160", "momentum", "gauss"),  # the plus window overflows
+        ("pump.w = 1e-160", "momentum", "sinc"),  # the plus variance overflows
+        ("pump.w = 1e-160", "momentum", "gauss"),
+        ("crystal.alpha = 1e-308", "position", "gauss"),  # the minus variance overflows
         ("pump.R = 1e-300", "momentum", "sinc"),
     ]
-    # the lines a parameter rule refuses, and the parameter each names
-    NAMED = {"crystal.z0 = 1e300": "'z0'", "crystal.L = 5e-324": "'L'"}
+    # (line, space) -> what the error names: the parameter a rule refuses,
+    # or the variance that left the float range, as `spdc variances` names it
+    NAMED = {
+        ("crystal.z0 = 1e300", "position"): "'z0'",
+        ("crystal.L = 5e-324", "momentum"): "'L'",
+        ("pump.w = 1e-300", "position"): "variance_rho_plus = 0.0, need a positive finite value",
+        ("pump.w = 1e-160", "momentum"): "variance_q_plus = inf, need a positive finite value",
+        ("crystal.alpha = 1e-308", "position"): "variance_rho_minus = inf, need a positive finite value",
+    }
 
     @pytest.mark.parametrize("line, space, model", EXTREME, ids=[
         f"{line}-{space}" + ("" if model == "sinc" else f"-{model}") for line, space, model in EXTREME
@@ -390,7 +399,7 @@ class TestErrorPaths:
         assert len(err) == 1 and err[0].startswith("error:")
         # a message, not an exception's args tuple
         assert err[0].removeprefix("error: ").removeprefix("out of floating-point range: ")[:1].isalpha()
-        assert self.NAMED.get(line, "") in err[0]
+        assert self.NAMED.get((line, space), "") in err[0]
         assert not out.exists()
 
     @pytest.mark.parametrize("coords", ["rotated", "lab"])

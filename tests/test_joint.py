@@ -435,6 +435,20 @@ class TestSerialization:
                       values=np.ones((8, 8)))
         back = JointGrid.from_json(g.to_json())
         assert back.pump is None and back.crystal is None and back.model is None
+        doc = json.loads(g.to_json())
+        del doc["axis1"]["label"]
+        assert JointGrid.from_json(json.dumps(doc)).axis1 == Axis(-1.0, 1.0, 8, "")
+
+    @pytest.mark.parametrize("count", [8.9, "16", 16.0])
+    def test_json_axis_count_must_be_an_integer(self, count):
+        """A grid JSON's axes are read by Axis itself, so a count that is
+        not an integer is refused, not truncated or parsed."""
+        ax = Axis(-1.0, 1.0, 16, "a")
+        doc = json.loads(JointGrid(space="position", coords="lab", axis1=ax, axis2=ax,
+                                   values=np.ones((16, 16))).to_json())
+        doc["axis1"]["count"] = count
+        with pytest.raises(TypeError):
+            JointGrid.from_json(json.dumps(doc))
 
     def test_csv_layout(self):
         axes = default_axes(PUMP, CRYSTAL, GAUSSIAN_APPROX, "momentum", "rotated", 16)
@@ -692,6 +706,25 @@ class TestMinusFactorCache:
         info = joint._minus_marginal.cache_info()
         assert info.misses == 0 and info.currsize == 0
 
+    @pytest.mark.parametrize("p,c,m,space,named", [
+        (PumpParams(w=1e-160, k_p=K_P), CRYSTAL, EXACT_SINC, "momentum", "variance_q_plus = inf"),
+        (PumpParams(w=1e-160, k_p=K_P), CRYSTAL, GAUSSIAN_APPROX, "momentum", "variance_q_plus = inf"),
+        (PumpParams(w=1e-300, k_p=K_P), CRYSTAL, EXACT_SINC, "position", "variance_rho_plus = 0.0"),
+        (PUMP, CrystalParams(L=1000.0, k_p=K_P, alpha=1e-308), GAUSSIAN_APPROX, "position",
+         "variance_rho_minus = inf"),
+    ], ids=["w_1e-160-momentum-sinc", "w_1e-160-momentum-gauss", "w_1e-300-position-sinc",
+            "alpha_1e-308-position-gauss"])
+    def test_gaussian_out_of_range_raises_before_any_lookup(self, p, c, m, space, named):
+        """A Gaussian variance that left the float range is named as classify
+        names it, by default_axes and evaluate_grid alike, and no table is
+        looked up for the minus factor."""
+        joint._factor_pair(PUMP, CRYSTAL, EXACT_SINC, space)  # a cache with an entry
+        before = joint._minus_marginal.cache_info()
+        for build in (default_axes, evaluate_grid):
+            with pytest.raises(FloatingPointError, match=f"^{named}, need a positive finite value$"):
+                build(p, c, m, space, "rotated")
+        assert joint._minus_marginal.cache_info() == before
+
     @pytest.mark.parametrize("space,coords,bad", [
         ("energy", "lab", "space 'energy'"),
         ("momentum", "cartesian", "coords 'cartesian'"),
@@ -743,8 +776,9 @@ class TestProfileCuts:
 class TestFactor:
     def test_gaussian_passes_its_marginal_through(self):
         radial = momentum_radial_density(CRYSTAL, GAUSSIAN_APPROX)
-        factor = joint._factor(radial)
-        assert factor.marginal is radial.marginal
+        factor = joint._gaussian(variance_q_minus, CRYSTAL)
+        t = np.linspace(-5.0, 5.0, 101) * radial.sigma
+        assert factor.marginal(t).tobytes() == radial.marginal(t).tobytes()
         assert factor.width_half == SQRT2 * radial.sigma
         assert factor.window == 5.0 * radial.sigma
 

@@ -64,10 +64,14 @@ def test_run_without_exit_code_fails(tmp_path):
 
 def test_matrix_covers_every_command(tmp_path):
     names = [name for name, _ in same_bytes.write_inputs(ROOT, tmp_path)]
-    assert len(names) == 3 * 2 * 2 * 3 + 7
+    assert len(names) == 3 * 2 * 2 * 3 + 9 + 4
     assert {"phasematch-sinc", "phasematch-gauss", "phase-diagram", "validate", "variances-example",
-            "variances-exit_face-w_1e-160", "variances-exit_face-L_5e-324"} <= set(names)
+            "variances-exit_face-w_1e-160", "variances-exit_face-w_1e-300", "variances-exit_face-L_5e-324",
+            "variances-exit_face-alpha_1e-308", "joint-momentum-sinc-exit_face-w_1e-160",
+            "joint-momentum-gauss-exit_face-w_1e-160", "joint-position-sinc-exit_face-w_1e-300",
+            "joint-position-gauss-exit_face-alpha_1e-308"} <= set(names)
     assert "pump.w = 1e-160\n" in (tmp_path / "exit_face-w_1e-160.cfg").read_text()
+    assert (tmp_path / "exit_face-alpha_1e-308.cfg").read_text().endswith("crystal.alpha = 1e-308\n")
     # the poled pair fills the thin crystal [z0 - L, z0] = [0.6, 0.7]
     assert (tmp_path / "thin_poled_pair.csv").read_text().splitlines() == [
         f"{0.7 - 0.1!r},{0.7 - 0.05!r},1", f"{0.7 - 0.05!r},0.7,-1",

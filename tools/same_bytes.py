@@ -13,7 +13,12 @@ Python process, with that tree's ``src`` first on the path:
   filling the crystal's [z0 - L, z0]};
 * ``phasematch`` for sinc and gauss on the example config;
 * ``variances`` on the example config, and on the exit-face config with
-  ``pump.w = 1e-160`` and with ``crystal.L = 5e-324`` (``EXTREMES``);
+  one value past the float range (``EXTREMES``): ``pump.w = 1e-160``,
+  ``pump.w = 1e-300``, ``crystal.L = 5e-324`` and
+  ``crystal.alpha = 1e-308``;
+* ``joint`` refusing those configs (``EXTREME_JOINTS``): ``pump.w = 1e-160``
+  in momentum (sinc and gauss), ``pump.w = 1e-300`` in position (sinc)
+  and ``crystal.alpha = 1e-308`` in position (gauss);
 * ``phase-diagram`` and ``validate`` at their defaults.
 
 Each tree also runs the kernels that every output rests on (``KERNELS``):
@@ -57,10 +62,18 @@ CONFIGS = {
     "thin": "pump.w = 0.1\npump.k_p = 10\ncrystal.L = 0.1\ncrystal.z0 = 0.7\n",
 }
 # (name, config text) of the variances runs past the float range: the
-# exit-face config with one value replaced
+# exit-face config with one value replaced or added
 EXTREMES = {
     "exit_face-w_1e-160": CONFIGS["exit_face"].replace("pump.w = 100", "pump.w = 1e-160"),
+    "exit_face-w_1e-300": CONFIGS["exit_face"].replace("pump.w = 100", "pump.w = 1e-300"),
     "exit_face-L_5e-324": CONFIGS["exit_face"].replace("crystal.L = 1000", "crystal.L = 5e-324"),
+    "exit_face-alpha_1e-308": CONFIGS["exit_face"] + "crystal.alpha = 1e-308\n",
+}
+# EXTREMES name -> (space, model) of the joint runs on it, each refused
+EXTREME_JOINTS = {
+    "exit_face-w_1e-160": [("momentum", "sinc"), ("momentum", "gauss")],
+    "exit_face-w_1e-300": [("position", "sinc")],
+    "exit_face-alpha_1e-308": [("position", "gauss")],
 }
 # kernel -> (log10 range of its input magnitudes, whether they take random
 # signs): in units of the table's reach for a marginal.  Each range
@@ -124,6 +137,9 @@ def write_inputs(old_tree: Path, inputs: Path) -> list[tuple[str, list[str]]]:
         cfg = inputs / f"{name}.cfg"
         cfg.write_text(text, encoding="utf-8")
         runs.append((f"variances-{name}", ["variances", "--config", str(cfg)]))
+        for space, model in EXTREME_JOINTS.get(name, []):
+            argv = ["joint", "--config", str(cfg), "--space", space, "--model", model]
+            runs.append((f"joint-{space}-{model}-{name}", argv))
     runs.append(("phase-diagram", ["phase-diagram"]))
     runs.append(("validate", ["validate"]))
     return runs
