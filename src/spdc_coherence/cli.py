@@ -57,10 +57,10 @@ def cmd_joint(args, write):
     m = _model_from_args(args)
     axes = default_axes(p, c, m, args.space, args.coords, count=args.grid)
     grid = evaluate_grid(p, c, m, args.space, args.coords, axes)
+    dp, dm = widths_from_grid(grid)  # raises ZeroMass before any file is written
     stem = f"joint_{args.space}_{args.coords}"
     write(f"{stem}.csv", grid.to_csv())
     write(f"{stem}.json", grid.to_json() + "\n")
-    dp, dm = widths_from_grid(grid)
     print(
         f"{stem}: {grid.axis1.count}x{grid.axis2.count} cells, mass {grid.mass:.6f}, "
         f"diagonal width {dp:.6g}, anti-diagonal width {dm:.6g}"

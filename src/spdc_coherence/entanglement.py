@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import NonPositiveParameter
 from .numerics import _g9
-from .params import CrystalParams, PumpParams, _require_same_k_p
+from .params import CrystalParams, PumpParams, _closed_form, _require_same_k_p
 from .phasematch import variance_q_minus, variance_rho_minus
 from .pump import variance_q_plus, variance_rho_plus
 
@@ -115,21 +115,16 @@ def classify(p: PumpParams, c: CrystalParams) -> WitnessReport:
     variance: the one place the package computes them.  Verdicts are
     strict; each space's sense compares its variance pair.  Raises
     ParameterMismatch when pump and crystal disagree on k_p, and
-    FloatingPointError naming the first of the six numbers not positive
-    and finite (an input whose arithmetic overflowed or underflowed)."""
+    FloatingPointError naming the first of the six numbers, in field order,
+    out of range or whose float arithmetic raised (params._closed_form)."""
     _require_same_k_p(p, c)
-    rho_p, q_p = variance_rho_plus(p), variance_q_plus(p)
-    rho_m, q_m = variance_rho_minus(c), variance_q_minus(c)
-    pm_val = math.sqrt(rho_p * q_m)
-    mp_val = math.sqrt(rho_m * q_p)
-    report = WitnessReport(
+    rho_p, q_p = _closed_form(variance_rho_plus, p), _closed_form(variance_q_plus, p)
+    rho_m, q_m = _closed_form(variance_rho_minus, c), _closed_form(variance_q_minus, c)
+    pm_val = _closed_form(math.sqrt, rho_p * q_m, "product_pm")
+    mp_val = _closed_form(math.sqrt, rho_m * q_p, "product_mp")
+    return WitnessReport(
         rho_p, q_p, rho_m, q_m, pm_val, mp_val, pm_val < 0.5, mp_val < 0.5, _sense(rho_p, rho_m), _sense(q_p, q_m)
     )
-    # each variance enters one product, so both are in range iff all six are
-    if not (0.0 < pm_val < math.inf and 0.0 < mp_val < math.inf):
-        name, val = next((k, v) for k, v in zip(report._fields, report) if not 0.0 < v < math.inf)
-        raise FloatingPointError(f"{name} = {val!r}, need a positive finite value")
-    return report
 
 
 class PhaseDiagramCell(NamedTuple):

@@ -52,7 +52,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GridTooCoarse, UnknownChoice
 from .numerics import RadialDensity, _format_distinct, _g9, gaussian_radial, grid_moments
-from .params import CrystalParams, PumpParams, _params_doc, _require_same_k_p
+from .params import CrystalParams, PumpParams, _closed_form, _params_doc, _require_same_k_p
 from .phasematch import PhaseMatchModel, _minus_key, _momentum_density, _position_density
 from .phasematch import variance_q_minus, variance_rho_minus
 from .pump import variance_q_plus, variance_rho_plus
@@ -117,10 +117,8 @@ class _Factor(NamedTuple):
 
 def _gaussian(variance: Callable, x) -> _Factor:
     """The closed-form factor of variance(x), x a pump or crystal; raises
-    FloatingPointError naming a variance not positive and finite, as classify does."""
-    if not 0.0 < (var := variance(x)) < math.inf:
-        raise FloatingPointError(f"{variance.__name__} = {var!r}, need a positive finite value")
-    radial = gaussian_radial(var)
+    FloatingPointError naming the variance as classify does (params._closed_form)."""
+    radial = gaussian_radial(_closed_form(variance, x))
     return _Factor(radial.marginal, _SQRT2 * radial.sigma, 5.0 * radial.sigma)
 
 
@@ -367,9 +365,9 @@ def evaluate_grid(
     the product of a Hankel and a Toeplitz view of the samples.  Other lab
     axes take one broadcast product over every cell; axes None takes
     default_axes.  Raises UnknownChoice for an unknown space or coords
-    before any build, FloatingPointError naming a Gaussian variance that is
-    not positive and finite before any table lookup, and GridTooCoarse, with
-    a suggested count, when a factor's 1/e width would span under 4 cells.
+    before any build, FloatingPointError naming a Gaussian variance out of
+    range or raising (params._closed_form) before any table lookup, and
+    GridTooCoarse, suggesting a count, when a 1/e width spans under 4 cells.
     """
     _check_coords(coords)
     plus, minus = _factor_pair(p, c, m, space)

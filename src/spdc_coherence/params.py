@@ -122,6 +122,19 @@ def _require_same_k_p(p: PumpParams, c: CrystalParams) -> None:
         raise ParameterMismatch("pump and crystal disagree on k_p")
 
 
+def _closed_form(f, x, name: str = "") -> float:
+    """f(x), a closed-form number that must be positive and finite.  Raises
+    FloatingPointError naming it (name, or f's own) when it is not, or when its
+    float arithmetic raised (a ** that overflows, a divisor underflowed to 0)."""
+    try:
+        if 0.0 < (v := f(x)) < math.inf:
+            return v
+        detail = f" = {v!r}, need a positive finite value"
+    except ArithmeticError as exc:  # float ** gives (errno, text)
+        detail = f": {exc.args[-1]}"
+    raise FloatingPointError((name or f.__name__) + detail)
+
+
 # -- config file format ------------------------------------------------------
 #
 # Flat `key = value` lines, '#' comments, blank lines ignored.  The value

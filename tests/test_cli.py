@@ -4,6 +4,7 @@ Everything runs in-process through cli.main."""
 import hashlib
 import json
 import math
+import re
 import shlex
 from pathlib import Path
 
@@ -67,26 +68,6 @@ class TestVariances:
         assert main(["variances", "--config", cfg, "--out", str(out)]) == 0
         want = json.dumps(classify(*load_params(cfg))._asdict(), indent=1) + "\n"
         assert (out / "variances.json").read_text(encoding="utf-8") == want
-
-    @pytest.mark.parametrize("line, name", [
-        ("pump.w = 1e-160", "variance_q_plus"),
-        ("crystal.L = 1e308", "variance_rho_minus"),
-        ("crystal.alpha = 1e-308", "variance_rho_minus"),
-    ])
-    def test_out_of_range_is_refused(self, tmp_path, capsys, line, name):
-        """A finite input whose variance overflows exits 2 with one line
-        naming it, and writes no Infinity (not JSON) and no manifest."""
-        key = line.split(" =")[0]
-        kept = [ln for ln in CONFIG.splitlines() if not ln.startswith(key)]
-        cfgp = tmp_path / "extreme.cfg"
-        cfgp.write_text("\n".join(kept + [line]) + "\n", encoding="utf-8")
-        out = tmp_path / "o"
-        assert main(["variances", "--config", str(cfgp), "--out", str(out)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith(f"error: out of floating-point range: {name} = inf,")
-        assert captured.err.count("\n") == 1
-        assert not out.exists()
 
 
 class TestJoint:
@@ -298,6 +279,24 @@ def test_readme_command_runs(line, tmp_path, capsys, monkeypatch):
     assert main([*argv, "--out", str(tmp_path / "out")]) == 0
 
 
+# the extreme-input matrix: each key of CONFIG's pump and crystal set to each
+# value, past the float range from both ends and negative
+KEYS = ("pump.w", "pump.k_p", "pump.ell_c", "pump.R", "crystal.L", "crystal.z0", "crystal.alpha")
+VALUES = ("5e-324", "1e-308", "1e-300", "1e-160", "1e-100", "1e-20", "1e20", "1e100", "1e160",
+          "1e300", "1e308", "1.7e308", "-1e300")
+MATRIX = [(f"{key} = {value}", space, model) for key in KEYS for value in VALUES
+          for space in ("momentum", "position") for model in ("sinc", "gauss")]
+# these rows refuse only by naming what failed: a variance or product
+# (params._closed_form), a parameter, or a grid too coarse for the factor
+NAMING_KEYS = ("pump.w", "pump.ell_c", "pump.R", "crystal.alpha")
+NAMES = re.compile(r"^(variance_(rho|q)_(plus|minus)|product_(pm|mp))( = |: )|^invalid parameter '|^grid too coarse: ")
+# a position grid is blind to the pump's coherence: at default axes it runs
+# for every valid ell_c, as at ell_c = inf
+COHERENCE_BLIND = ["joint", "--space", "position"]
+# every run parses with one parser: building it is most of a refused run's time
+PARSER = cli._build_parser()
+
+
 class TestErrorPaths:
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["variances", "--config", str(tmp_path / "nope.cfg"),
@@ -360,64 +359,43 @@ class TestErrorPaths:
         assert len(err) == 1 and err[0].startswith("error:")
         assert not (out / "phase_diagram.csv").exists()
 
-    EXTREME = [
-        ("crystal.z0 = 1e300", "position", "sinc"),  # L vanishes next to z0
-        ("pump.w = 1e-300", "momentum", "sinc"),
-        ("pump.w = 1e-300", "position", "sinc"),  # the plus variance underflows to 0
-        ("pump.ell_c = 1e-300", "momentum", "sinc"),
-        ("crystal.L = 1e300", "momentum", "sinc"),
-        ("crystal.L = 5e-324", "momentum", "sinc"),  # chi2 = 1/L overflows
-        ("pump.w = 1e300", "momentum", "sinc"),
-        ("pump.w = 1e-160", "momentum", "sinc"),  # the plus variance overflows
-        ("pump.w = 1e-160", "momentum", "gauss"),
-        ("crystal.alpha = 1e-308", "position", "gauss"),  # the minus variance overflows
-        ("pump.R = 1e-300", "momentum", "sinc"),
-    ]
-    # (line, space) -> what the error names: the parameter a rule refuses,
-    # or the variance that left the float range, as `spdc variances` names it
-    NAMED = {
-        ("crystal.z0 = 1e300", "position"): "'z0'",
-        ("crystal.L = 5e-324", "momentum"): "'L'",
-        ("pump.w = 1e-300", "position"): "variance_rho_plus = 0.0, need a positive finite value",
-        ("pump.w = 1e-160", "momentum"): "variance_q_plus = inf, need a positive finite value",
-        ("crystal.alpha = 1e-308", "position"): "variance_rho_minus = inf, need a positive finite value",
-    }
-
-    @pytest.mark.parametrize("line, space, model", EXTREME, ids=[
-        f"{line}-{space}" + ("" if model == "sinc" else f"-{model}") for line, space, model in EXTREME
+    @pytest.mark.parametrize("line, space, model", MATRIX, ids=[
+        f"{line}-{space}" + ("" if model == "sinc" else f"-{model}") for line, space, model in MATRIX
     ])
-    def test_extreme_finite_config(self, tmp_path, capsys, line, space, model):
+    def test_extreme_finite_config(self, tmp_path_factory, monkeypatch, capsys, line, space, model):
+        """joint on both coords at --grid 16, variances once a line and, on
+        the pump.ell_c lines, a position grid at default axes: each exits 0
+        or 2.  An exit 2 prints one error line, a message (not an exception's
+        args tuple), nothing else and no output directory; variances writes
+        no non-finite number.  The suite turns a numpy warning into an error."""
+        monkeypatch.setattr(cli, "_build_parser", lambda: PARSER)  # parse_args keeps no state
         key = line.split(" =")[0]
-        kept = [ln for ln in CONFIG.splitlines() if not ln.startswith(key)]
-        cfgp = tmp_path / "extreme.cfg"
-        cfgp.write_text("\n".join(kept + [line]) + "\n", encoding="utf-8")
-        out = tmp_path / "o"
-        code = main(["joint", "--config", str(cfgp), "--out", str(out), "--space", space,
-                     "--model", model, "--grid", "64"])
-        assert code == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error:")
-        # a message, not an exception's args tuple
-        assert err[0].removeprefix("error: ").removeprefix("out of floating-point range: ")[:1].isalpha()
-        assert self.NAMED.get((line, space), "") in err[0]
-        assert not out.exists()
-
-    @pytest.mark.parametrize("coords", ["rotated", "lab"])
-    @pytest.mark.parametrize("space", ["momentum", "position"])
-    def test_tiny_crystal_length(self, tmp_path, capsys, recwarn, space, coords):
-        """A crystal so short that the minus factor overflows exits 2 with
-        one line, and numpy warns of nothing on the way."""
-        cfgp = tmp_path / "tiny.cfg"
-        cfgp.write_text("pump.w = 10\npump.k_p = 10\ncrystal.L = 1e-300\n", encoding="utf-8")
-        out = tmp_path / "o"
-        code = main(["joint", "--config", str(cfgp), "--out", str(out), "--space", space,
-                     "--coords", coords, "--grid", "64"])
-        assert code == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error: out of floating-point range: ")
-        assert err[0].removeprefix("error: out of floating-point range: ")[:1].isalpha()
-        assert not out.exists()
-        assert len(recwarn) == 0
+        # not tmp_path: making one for each of these items scans every earlier one
+        run = tmp_path_factory.getbasetemp() / f"{line}-{space}-{model}"
+        cfgp = Path(f"{run}.cfg")
+        cfgp.write_text("\n".join([ln for ln in CONFIG.splitlines() if not ln.startswith(key)] + [line]) + "\n",
+                        encoding="utf-8")
+        commands = [["joint", "--space", space, "--model", model, "--coords", coords, "--grid", "16"]
+                    for coords in ("rotated", "lab")]
+        if (space, model) == ("momentum", "sinc"):  # variances reads neither
+            commands.append(["variances"])
+        if (space, model) == ("position", "sinc") and key == "pump.ell_c":
+            commands.append(COHERENCE_BLIND)
+        for i, argv in enumerate(commands):
+            out = run / str(i)
+            code = main([argv[0], "--config", str(cfgp), "--out", str(out), *argv[1:]])
+            printed, err = capsys.readouterr()
+            if code == 0 and err == "":
+                if argv[0] == "variances":
+                    json.loads((out / "variances.json").read_text(encoding="utf-8"), parse_constant=pytest.fail)
+                continue
+            assert code == 2 and not printed and err.startswith("error: ") and err.count("\n") == 1, (argv, code, err)
+            detail = err.removeprefix("error: ").removeprefix("out of floating-point range: ")
+            assert detail[:1].isalpha(), (argv, err)
+            assert key not in NAMING_KEYS or NAMES.search(detail), (argv, err)
+            assert not detail.startswith("invalid parameter") or f"'{key.split('.')[1]}'" in detail, err
+            assert argv != COHERENCE_BLIND or detail.startswith("invalid parameter 'ell_c'"), err
+            assert not out.exists(), argv
 
     def test_out_of_memory(self, cfg, tmp_path, capsys, monkeypatch):
         """A grid too large to allocate exits 2 with one line.  The fill is

@@ -3,6 +3,7 @@ resolution guard, and the lab fill against the per-cell formula."""
 
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -47,6 +48,7 @@ PUMP = PumpParams(w=100.0, k_p=K_P)
 PUMP_NARROW = PumpParams(w=10.0, k_p=K_P)
 CRYSTAL = CrystalParams(L=1000.0, k_p=K_P)
 CRYSTAL_MID = CrystalParams(L=1000.0, k_p=K_P, z0=500.0)
+RANGE = ", need a positive finite value"  # the end of a range refusal's message
 POLED_PAIR = PhaseMatchModel.from_profile(NonlinearityProfile.alternating(2, 500.0))
 
 SQRT2 = math.sqrt(2.0)
@@ -707,21 +709,25 @@ class TestMinusFactorCache:
         assert info.misses == 0 and info.currsize == 0
 
     @pytest.mark.parametrize("p,c,m,space,named", [
-        (PumpParams(w=1e-160, k_p=K_P), CRYSTAL, EXACT_SINC, "momentum", "variance_q_plus = inf"),
-        (PumpParams(w=1e-160, k_p=K_P), CRYSTAL, GAUSSIAN_APPROX, "momentum", "variance_q_plus = inf"),
-        (PumpParams(w=1e-300, k_p=K_P), CRYSTAL, EXACT_SINC, "position", "variance_rho_plus = 0.0"),
+        (PumpParams(w=1e-160, k_p=K_P), CRYSTAL, EXACT_SINC, "momentum", "variance_q_plus = inf" + RANGE),
+        (PumpParams(w=1e-160, k_p=K_P), CRYSTAL, GAUSSIAN_APPROX, "momentum", "variance_q_plus = inf" + RANGE),
+        (PumpParams(w=1e-300, k_p=K_P), CRYSTAL, EXACT_SINC, "position", "variance_rho_plus = 0.0" + RANGE),
         (PUMP, CrystalParams(L=1000.0, k_p=K_P, alpha=1e-308), GAUSSIAN_APPROX, "position",
-         "variance_rho_minus = inf"),
+         "variance_rho_minus = inf" + RANGE),
+        # the float arithmetic raises: 1 / w**2 with w**2 = 0.0, and ell_c**2
+        (PumpParams(w=1e-300, k_p=K_P), CRYSTAL, EXACT_SINC, "momentum", "variance_q_plus: float division by zero"),
+        (PumpParams(w=100.0, k_p=K_P, ell_c=1e160), CRYSTAL, EXACT_SINC, "momentum",
+         "variance_q_plus: Numerical result out of range"),
     ], ids=["w_1e-160-momentum-sinc", "w_1e-160-momentum-gauss", "w_1e-300-position-sinc",
-            "alpha_1e-308-position-gauss"])
+            "alpha_1e-308-position-gauss", "w_1e-300-momentum-sinc", "ell_c_1e160-momentum-sinc"])
     def test_gaussian_out_of_range_raises_before_any_lookup(self, p, c, m, space, named):
-        """A Gaussian variance that left the float range is named as classify
-        names it, by default_axes and evaluate_grid alike, and no table is
-        looked up for the minus factor."""
+        """A Gaussian variance that left the float range, or whose float
+        arithmetic raised, is named as classify names it, by default_axes and
+        evaluate_grid alike, and no table is looked up for the minus factor."""
         joint._factor_pair(PUMP, CRYSTAL, EXACT_SINC, space)  # a cache with an entry
         before = joint._minus_marginal.cache_info()
         for build in (default_axes, evaluate_grid):
-            with pytest.raises(FloatingPointError, match=f"^{named}, need a positive finite value$"):
+            with pytest.raises(FloatingPointError, match=f"^{re.escape(named)}$"):
                 build(p, c, m, space, "rotated")
         assert joint._minus_marginal.cache_info() == before
 

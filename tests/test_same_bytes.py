@@ -64,12 +64,12 @@ def test_run_without_exit_code_fails(tmp_path):
 
 def test_matrix_covers_every_command(tmp_path):
     names = [name for name, _ in same_bytes.write_inputs(ROOT, tmp_path)]
-    assert len(names) == 3 * 2 * 2 * 3 + 9 + 4
+    assert len(names) == 3 * 2 * 2 * 3 + 10 + 8
+    pumps = ("w_1e-160", "w_1e-300", "ell_c_1e160")  # each refused by variances and momentum joint
     assert {"phasematch-sinc", "phasematch-gauss", "phase-diagram", "validate", "variances-example",
-            "variances-exit_face-w_1e-160", "variances-exit_face-w_1e-300", "variances-exit_face-L_5e-324",
-            "variances-exit_face-alpha_1e-308", "joint-momentum-sinc-exit_face-w_1e-160",
-            "joint-momentum-gauss-exit_face-w_1e-160", "joint-position-sinc-exit_face-w_1e-300",
-            "joint-position-gauss-exit_face-alpha_1e-308"} <= set(names)
+            *(f"variances-exit_face-{n}" for n in (*pumps, "L_5e-324", "alpha_1e-308")),
+            *(f"joint-momentum-{m}-exit_face-{n}" for m in ("sinc", "gauss") for n in pumps),
+            "joint-position-sinc-exit_face-w_1e-300", "joint-position-gauss-exit_face-alpha_1e-308"} <= set(names)
     assert "pump.w = 1e-160\n" in (tmp_path / "exit_face-w_1e-160.cfg").read_text()
     assert (tmp_path / "exit_face-alpha_1e-308.cfg").read_text().endswith("crystal.alpha = 1e-308\n")
     # the poled pair fills the thin crystal [z0 - L, z0] = [0.6, 0.7]

@@ -14,11 +14,12 @@ Python process, with that tree's ``src`` first on the path:
 * ``phasematch`` for sinc and gauss on the example config;
 * ``variances`` on the example config, and on the exit-face config with
   one value past the float range (``EXTREMES``): ``pump.w = 1e-160``,
-  ``pump.w = 1e-300``, ``crystal.L = 5e-324`` and
+  ``pump.w = 1e-300``, ``pump.ell_c = 1e160``, ``crystal.L = 5e-324`` and
   ``crystal.alpha = 1e-308``;
-* ``joint`` refusing those configs (``EXTREME_JOINTS``): ``pump.w = 1e-160``
-  in momentum (sinc and gauss), ``pump.w = 1e-300`` in position (sinc)
-  and ``crystal.alpha = 1e-308`` in position (gauss);
+* ``joint`` refusing those configs (``EXTREME_JOINTS``): ``pump.w = 1e-160``,
+  ``pump.w = 1e-300`` and ``pump.ell_c = 1e160`` in momentum (sinc and
+  gauss), ``pump.w = 1e-300`` in position (sinc) and
+  ``crystal.alpha = 1e-308`` in position (gauss);
 * ``phase-diagram`` and ``validate`` at their defaults.
 
 Each tree also runs the kernels that every output rests on (``KERNELS``):
@@ -66,13 +67,15 @@ CONFIGS = {
 EXTREMES = {
     "exit_face-w_1e-160": CONFIGS["exit_face"].replace("pump.w = 100", "pump.w = 1e-160"),
     "exit_face-w_1e-300": CONFIGS["exit_face"].replace("pump.w = 100", "pump.w = 1e-300"),
+    "exit_face-ell_c_1e160": CONFIGS["exit_face"] + "pump.ell_c = 1e160\n",
     "exit_face-L_5e-324": CONFIGS["exit_face"].replace("crystal.L = 1000", "crystal.L = 5e-324"),
     "exit_face-alpha_1e-308": CONFIGS["exit_face"] + "crystal.alpha = 1e-308\n",
 }
 # EXTREMES name -> (space, model) of the joint runs on it, each refused
 EXTREME_JOINTS = {
     "exit_face-w_1e-160": [("momentum", "sinc"), ("momentum", "gauss")],
-    "exit_face-w_1e-300": [("position", "sinc")],
+    "exit_face-w_1e-300": [("momentum", "sinc"), ("momentum", "gauss"), ("position", "sinc")],
+    "exit_face-ell_c_1e160": [("momentum", "sinc"), ("momentum", "gauss")],
     "exit_face-alpha_1e-308": [("position", "gauss")],
 }
 # kernel -> (log10 range of its input magnitudes, whether they take random
