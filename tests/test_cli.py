@@ -69,6 +69,26 @@ class TestVariances:
         want = json.dumps(classify(*load_params(cfg))._asdict(), indent=1) + "\n"
         assert (out / "variances.json").read_text(encoding="utf-8") == want
 
+    @pytest.mark.parametrize("line, name", [
+        ("pump.w = 1e-160", "variance_q_plus"),
+        ("crystal.L = 1e308", "variance_rho_minus"),
+        ("crystal.alpha = 1e-308", "variance_rho_minus"),
+    ])
+    def test_out_of_range_is_refused(self, tmp_path, capsys, line, name):
+        """A finite input whose variance overflows exits 2 with one line
+        naming it, and writes no Infinity (not JSON) and no manifest."""
+        key = line.split(" =")[0]
+        kept = [ln for ln in CONFIG.splitlines() if not ln.startswith(key)]
+        cfgp = tmp_path / "extreme.cfg"
+        cfgp.write_text("\n".join(kept + [line]) + "\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["variances", "--config", str(cfgp), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: out of floating-point range: {name} = inf,")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestJoint:
     def test_files_and_summary(self, cfg, tmp_path, capsys):
@@ -396,6 +416,23 @@ class TestErrorPaths:
             assert not detail.startswith("invalid parameter") or f"'{key.split('.')[1]}'" in detail, err
             assert argv != COHERENCE_BLIND or detail.startswith("invalid parameter 'ell_c'"), err
             assert not out.exists(), argv
+
+    @pytest.mark.parametrize("coords", ["rotated", "lab"])
+    @pytest.mark.parametrize("space", ["momentum", "position"])
+    def test_tiny_crystal_length(self, tmp_path, capsys, recwarn, space, coords):
+        """A crystal so short that the minus factor overflows exits 2 with
+        one line, and numpy warns of nothing on the way."""
+        cfgp = tmp_path / "tiny.cfg"
+        cfgp.write_text("pump.w = 10\npump.k_p = 10\ncrystal.L = 1e-300\n", encoding="utf-8")
+        out = tmp_path / "o"
+        code = main(["joint", "--config", str(cfgp), "--out", str(out), "--space", space,
+                     "--coords", coords, "--grid", "64"])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: out of floating-point range: ")
+        assert err[0].removeprefix("error: out of floating-point range: ")[:1].isalpha()
+        assert not out.exists()
+        assert len(recwarn) == 0
 
     def test_out_of_memory(self, cfg, tmp_path, capsys, monkeypatch):
         """A grid too large to allocate exits 2 with one line.  The fill is
