@@ -181,10 +181,7 @@ class TestClassify:
         ({"w": 1e-100}, {"L": 1e300}, "product_pm = 0.0,"),   # rho_plus * q_minus underflows
         ({"w": 1e-300}, {}, "variance_rho_plus = 0.0,"),       # 2 w^2 underflows, and q_plus divides by it
         ({"ell_c": 1e160}, {}, "variance_q_plus: Numerical result out of range"),  # ell_c**2 raises
-        ({}, {"L": 1e308}, "variance_rho_minus = inf,"),
-        ({}, {"alpha": 1e-308}, "variance_rho_minus = inf,"),
-    ], ids=["1e-160-1000.0-variance_q_plus", "1e-100-1e+300-product_pm",
-            "w_1e-300", "ell_c_1e160", "L_1e308", "alpha_1e-308"])
+    ], ids=["1e-160-1000.0-variance_q_plus", "1e-100-1e+300-product_pm", "w_1e-300", "ell_c_1e160"])
     def test_out_of_range_is_refused(self, pump, crystal, named):
         """The first number out of range, in field order, is named, also when its float arithmetic raised."""
         with pytest.raises(FloatingPointError, match=f"^{named}"):

@@ -13,13 +13,8 @@ Python process, with that tree's ``src`` first on the path:
   filling the crystal's [z0 - L, z0]};
 * ``phasematch`` for sinc and gauss on the example config;
 * ``variances`` on the example config, and on the exit-face config with
-  one value past the float range (``EXTREMES``): ``pump.w = 1e-160``,
-  ``pump.w = 1e-300``, ``pump.ell_c = 1e160``, ``crystal.L = 5e-324`` and
-  ``crystal.alpha = 1e-308``;
-* ``joint`` refusing those configs (``EXTREME_JOINTS``): ``pump.w = 1e-160``,
-  ``pump.w = 1e-300`` and ``pump.ell_c = 1e160`` in momentum (sinc and
-  gauss), ``pump.w = 1e-300`` in position (sinc) and
-  ``crystal.alpha = 1e-308`` in position (gauss);
+  one value past the float range (``EXTREMES``);
+* ``joint`` refusing those configs (``EXTREME_JOINTS``);
 * ``phase-diagram`` and ``validate`` at their defaults.
 
 Each tree also runs the kernels that every output rests on (``KERNELS``):
